@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .assembly import AssemblyConfig, ProblemSpec, assemble
-from .errors import NonUniformMesh
+from .errors import NegativeReaction, NonPositiveDiffusion, NonUniformMesh
 from .mesh import ElementGeom, TensorMesh, element_arrays, enumerate_dofs
 from .problems import mesh_for
 from .solver import Solution, solve
@@ -205,13 +205,15 @@ def sign_inequality_value(geom: ElementGeom, kappa, h_global, problem: ProblemSp
     condition (see :func:`kappa_condition`).
     """
     v_plus, v_minus = split_pos_neg(v)
+    pts, _ = kernels.gauss_points(geom)
+    qx, qy = pts[:, 0], pts[:, 1]
+    a11, a22 = problem.alpha(qx, qy)
+    if min(np.min(a11), np.min(a22)) <= 0:
+        raise NonPositiveDiffusion("diffusion tensor not positive at a quadrature point")
     c_val = float(problem.c(geom.center[0], geom.center[1]))
-    op = (
-        kappa * kernels.stabilizer_matrix(geom, h_global)
-        + kernels.diffusion_matrix(geom, problem.alpha)
-        + kernels.convection_matrix(geom, problem.beta)
-        + kernels.reaction_matrix(geom, c_val)
-    )
+    if c_val < 0:
+        raise NegativeReaction(f"reaction coefficient must be >= 0, got {c_val}")
+    op = kernels.local_operator(geom, kappa, h_global, (a11, a22), problem.beta(qx, qy), c_val)
     # rows are test functions, columns trial: B(v-, v+) = v+^T Op v-
     return float(v_plus @ op @ v_minus)
 
@@ -230,8 +232,8 @@ def kappa_condition(mesh: TensorMesh, problem: ProblemSpec, kappa: float,
     h_eff = mesh.h if h is None else float(h)
     area = hx * hy
 
-    qx = cx[:, None] + 0.5 * hx[:, None] * kernels._GAUSS_SX[None, :]
-    qy = cy[:, None] + 0.5 * hy[:, None] * kernels._GAUSS_SY[None, :]
+    pts, _ = kernels.gauss_points(ElementGeom(hx, hy, (cx, cy)))
+    qx, qy = pts[..., 0], pts[..., 1]
     a11, a22 = problem.alpha(qx, qy)
     a11 = np.broadcast_to(np.asarray(a11, dtype=float), qx.shape)
     a22 = np.broadcast_to(np.asarray(a22, dtype=float), qx.shape)

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from . import kernels
 from .errors import NonPositiveDiffusion, SingularConfig
-from .mesh import DofMap, EdgeDof, TensorMesh, element_arrays, enumerate_dofs
+from .mesh import DofMap, EdgeDof, ElementGeom, TensorMesh, element_arrays, enumerate_dofs
 
 QB_RULES = ("midpoint", "simpson")
 BC_MODES = ("eliminate", "penalty")
@@ -108,70 +108,62 @@ class SparseSystem:
     bc_mode: str
     mesh: TensorMesh
 
-    @property
-    def free_dofs(self) -> np.ndarray:
-        if self.bc_mode == "eliminate":
-            return self.dof_map.interior
-        return np.arange(self.dof_map.count)
 
-
-def edge_average(g, edge: EdgeDof, rule: str = "simpson") -> float:
-    """Approximate average of ``g`` over one edge.
+def _edge_averages(g, midpoints, lengths, vertical, rule: str) -> np.ndarray:
+    """Averages of ``g`` over edges given by midpoint (k, 2), length and orientation.
 
     ``simpson`` uses the 3-point rule (exact for cubics along the edge);
     ``midpoint`` samples g at the edge midpoint.
     """
+    mx, my = midpoints[:, 0], midpoints[:, 1]
     if rule == "midpoint":
-        return float(g(edge.midpoint[0], edge.midpoint[1]))
+        return np.asarray(g(mx, my), dtype=float) + np.zeros(mx.size)
     if rule != "simpson":
         raise ValueError(f"rule must be one of {QB_RULES}")
-    (x0, y0), (x1, y1) = edge.endpoints()
-    xm, ym = edge.midpoint
-    return float(g(x0, y0) + 4.0 * g(xm, ym) + g(x1, y1)) / 6.0
-
-
-def boundary_averages(mesh: TensorMesh, dof_map: DofMap, g, rule: str) -> np.ndarray:
-    """Averages of g over all boundary edges, aligned with dof_map.boundary."""
-    b = dof_map.boundary
-    mx, my = dof_map.midpoints[b, 0], dof_map.midpoints[b, 1]
-    if rule == "midpoint":
-        return np.asarray(g(mx, my), dtype=float) + np.zeros(b.size)
-    if rule != "simpson":
-        raise ValueError(f"rule must be one of {QB_RULES}")
-    half = 0.5 * dof_map.lengths[b]
-    vert = dof_map.is_vertical[b]
-    x0 = np.where(vert, mx, mx - half)
-    x1 = np.where(vert, mx, mx + half)
-    y0 = np.where(vert, my - half, my)
-    y1 = np.where(vert, my + half, my)
+    half = 0.5 * lengths
+    x0 = np.where(vertical, mx, mx - half)
+    x1 = np.where(vertical, mx, mx + half)
+    y0 = np.where(vertical, my - half, my)
+    y1 = np.where(vertical, my + half, my)
     vals = (
         np.asarray(g(x0, y0), dtype=float)
         + 4.0 * np.asarray(g(mx, my), dtype=float)
         + np.asarray(g(x1, y1), dtype=float)
     ) / 6.0
-    return vals + np.zeros(b.size)
+    return vals + np.zeros(mx.size)
 
 
-def _local_matrices(mesh, problem, kappa):
-    """All element-local operator matrices, shape (n_elements, 4, 4)."""
+def edge_average(g, edge: EdgeDof, rule: str = "simpson") -> float:
+    """Approximate average of ``g`` over one edge (see :func:`_edge_averages`)."""
+    return float(_edge_averages(
+        g, np.array([edge.midpoint]), np.array([edge.length]),
+        np.array([edge.orientation == "vertical"]), rule,
+    )[0])
+
+
+def boundary_averages(mesh: TensorMesh, dof_map: DofMap, g, rule: str) -> np.ndarray:
+    """Averages of g over all boundary edges, aligned with dof_map.boundary."""
+    b = dof_map.boundary
+    return _edge_averages(
+        g, dof_map.midpoints[b], dof_map.lengths[b], dof_map.is_vertical[b], rule
+    )
+
+
+def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> SparseSystem:
+    """Assemble the global system for ``problem`` on ``mesh``.
+
+    Each coefficient is evaluated once over all elements; the batched
+    :func:`kernels.local_operator` and :func:`kernels.load_vector` give the
+    element blocks, which are accumulated in a fixed row-major order, so
+    single-threaded assembly is bit-reproducible.
+    """
+    dof_map = enumerate_dofs(mesh)
     hx, hy, cx, cy, conn = element_arrays(mesh)
-    nel = hx.size
-    area = hx * hy
-    h = mesh.h
-
-    # stabilizer
-    mu = area / (2.0 * h * (hx + hy))
-    dd = np.outer(kernels.STAB_SIGNS, kernels.STAB_SIGNS)
-    local = kappa * mu[:, None, None] * dd[None, :, :]
-
-    # quadrature points (4 per element)
-    qx = cx[:, None] + 0.5 * hx[:, None] * kernels._GAUSS_SX[None, :]
-    qy = cy[:, None] + 0.5 * hy[:, None] * kernels._GAUSS_SY[None, :]
-    wq = 0.25 * area
-
-    a11, a22 = problem.alpha(qx, qy)
-    a11 = np.broadcast_to(np.asarray(a11, dtype=float), qx.shape)
-    a22 = np.broadcast_to(np.asarray(a22, dtype=float), qx.shape)
+    geom = ElementGeom(hx, hy, (cx, cy))
+    pts, _ = kernels.gauss_points(geom)
+    qx, qy = pts[..., 0], pts[..., 1]
+    a11, a22 = (np.broadcast_to(np.asarray(a, dtype=float), qx.shape)
+                for a in problem.alpha(qx, qy))
     amin = min(a11.min(), a22.min())
     if amin < 0:
         raise NonPositiveDiffusion("diffusion tensor negative at a quadrature point")
@@ -179,8 +171,8 @@ def _local_matrices(mesh, problem, kappa):
         # tolerate degeneracy confined to elements touching the domain boundary
         el_min = np.minimum(a11.min(axis=1), a22.min(axis=1))
         nx, ny = mesh.nx, mesh.ny
-        ii = np.arange(nel) % nx
-        jj = np.arange(nel) // nx
+        ii = np.arange(hx.size) % nx
+        jj = np.arange(hx.size) // nx
         at_boundary = (ii == 0) | (ii == nx - 1) | (jj == 0) | (jj == ny - 1)
         if np.any((el_min <= 0) & ~at_boundary):
             raise NonPositiveDiffusion(
@@ -189,74 +181,23 @@ def _local_matrices(mesh, problem, kappa):
         warnings.warn(
             "diffusion tensor vanishes at boundary-adjacent quadrature points",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-
-    gxs = np.zeros((nel, 4))
-    gys = np.zeros((nel, 4))
-    gxs[:, 0], gxs[:, 1] = -1.0 / hx, 1.0 / hx
-    gys[:, 2], gys[:, 3] = -1.0 / hy, 1.0 / hy
-
-    ia11 = wq * a11.sum(axis=1)
-    ia22 = wq * a22.sum(axis=1)
-    local += ia11[:, None, None] * gxs[:, :, None] * gxs[:, None, :]
-    local += ia22[:, None, None] * gys[:, :, None] * gys[:, None, :]
-
-    # basis extension values at quadrature points: (nel, 4 basis, 4 pts)
-    gv = (hy / (2.0 * (hx + hy)))[:, None]
-    gh = (hx / (2.0 * (hx + hy)))[:, None]
-    xi = (qx - cx[:, None]) / hx[:, None]
-    eta = (qy - cy[:, None]) / hy[:, None]
-    sbas = np.stack([gv - xi, gv + xi, gh - eta, gh + eta], axis=1)
-
-    b1, b2 = problem.beta(qx, qy)
-    b1 = np.broadcast_to(np.asarray(b1, dtype=float), qx.shape)
-    b2 = np.broadcast_to(np.asarray(b2, dtype=float), qx.shape)
-    # flux of trial basis j at point q: (nel, 4, 4)
-    flux = gxs[:, :, None] * b1[:, None, :] + gys[:, :, None] * b2[:, None, :]
-    local += wq[:, None, None] * np.einsum("kiq,kjq->kij", sbas, flux)
-
-    cval = np.asarray(problem.c(cx, cy), dtype=float)
-    cval = np.broadcast_to(cval, cx.shape)
-    if cval.min() < 0:
+    c_val = np.asarray(problem.c(cx, cy), dtype=float)
+    if c_val.min() < 0:
         warnings.warn(
             "reaction coefficient negative on some elements; "
             "maximum-principle guarantees do not apply",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    mass = np.einsum("kiq,kjq->kij", sbas, sbas)
-    local += (wq * cval)[:, None, None] * mass
-
-    return local, conn
-
-
-def _load_entries(mesh, problem, dof_map):
-    """Per-element load vectors (n_elements, 4) from the product quadrature."""
-    hx, hy, cx, cy, conn = element_arrays(mesh)
-    area = hx * hy
+    local = kernels.local_operator(
+        geom, config.kappa, mesh.h, (a11, a22), problem.beta(qx, qy), c_val)
+    # f at the dof midpoints, which lie exactly on the mesh breakpoints
     f_mid = np.asarray(
         problem.f(dof_map.midpoints[:, 0], dof_map.midpoints[:, 1]), dtype=float
     ) + np.zeros(dof_map.count)
-    fc = np.asarray(problem.f(cx, cy), dtype=float) + np.zeros(cx.size)
-    sigma = hx / hy
-    wgt = np.stack(
-        [2.0 - sigma, 2.0 - sigma, 2.0 * sigma - 1.0, 2.0 * sigma - 1.0], axis=1
-    )
-    return (area / 6.0)[:, None] * f_mid[conn] + (
-        area / (6.0 * (1.0 + sigma))
-    )[:, None] * wgt * fc[:, None]
-
-
-def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> SparseSystem:
-    """Assemble the global system for ``problem`` on ``mesh``.
-
-    Element contributions are accumulated in a fixed row-major order, so
-    single-threaded assembly is bit-reproducible.
-    """
-    dof_map = enumerate_dofs(mesh)
-    local, conn = _local_matrices(mesh, problem, config.kappa)
-    loads = _load_entries(mesh, problem, dof_map)
+    loads = kernels.load_vector(geom, problem.f, f_mid=f_mid[conn])
 
     count = dof_map.count
     rows = np.broadcast_to(conn[:, :, None], local.shape)

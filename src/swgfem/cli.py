@@ -19,7 +19,7 @@ from .errors import (
     UnknownProblem,
 )
 from .mesh import build_tensor_mesh
-from .problems import PROBLEM_IDS, get_problem, make_custom
+from .problems import PROBLEM_IDS, get_problem, make_custom, mesh_for
 from .solver import SolveConfig, solve
 
 EQUIV_TOL = 1e-13
@@ -133,10 +133,9 @@ def cmd_run(args):
         penalty_weight=args.penalty_weight, solve_config=solve_config,
     )
     if args.dump_matrix:
-        _, system, _ = analysis.solve_problem(
-            problem, args.ns[0], args.kappa,
-            bc_mode=args.bc, qb_rule=args.qb, penalty_weight=args.penalty_weight,
-        )
+        system = assemble(mesh_for(problem, args.ns[0]), problem, AssemblyConfig(
+            kappa=args.kappa, bc_mode=args.bc,
+            penalty_weight=args.penalty_weight, qb_rule=args.qb))
         dump_matrix(system, args.dump_matrix)
     header = "# problem=%s kappa=%g bc=%s qb=%s" % (
         problem.name, args.kappa, args.bc, args.qb)

@@ -16,6 +16,12 @@ conditions has the closed form
 All variable-coefficient integrals use a fixed 2x2 tensor Gauss rule,
 exact for integrands of coordinate degree <= 3, which covers every
 polynomial pairing of weak gradients with linear extensions.
+
+Every kernel runs on one element or on a batch of elements: a geometry
+whose ``hx``, ``hy`` and ``center`` hold equal-shape arrays (as built from
+:func:`swgfem.mesh.element_arrays`) gives ``(..., 4)`` vectors and
+``(..., 4, 4)`` blocks; a scalar geometry gives ``(4,)`` and ``(4, 4)``.
+Edge-value vectors ``v`` batch the same way, with shape ``(..., 4)``.
 """
 
 from dataclasses import dataclass
@@ -31,6 +37,9 @@ STAB_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 _GAUSS_OFFSET = 1.0 / np.sqrt(3.0)
 _GAUSS_SX = np.array([-1.0, 1.0, -1.0, 1.0]) * _GAUSS_OFFSET
 _GAUSS_SY = np.array([-1.0, -1.0, 1.0, 1.0]) * _GAUSS_OFFSET
+_STAB_OUTER = np.outer(STAB_SIGNS, STAB_SIGNS)
+_GRAD_X = np.array([-1.0, 1.0, 0.0, 0.0])  # hx * grad_w of each basis function
+_GRAD_Y = np.array([0.0, 0.0, -1.0, 1.0])  # hy * grad_w of each basis function
 
 
 @dataclass(frozen=True)
@@ -48,20 +57,44 @@ class ExtensionCoeffs:
         )
 
 
+def _gauss(geom: ElementGeom):
+    """Columns (hx, hy, cx, cy), each (..., 1), and Gauss coordinates (..., 4)."""
+    hx, hy, cx, cy = cols = [
+        np.asarray(a, dtype=float)[..., None] for a in (geom.hx, geom.hy, *geom.center)
+    ]
+    return cols, cx + 0.5 * hx * _GAUSS_SX, cy + 0.5 * hy * _GAUSS_SY
+
+
+def _element_terms(geom: ElementGeom):
+    """The intermediates every block shares, computed once.
+
+    Gauss coordinates qx, qy (..., 4); the Gauss weight |T|/4 (...); the
+    basis extensions at the Gauss points s (..., 4 basis, 4 points); and
+    the basis weak gradients gx, gy (..., 4).
+    """
+    (hx, hy, cx, cy), qx, qy = _gauss(geom)
+    xi, eta = (qx - cx) / hx, (qy - cy) / hy
+    g_v, g_h = hy / (2.0 * (hx + hy)), hx / (2.0 * (hx + hy))
+    s = np.stack([g_v - xi, g_v + xi, g_h - eta, g_h + eta], axis=-2)
+    return qx, qy, 0.25 * (hx * hy)[..., 0], s, (1.0 / hx) * _GRAD_X, (1.0 / hy) * _GRAD_Y
+
+
+def _at_points(pair, shape):
+    """A coefficient pair broadcast to one value per Gauss point."""
+    pair = [np.asarray(a, dtype=float) for a in pair]
+    return [a if a.shape == shape else np.broadcast_to(a, shape) for a in pair]
+
+
 def gauss_points(geom: ElementGeom):
-    """2x2 tensor Gauss rule: points (4, 2) and weights summing to |T|."""
-    cx, cy = geom.center
-    pts = np.column_stack(
-        [cx + 0.5 * geom.hx * _GAUSS_SX, cy + 0.5 * geom.hy * _GAUSS_SY]
-    )
-    w = np.full(4, 0.25 * geom.area)
-    return pts, w
+    """2x2 tensor Gauss rule: points (..., 4, 2) and weights (..., 4) summing to |T|."""
+    (hx, hy, _, _), qx, qy = _gauss(geom)
+    return np.stack([qx, qy], axis=-1), np.repeat(0.25 * (hx * hy), 4, axis=-1)
 
 
 def weak_gradient(geom: ElementGeom, v):
     """Constant weak gradient of the edge-value vector ``v``."""
     v = np.asarray(v, dtype=float)
-    return (v[1] - v[0]) / geom.hx, (v[3] - v[2]) / geom.hy
+    return (v[..., 1] - v[..., 0]) / geom.hx, (v[..., 3] - v[..., 2]) / geom.hy
 
 
 def extension_coeffs(geom: ElementGeom, v) -> ExtensionCoeffs:
@@ -69,9 +102,10 @@ def extension_coeffs(geom: ElementGeom, v) -> ExtensionCoeffs:
     v = np.asarray(v, dtype=float)
     denom = 2.0 * (geom.hx + geom.hy)
     return ExtensionCoeffs(
-        gamma0=(geom.hy * (v[0] + v[1]) + geom.hx * (v[2] + v[3])) / denom,
-        gamma1=(v[1] - v[0]) / geom.hx,
-        gamma2=(v[3] - v[2]) / geom.hy,
+        gamma0=(geom.hy * (v[..., 0] + v[..., 1]) + geom.hx * (v[..., 2] + v[..., 3]))
+        / denom,
+        gamma1=(v[..., 1] - v[..., 0]) / geom.hx,
+        gamma2=(v[..., 3] - v[..., 2]) / geom.hy,
     )
 
 
@@ -82,8 +116,8 @@ def midpoint_defects(geom: ElementGeom, v):
     -hy*D/(2(hx+hy)) on the horizontal ones, with D = v1+v2-v3-v4.
     """
     v = np.asarray(v, dtype=float)
-    d = (v[0] + v[1] - v[2] - v[3]) / (2.0 * (geom.hx + geom.hy))
-    return np.array([geom.hx * d, geom.hx * d, -geom.hy * d, -geom.hy * d])
+    d = (v[..., 0] + v[..., 1] - v[..., 2] - v[..., 3]) / (2.0 * (geom.hx + geom.hy))
+    return np.stack([geom.hx * d, geom.hx * d, -geom.hy * d, -geom.hy * d], axis=-1)
 
 
 def basis_extensions(geom: ElementGeom):
@@ -98,20 +132,25 @@ def basis_extensions(geom: ElementGeom):
     )
 
 
-def _basis_values(geom: ElementGeom, x, y):
-    """Values of the four basis extensions at points, shape (4, npts)."""
-    cx, cy = geom.center
-    xi = (np.asarray(x, dtype=float) - cx) / geom.hx
-    eta = (np.asarray(y, dtype=float) - cy) / geom.hy
-    g_v = geom.hy / (2.0 * (geom.hx + geom.hy))
-    g_h = geom.hx / (2.0 * (geom.hx + geom.hy))
-    return np.stack([g_v - xi, g_v + xi, g_h - eta, g_h + eta])
+def _diffusion_terms(w, gx, gy, a11, a22):
+    """The a11 and a22 parts of the diffusion block; ``w`` is the Gauss weight."""
+    return [
+        (w * a.sum(axis=-1))[..., None, None] * g[..., :, None] * g[..., None, :]
+        for a, g in ((a11, gx), (a22, gy))
+    ]
 
 
-def _weak_gradient_basis(geom: ElementGeom):
-    gx = np.array([-1.0 / geom.hx, 1.0 / geom.hx, 0.0, 0.0])
-    gy = np.array([0.0, 0.0, -1.0 / geom.hy, 1.0 / geom.hy])
-    return gx, gy
+def _convection_block(w, s, gx, gy, b1, b2):
+    """Entry (i, j) integrates (beta . grad_w phi_j) s(phi_i); ``s`` is (..., 4, 4)."""
+    flux = gx[..., :, None] * b1[..., None, :] + gy[..., :, None] * b2[..., None, :]
+    return w[..., None, None] * np.einsum("...iq,...jq->...ij", s, flux)
+
+
+def _reaction_block(w, s, c):
+    """Entry (i, j) integrates c s(phi_i) s(phi_j), with c one value per element."""
+    return (w * np.asarray(c, dtype=float))[..., None, None] * np.einsum(
+        "...iq,...jq->...ij", s, s
+    )
 
 
 def stabilizer_matrix(geom: ElementGeom, h_global: float):
@@ -123,7 +162,7 @@ def stabilizer_matrix(geom: ElementGeom, h_global: float):
     if h_global <= 0:
         raise NonPositiveMeshsize(f"h_global must be positive, got {h_global}")
     mu = geom.hx * geom.hy / (2.0 * h_global * (geom.hx + geom.hy))
-    return mu * np.outer(STAB_SIGNS, STAB_SIGNS)
+    return np.asarray(mu)[..., None, None] * _STAB_OUTER
 
 
 def diffusion_matrix(geom: ElementGeom, alpha):
@@ -132,60 +171,65 @@ def diffusion_matrix(geom: ElementGeom, alpha):
     ``alpha(x, y)`` returns the diagonal pair (a11, a22); both components
     must be positive at every quadrature point.
     """
-    pts, w = gauss_points(geom)
-    a11, a22 = alpha(pts[:, 0], pts[:, 1])
-    a11 = np.broadcast_to(np.asarray(a11, dtype=float), (4,))
-    a22 = np.broadcast_to(np.asarray(a22, dtype=float), (4,))
+    qx, qy, w, _, gx, gy = _element_terms(geom)
+    a11, a22 = _at_points(alpha(qx, qy), qx.shape)
     if min(a11.min(), a22.min()) <= 0:
-        raise NonPositiveDiffusion(
-            "diffusion tensor not positive at a quadrature point"
-        )
-    gx, gy = _weak_gradient_basis(geom)
-    return float(w @ a11) * np.outer(gx, gx) + float(w @ a22) * np.outer(gy, gy)
+        raise NonPositiveDiffusion("diffusion tensor not positive at a quadrature point")
+    a_x, a_y = _diffusion_terms(w, gx, gy, a11, a22)
+    return a_x + a_y
 
 
 def convection_matrix(geom: ElementGeom, beta):
     """Convection matrix; entry (i, j) integrates (beta . grad_w phi_j) s(phi_i)."""
-    pts, w = gauss_points(geom)
-    b1, b2 = beta(pts[:, 0], pts[:, 1])
-    b1 = np.broadcast_to(np.asarray(b1, dtype=float), (4,))
-    b2 = np.broadcast_to(np.asarray(b2, dtype=float), (4,))
-    gx, gy = _weak_gradient_basis(geom)
-    s = _basis_values(geom, pts[:, 0], pts[:, 1])  # (4 basis, 4 pts)
-    flux = np.outer(gx, b1) + np.outer(gy, b2)  # (4 trial, 4 pts)
-    return (s * w) @ flux.T
+    qx, qy, w, s, gx, gy = _element_terms(geom)
+    return _convection_block(w, s, gx, gy, *_at_points(beta(qx, qy), qx.shape))
 
 
-def reaction_matrix(geom: ElementGeom, c_value: float):
+def reaction_matrix(geom: ElementGeom, c_value):
     """Reaction mass matrix c * (s(phi_i), s(phi_j)); requires c >= 0."""
-    if c_value < 0:
-        raise NegativeReaction(f"reaction coefficient must be >= 0, got {c_value}")
-    pts, w = gauss_points(geom)
-    s = _basis_values(geom, pts[:, 0], pts[:, 1])
-    return c_value * ((s * w) @ s.T)
+    if np.min(c_value) < 0:
+        raise NegativeReaction(f"reaction coefficient must be >= 0, got {np.min(c_value)}")
+    _, _, w, s, _, _ = _element_terms(geom)
+    return _reaction_block(w, s, c_value)
 
 
-def load_vector(geom: ElementGeom, f):
+def load_vector(geom: ElementGeom, f, f_mid=None):
     """Quadrature load (f, s(phi_i)) with midpoint/Simpson product accuracy.
 
     entry_i = |T|/6 * f(M_i) + |T|/(6(1+sigma)) * w_i * f(center), where
     sigma = hx/hy and w = (2-sigma, 2-sigma, 2*sigma-1, 2*sigma-1).  For
-    constant f the entries sum to |T| exactly.
+    constant f the entries sum to |T| exactly.  ``f_mid`` may hold f at the
+    four edge midpoints, shape (..., 4), instead of sampling f at
+    ``geom.edge_midpoints()``.
     """
-    mids = geom.edge_midpoints()
-    fm = np.asarray(f(mids[:, 0], mids[:, 1]), dtype=float)
-    fm = np.broadcast_to(fm, (4,))
-    fc = float(f(geom.center[0], geom.center[1]))
-    sigma = geom.sigma
-    wgt = np.array([2.0 - sigma, 2.0 - sigma, 2.0 * sigma - 1.0, 2.0 * sigma - 1.0])
-    return geom.area / 6.0 * fm + geom.area / (6.0 * (1.0 + sigma)) * wgt * fc
+    if f_mid is None:
+        mids = geom.edge_midpoints()
+        f_mid = f(mids[..., 0], mids[..., 1])
+    area = np.asarray(geom.area, dtype=float)
+    sigma = np.asarray(geom.sigma, dtype=float)
+    fm = np.broadcast_to(np.asarray(f_mid, dtype=float), sigma.shape + (4,))
+    fc = np.asarray(f(*geom.center), dtype=float)[..., None]
+    wgt = np.stack([2.0 - sigma, 2.0 - sigma, 2.0 * sigma - 1.0, 2.0 * sigma - 1.0], axis=-1)
+    return (area / 6.0)[..., None] * fm + (
+        area / (6.0 * (1.0 + sigma))
+    )[..., None] * wgt * fc
 
 
-def local_operator(geom: ElementGeom, kappa, h_global, alpha, beta, c_value):
-    """Full local matrix kappa*S + A + B + C used by the scheme."""
-    return (
-        kappa * stabilizer_matrix(geom, h_global)
-        + diffusion_matrix(geom, alpha)
-        + convection_matrix(geom, beta)
-        + reaction_matrix(geom, c_value)
-    )
+def local_operator(geom: ElementGeom, kappa, h_global, alpha_q, beta_q, c_value):
+    """Full local matrix kappa*S + A + B + C used by the scheme.
+
+    ``alpha_q = (a11, a22)`` and ``beta_q = (b1, b2)`` are the coefficients
+    at the :func:`gauss_points`, ``c_value`` the reaction at the element
+    center.  The caller evaluates and validates them.  The blocks are summed
+    in the fixed order S, A, B, C.
+    """
+    qx, _, w, s, gx, gy = _element_terms(geom)
+    a11, a22 = _at_points(alpha_q, qx.shape)
+    local = kappa * stabilizer_matrix(geom, h_global)
+    for term in (
+        *_diffusion_terms(w, gx, gy, a11, a22),
+        _convection_block(w, s, gx, gy, *_at_points(beta_q, qx.shape)),
+        _reaction_block(w, s, c_value),
+    ):
+        local += term
+    return local

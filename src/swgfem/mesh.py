@@ -98,11 +98,14 @@ class TensorMesh:
 
 @dataclass(frozen=True)
 class ElementGeom:
-    """Geometry of one rectangular element.
+    """Geometry of one rectangular element, or of a batch of them.
 
     ``edges`` holds the four global edge-dof ids in the fixed ordering
     e1=left, e2=right, e3=bottom, e4=top; it is None for standalone
-    geometries created outside a mesh.
+    geometries created outside a mesh.  ``hx``, ``hy`` and both entries of
+    ``center`` may be equal-shape arrays (see :func:`element_arrays`); the
+    geometry then describes that batch of elements, and
+    :meth:`edge_midpoints` and :meth:`edge_lengths` add a trailing edge axis.
     """
 
     hx: float
@@ -124,19 +127,14 @@ class ElementGeom:
         return cls(float(hx), float(hy), (float(center[0]), float(center[1])))
 
     def edge_midpoints(self) -> np.ndarray:
-        """Midpoints of (left, right, bottom, top) edges, shape (4, 2)."""
+        """Midpoints of (left, right, bottom, top) edges, shape (..., 4, 2)."""
         cx, cy = self.center
-        return np.array(
-            [
-                [cx - 0.5 * self.hx, cy],
-                [cx + 0.5 * self.hx, cy],
-                [cx, cy - 0.5 * self.hy],
-                [cx, cy + 0.5 * self.hy],
-            ]
-        )
+        x = np.stack([cx - 0.5 * self.hx, cx + 0.5 * self.hx, cx, cx], axis=-1)
+        y = np.stack([cy, cy, cy - 0.5 * self.hy, cy + 0.5 * self.hy], axis=-1)
+        return np.stack([x, y], axis=-1)
 
     def edge_lengths(self) -> np.ndarray:
-        return np.array([self.hy, self.hy, self.hx, self.hx])
+        return np.stack([self.hy, self.hy, self.hx, self.hx], axis=-1)
 
     def edge_normals(self) -> np.ndarray:
         return np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])

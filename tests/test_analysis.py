@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from swgfem.analysis import (
     solve_problem,
     split_pos_neg,
 )
-from swgfem.errors import NonUniformMesh
+from swgfem.errors import NegativeReaction, NonPositiveDiffusion, NonUniformMesh
 from swgfem.mesh import ElementGeom, enumerate_dofs, uniform_mesh
 from swgfem.problems import get_problem, make_custom, mesh_for
 
@@ -227,6 +229,18 @@ class TestSignInequality:
                         vals.append(
                             sign_inequality_value(geom, 2.0, 0.5, problem, [a, b, c, d]))
         assert min(vals) >= -1e-13
+
+    def test_rejects_nonpositive_diffusion_and_negative_reaction(self):
+        geom = ElementGeom.standalone(0.5, 0.5, (0.25, 0.25))
+        v = [1.0, -1.0, 0.5, -0.5]
+        base = make_custom()
+        for a22 in (0.0, -1.0):
+            alpha = lambda x, y, a22=a22: (np.ones_like(x), np.full_like(x, a22))
+            with pytest.raises(NonPositiveDiffusion):
+                sign_inequality_value(geom, 1.0, 0.5, replace(base, alpha=alpha), v)
+        negative_c = replace(base, c=lambda x, y: np.full_like(np.asarray(x, float), -0.1))
+        with pytest.raises(NegativeReaction):
+            sign_inequality_value(geom, 1.0, 0.5, negative_c, v)
 
     def test_random_vectors_nonnegative_under_condition(self, rng):
         problem = make_custom(beta=(0.5, -0.25), c=2.0)

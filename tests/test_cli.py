@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+import swgfem.analysis
+import swgfem.cli
+import swgfem.solver
+from swgfem.assembly import AssemblyConfig, assemble, dump_matrix
 from swgfem.cli import main
+from swgfem.problems import get_problem, mesh_for
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +64,27 @@ class TestRun:
         assert code == 0
         first = path.read_text().splitlines()[0].split()
         assert len(first) == 3
+
+    def test_dump_matrix_solves_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counting_solve(system, config=None):
+            calls.append(system.matrix.shape)
+            return swgfem.solver.solve(system, config)
+
+        monkeypatch.setattr(swgfem.analysis, "solve", counting_solve)
+        monkeypatch.setattr(swgfem.cli, "solve", counting_solve)
+        path = tmp_path / "mat.txt"
+        code, _, _ = run_cli(
+            capsys, "run", "--problem", "fd2", "--kappa", "4", "--ns", "8",
+            "--dump-matrix", str(path))
+        assert code == 0
+        assert len(calls) == 1
+        problem = get_problem("fd2")
+        expected = tmp_path / "expected.txt"
+        dump_matrix(assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0)),
+                    expected)
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_dump_matrix_needs_single_n(self, capsys):
         code, _, err = run_cli(

@@ -168,6 +168,7 @@ class TestStabilizer:
 
     def test_rank_one_form_matches_definition(self, rng):
         # closed form vs direct evaluation of the defect bilinear form
+        cases = []
         for _ in range(100):
             geom = random_geom(rng)
             h = rng.uniform(0.5, 2.0) * max(geom.hx, geom.hy)
@@ -176,6 +177,19 @@ class TestStabilizer:
             got = float(w @ stabilizer_matrix(geom, h) @ u)
             want = stabilizer_apply_oracle(geom, h, u, w)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+            cases.append((geom, u, w))
+        # the same rectangles in one batched call with one meshsize, as in assembly
+        geoms, us, ws = zip(*cases)
+        h = max(max(g.hx, g.hy) for g in geoms)
+        batch = ElementGeom(
+            np.array([g.hx for g in geoms]), np.array([g.hy for g in geoms]),
+            tuple(np.array([g.center[k] for g in geoms]) for k in (0, 1)))
+        mats = stabilizer_matrix(batch, h)
+        assert mats.shape == (100, 4, 4)
+        got = np.einsum("ki,kij,kj->k", np.array(ws), mats, np.array(us))
+        for k, geom in enumerate(geoms):
+            want = stabilizer_apply_oracle(geom, h, us[k], ws[k])
+            assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-13)
 
 
 class TestDiffusion:

@@ -63,6 +63,13 @@ class TestSolve:
         r = system.matrix @ sol.values[system.dof_map.interior] - system.rhs
         assert np.linalg.norm(r) / np.linalg.norm(system.rhs) <= 10 * 1e-12
 
+    def test_direct_judged_by_backward_error(self):
+        # the relative residual (6.5e-14) exceeds 10*tol, but the normwise
+        # backward error is a few eps, so the direct solve is accepted
+        _, _, sol = solve_problem(get_problem("fd1"), 32, 4.0,
+                                  solve_config=SolveConfig(method="direct", tol=1e-15))
+        assert sol.residual_norm > 10 * 1e-15
+
     def test_singular_matrix(self):
         mesh = uniform_mesh(2)
         dm = enumerate_dofs(mesh)
