@@ -7,8 +7,6 @@ against the exact gradient at element centers, both scaled by h.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,14 +114,6 @@ def _rate(prev_err, err, prev_n, n):
     return math.log(prev_err / err) / math.log(n / prev_n)
 
 
-def _thread_map(fn, items):
-    workers = int(os.environ.get("SWG_THREADS", "1"))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def convergence_table(problem: ProblemSpec, kappa: float, ns, *,
                       bc_mode="eliminate", qb_rule="midpoint",
                       penalty_weight=1e10, solve_config=None,
@@ -153,7 +143,7 @@ def convergence_table(problem: ProblemSpec, kappa: float, ns, *,
             discrete_h1_error(sol, mesh, problem.exact_grad),
         )
 
-    errors = _thread_map(run, ns)
+    errors = [run(n) for n in ns]
     rows = []
     prev = (None, None, None)
     for n, (l2, h1) in zip(ns, errors):

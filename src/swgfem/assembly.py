@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .errors import NonPositiveDiffusion, SingularConfig
+from .errors import NonFiniteData, NonPositiveDiffusion, SingularConfig
 from .mesh import DofMap, EdgeDof, ElementGeom, TensorMesh, element_arrays, enumerate_dofs
 
 QB_RULES = ("midpoint", "simpson")
@@ -49,25 +49,8 @@ class ProblemSpec:
     exact_grad: Callable | None = None
     alpha0: float = 0.0
     c_is_zero: bool = True
+    pure_unit_diffusion: bool = False  # alpha = I, beta = 0, c = 0; gates the FD schemes
     description: str = ""
-
-    @property
-    def pure_unit_diffusion(self) -> bool:
-        """True when alpha = I, beta = 0, c = 0 (sampled on a coarse grid)."""
-        x0, x1, y0, y1 = self.domain
-        xs = np.linspace(x0, x1, 5)
-        ys = np.linspace(y0, y1, 5)
-        xg, yg = np.meshgrid(xs, ys)
-        a11, a22 = self.alpha(xg, yg)
-        b1, b2 = self.beta(xg, yg)
-        cc = self.c(xg, yg)
-        return bool(
-            np.all(np.asarray(a11) == 1.0)
-            and np.all(np.asarray(a22) == 1.0)
-            and np.all(np.asarray(b1) == 0.0)
-            and np.all(np.asarray(b2) == 0.0)
-            and np.all(np.asarray(cc) == 0.0)
-        )
 
 
 @dataclass(frozen=True)
@@ -149,6 +132,11 @@ def boundary_averages(mesh: TensorMesh, dof_map: DofMap, g, rule: str) -> np.nda
     )
 
 
+def _require_finite(name, *samples):
+    if not all(np.all(np.isfinite(v)) for v in samples):
+        raise NonFiniteData(f"{name} is NaN or infinite at a sample point")
+
+
 def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> SparseSystem:
     """Assemble the global system for ``problem`` on ``mesh``.
 
@@ -164,6 +152,7 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     qx, qy = pts[..., 0], pts[..., 1]
     a11, a22 = (np.broadcast_to(np.asarray(a, dtype=float), qx.shape)
                 for a in problem.alpha(qx, qy))
+    _require_finite("alpha", a11, a22)
     amin = min(a11.min(), a22.min())
     if amin < 0:
         raise NonPositiveDiffusion("diffusion tensor negative at a quadrature point")
@@ -183,7 +172,10 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
             RuntimeWarning,
             stacklevel=2,
         )
+    beta_q = problem.beta(qx, qy)
+    _require_finite("beta", *beta_q)
     c_val = np.asarray(problem.c(cx, cy), dtype=float)
+    _require_finite("c", c_val)
     if c_val.min() < 0:
         warnings.warn(
             "reaction coefficient negative on some elements; "
@@ -192,12 +184,13 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
             stacklevel=2,
         )
     local = kernels.local_operator(
-        geom, config.kappa, mesh.h, (a11, a22), problem.beta(qx, qy), c_val)
+        geom, config.kappa, mesh.h, (a11, a22), beta_q, c_val)
     # f at the dof midpoints, which lie exactly on the mesh breakpoints
     f_mid = np.asarray(
         problem.f(dof_map.midpoints[:, 0], dof_map.midpoints[:, 1]), dtype=float
     ) + np.zeros(dof_map.count)
     loads = kernels.load_vector(geom, problem.f, f_mid=f_mid[conn])
+    _require_finite("f", loads)
 
     count = dof_map.count
     rows = np.broadcast_to(conn[:, :, None], local.shape)
@@ -209,6 +202,7 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     np.add.at(rhs, conn.ravel(), loads.ravel())
 
     g_b = boundary_averages(mesh, dof_map, problem.g, config.qb_rule)
+    _require_finite("g", g_b)
 
     if config.bc_mode == "eliminate":
         interior, boundary = dof_map.interior, dof_map.boundary

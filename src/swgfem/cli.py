@@ -13,6 +13,7 @@ from . import analysis, fd
 from .assembly import AssemblyConfig, assemble, dump_matrix
 from .errors import (
     NoConvergence,
+    NonFiniteData,
     NonPositiveKappa,
     SingularConfig,
     SingularMatrix,
@@ -26,6 +27,7 @@ EQUIV_TOL = 1e-13
 
 _USAGE_ERRORS = (
     UnknownProblem,
+    NonFiniteData,
     SingularConfig,
     NonPositiveKappa,
     ValueError,

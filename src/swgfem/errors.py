@@ -33,6 +33,10 @@ class NegativeReaction(SwgError, ValueError):
     """Reaction coefficient is negative on an element."""
 
 
+class NonFiniteData(SwgError, ValueError):
+    """A coefficient or data function is NaN or infinite at a sample point."""
+
+
 class SingularConfig(SwgError, ValueError):
     """Assembly configuration cannot produce a solvable system."""
 

@@ -153,6 +153,7 @@ def check_equivalence(n, kappa, problem: ProblemSpec | None = None,
         c=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
         f=src.f,
         g=src.g,
+        pure_unit_diffusion=True,
     )
     swg = assemble(
         uniform_mesh(n),

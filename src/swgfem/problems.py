@@ -136,6 +136,7 @@ def _fd1():
         ),
         alpha0=1.0,
         c_is_zero=True,
+        pure_unit_diffusion=True,
         description="u = -x(x-1)y(y-1), pure diffusion, f = 2x(x-1)+2y(y-1)",
     )
 
@@ -165,6 +166,7 @@ def _fd2():
         ),
         alpha0=1.0,
         c_is_zero=True,
+        pure_unit_diffusion=True,
         description="u = -sin(x)sin(y) - x^2 + y^2, pure diffusion, f = -2sin(x)sin(y)",
     )
 

@@ -1,14 +1,24 @@
 """Sparse linear solves with a post-hoc residual check.
 
-The direct path (sparse LU) is the default at desk scale for
-reproducibility; the iterative path is ILU-preconditioned BiCGStab, which
-handles the nonsymmetric systems produced by nonzero convection.  Every
-solve checks the returned vector independently of solver internals: a
-direct solve by its normwise backward error (Higham, *Accuracy and
+The direct path is SuperLU with the minimum-degree ordering of A^T A + A
+(``MMD_AT_PLUS_A``; Liu, ACM TOMS 11 (1985) 141; Li, ACM TOMS 31 (2005)
+302).  Every SWG matrix is structurally symmetric, and this ordering halves
+the factor against SuperLU's default COLAMD: 13.3 M against 25.9 M entries
+at 130,560 dofs.  The iterative path is ILU-preconditioned BiCGStab, which
+handles the nonsymmetric systems produced by nonzero convection.
+
+``auto`` solves directly while the factor predicted from the measured MMD
+fill (:func:`predicted_factor_bytes`) fits in ``DIRECT_MEMORY_SHARE`` of
+physical memory, and iteratively otherwise.
+
+Every solve checks the returned vector independently of solver internals:
+a direct solve by its normwise backward error (Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 7), an iterative one by its
 relative residual against ``tol``.
 """
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +28,18 @@ import scipy.sparse.linalg as spla
 from .assembly import SparseSystem
 from .errors import NoConvergence, SingularMatrix
 
-#: Largest system the "auto" method still sends to the direct solver.
-DIRECT_LIMIT = 132_000
+#: MMD factor entries per dof are FILL_SLOPE * ln(dofs / FILL_ORIGIN); the
+#: measured nnz(L+U)/dofs was 101.8, 112.1 and 127.7 at 130,560, 230,520
+#: and 523,264 dofs, against 103.8, 114.7 and 130.3 predicted.
+FILL_SLOPE = 19.0
+FILL_ORIGIN = 550.0
+
+#: Peak bytes a direct solve adds per factor entry: 11.7-13.6 measured as
+#: the peak-RSS rise over ``solve`` at 130,560-523,264 dofs.
+BYTES_PER_ENTRY = 14.0
+
+#: Share of physical memory a predicted factor may take under "auto".
+DIRECT_MEMORY_SHARE = 0.5
 
 #: Largest normwise backward error accepted from a direct solve.
 DIRECT_BACKWARD_TOL = 64 * np.finfo(float).eps
@@ -47,9 +67,23 @@ class Solution:
     iterations: int
 
 
+def predicted_factor_bytes(dofs: int) -> float:
+    """Predicted peak memory of the MMD-ordered LU factor of ``dofs`` unknowns."""
+    fill = max(FILL_SLOPE * math.log(max(dofs, 1) / FILL_ORIGIN), 1.0)
+    return BYTES_PER_ENTRY * fill * dofs
+
+
+def auto_method(dofs: int, memory_bytes: int | None = None) -> str:
+    """The method "auto" picks: direct while the factor fits the memory share."""
+    if memory_bytes is None:
+        memory_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    fits = predicted_factor_bytes(dofs) <= DIRECT_MEMORY_SHARE * memory_bytes
+    return "direct" if fits else "iterative"
+
+
 def _solve_direct(matrix, rhs):
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
         x = lu.solve(rhs)
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SingularMatrix(str(exc)) from exc
@@ -89,7 +123,7 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
 
     method = config.method
     if method == "auto":
-        method = "direct" if dim <= DIRECT_LIMIT else "iterative"
+        method = auto_method(dim)
 
     if dim == 0:
         x = np.zeros(0)

@@ -85,14 +85,6 @@ class TestConvergenceTable:
         with pytest.raises(ValueError):
             convergence_table(make_custom(), 4.0, (4, 8))
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        problem = get_problem("fd2")
-        serial = convergence_table(problem, 4.0, (4, 8))
-        monkeypatch.setenv("SWG_THREADS", "4")
-        threaded = convergence_table(problem, 4.0, (4, 8))
-        assert [(r.n, r.l2_error, r.h1_error) for r in serial] == [
-            (r.n, r.l2_error, r.h1_error) for r in threaded]
-
 
 class TestDmpCheck:
     def test_constant_solution_margin_zero(self):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +119,13 @@ class TestFdCommand:
         assert code == 2
         assert "pure unit diffusion" in err
 
+    def test_rejects_custom_problem(self, capsys):
+        # alpha = 1, beta = 0, c = 0 here, but only fd1/fd2 carry the flag
+        code, _, err = run_cli(
+            capsys, "fd", "--scheme", "5", "--problem", "custom", "--n", "8")
+        assert code == 2
+        assert "pure unit diffusion" in err
+
     def test_five_point_with_other_kappa(self, capsys):
         code, _, err = run_cli(
             capsys, "fd", "--scheme", "5", "--kappa", "2", "--problem", "fd1",
@@ -159,6 +169,31 @@ class TestDmp:
             capsys, "dmp", "--problem", "tc3", "--kappa", "1",
             "--x-breaks", "0,1", "--y-breaks", "0,1")
         assert code == 2
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("flag", ["--f", "--g", "--alpha0"])
+    def test_dmp_custom_exit_2(self, capsys, flag):
+        code, _, err = run_cli(
+            capsys, "dmp", "--problem", "custom", "--kappa", "4", "--ns", "8",
+            flag, "nan")
+        assert code == 2
+        assert "NaN or infinite" in err
+
+    @pytest.mark.parametrize("field", ["f", "g", "alpha"])
+    def test_run_exit_2(self, capsys, monkeypatch, field):
+        # `swg run` refuses custom problems (no exact solution), so feed it
+        # fd1 with one non-finite field
+        if field == "alpha":
+            bad = lambda x, y: (np.full_like(x, math.nan), np.ones_like(x))
+        else:
+            bad = lambda x, y: np.full_like(np.asarray(x, dtype=float), math.nan)
+        problem = dataclasses.replace(get_problem("fd1"), **{field: bad})
+        monkeypatch.setattr(swgfem.cli, "_resolve_problem", lambda args: problem)
+        code, _, err = run_cli(
+            capsys, "run", "--problem", "fd1", "--kappa", "4", "--ns", "8")
+        assert code == 2
+        assert f"{field} is NaN or infinite" in err
 
 
 class TestEquiv:

@@ -121,6 +121,10 @@ class TestSpecificValues:
     def test_tc1_not_pure_diffusion(self):
         assert not get_problem("tc1").pure_unit_diffusion
 
+    def test_custom_never_flagged_pure_diffusion(self):
+        # the flag is explicit: unit constants do not set it
+        assert not make_custom(alpha0=1.0, beta=(0.0, 0.0), c=0.0).pure_unit_diffusion
+
 
 class TestCustom:
     def test_constant_problem(self):

@@ -1,13 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import swgfem.solver
 from swgfem.analysis import solve_problem
 from swgfem.assembly import AssemblyConfig, SparseSystem, assemble
-from swgfem.errors import SingularMatrix
+from swgfem.errors import NonFiniteData, SingularMatrix
 from swgfem.mesh import enumerate_dofs, uniform_mesh
 from swgfem.problems import get_problem, make_custom, mesh_for
-from swgfem.solver import SolveConfig, solve
+from swgfem.solver import (
+    DIRECT_MEMORY_SHARE,
+    SolveConfig,
+    auto_method,
+    predicted_factor_bytes,
+    solve,
+)
+
+GIB = 2**30
 
 
 def identity_system(rhs):
@@ -90,3 +102,65 @@ class TestSolve:
         _, _, sol_e = solve_problem(problem, 8, 0.7)
         _, _, sol_p = solve_problem(problem, 8, 0.7, bc_mode="penalty")
         assert np.max(np.abs(sol_e.values - sol_p.values)) <= 1e-8
+
+    def test_direct_orders_by_mmd_on_at_plus_a(self, monkeypatch):
+        calls = []
+        splu = spla.splu
+
+        def spy(matrix, **kwargs):
+            calls.append(kwargs)
+            return splu(matrix, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spy)
+        solve_problem(get_problem("tc2"), 8, 4.0,
+                      solve_config=SolveConfig(method="direct"))
+        assert calls == [{"permc_spec": "MMD_AT_PLUS_A"}]
+
+    def test_auto_follows_auto_method(self, monkeypatch):
+        seen = []
+
+        def pick(dofs):
+            seen.append(dofs)
+            return "iterative"
+
+        def no_lu(*args, **kwargs):
+            raise AssertionError("auto took the direct path")
+
+        monkeypatch.setattr(swgfem.solver, "auto_method", pick)
+        monkeypatch.setattr(spla, "splu", no_lu)
+        _, system, _ = solve_problem(get_problem("fd1"), 8, 4.0)
+        assert seen == [system.matrix.shape[0]]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"f": math.nan}, {"g": math.nan}, {"alpha0": math.nan},
+        {"c": math.inf}, {"beta": (math.nan, 0.0)},
+    ])
+    def test_non_finite_data_fails_at_assembly(self, kwargs):
+        with pytest.raises(NonFiniteData):
+            solve_problem(make_custom(**kwargs), 8, 4.0)
+
+
+class TestAutoRule:
+    def test_just_above_old_dof_limit_goes_direct(self):
+        # tc1 at n = 260 and fd1 at n = 512 on an 8 GiB machine
+        assert auto_method(134_680, memory_bytes=8 * GIB) == "direct"
+        assert auto_method(523_264, memory_bytes=8 * GIB) == "direct"
+
+    def test_factor_beyond_memory_share_goes_iterative(self):
+        dofs = 10_000_000
+        assert predicted_factor_bytes(dofs) > DIRECT_MEMORY_SHARE * 8 * GIB
+        assert auto_method(dofs, memory_bytes=8 * GIB) == "iterative"
+
+    def test_prediction_tracks_measured_fill(self):
+        # measured peak-RSS rise of solve() at n = 256 and 512: 151 and 817 MiB
+        assert 151 * 2**20 <= predicted_factor_bytes(130_560) <= 1.5 * 151 * 2**20
+        assert 817 * 2**20 <= predicted_factor_bytes(523_264) <= 1.5 * 817 * 2**20
+
+    def test_monotone_in_dofs(self):
+        dofs = np.unique(np.geomspace(1, 1e8, 400).astype(int))
+        sizes = [predicted_factor_bytes(int(n)) for n in dofs]
+        assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+        choices = [auto_method(int(n), memory_bytes=8 * GIB) for n in dofs]
+        first = choices.index("iterative")
+        assert set(choices[:first]) == {"direct"}
+        assert set(choices[first:]) == {"iterative"}
