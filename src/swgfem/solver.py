@@ -1,15 +1,22 @@
 """Sparse linear solves with a post-hoc residual check.
 
-The direct path is SuperLU with the minimum-degree ordering of A^T A + A
-(``MMD_AT_PLUS_A``; Liu, ACM TOMS 11 (1985) 141; Li, ACM TOMS 31 (2005)
-302).  Every SWG matrix is structurally symmetric, and this ordering halves
-the factor against SuperLU's default COLAMD: 13.3 M against 25.9 M entries
-at 130,560 dofs.  The iterative path is ILU-preconditioned BiCGStab, which
-handles the nonsymmetric systems produced by nonzero convection.
+The direct path is SuperLU on the system permuted by geometric nested
+dissection of the tensor mesh (:func:`nested_dissection`; George, SIAM J.
+Numer. Anal. 10 (1973) 345; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16
+(1979) 346).  Each SWG row couples only the edges of the two elements that
+share its edge, so the edges on any grid line of a block of elements
+separate the block's two sides.  The order recursively splits the mesh at
+the middle grid line of the longer side and numbers each separator after
+the two halves; SuperLU then keeps that order (``permc_spec="NATURAL"``).
+This halves the factor against SuperLU's minimum-degree ordering of
+A^T A + A: 6.69 M against 13.4 M entries at 130,560 dofs.  The iterative
+path is ILU-preconditioned BiCGStab, which handles the nonsymmetric systems
+produced by nonzero convection.
 
-``auto`` solves directly while the factor predicted from the measured MMD
-fill (:func:`predicted_factor_bytes`) fits in ``DIRECT_MEMORY_SHARE`` of
-physical memory, and iteratively otherwise.
+``auto`` solves directly while the factor predicted from the measured
+nested-dissection fill (:func:`predicted_factor_bytes`) fits in
+``DIRECT_MEMORY_SHARE`` of physical memory, and iteratively otherwise:
+up to about 3.3 M dofs (the unit square at n = 1290) with 8 GB.
 
 Every solve checks the returned vector independently of solver internals:
 a direct solve by its normwise backward error (Higham, *Accuracy and
@@ -27,16 +34,23 @@ import scipy.sparse.linalg as spla
 
 from .assembly import SparseSystem
 from .errors import NoConvergence, SingularMatrix
+from .mesh import DofMap
 
-#: MMD factor entries per dof are FILL_SLOPE * ln(dofs / FILL_ORIGIN); the
-#: measured nnz(L+U)/dofs was 101.8, 112.1 and 127.7 at 130,560, 230,520
-#: and 523,264 dofs, against 103.8, 114.7 and 130.3 predicted.
-FILL_SLOPE = 19.0
-FILL_ORIGIN = 550.0
+#: Factor entries per dof are FILL_SLOPE * ln(dofs / FILL_ORIGIN); the
+#: measured nnz(L+U)/dofs was 51.2, 55.4, 58.9, 63.9 and 66.6 at 130,560,
+#: 261,364, 523,264, 1,178,112 and 2,095,104 dofs, against 51.6, 55.5,
+#: 59.4, 63.9 and 67.1 predicted.
+FILL_SLOPE = 5.6
+FILL_ORIGIN = 13.0
 
-#: Peak bytes a direct solve adds per factor entry: 11.7-13.6 measured as
-#: the peak-RSS rise over ``solve`` at 130,560-523,264 dofs.
-BYTES_PER_ENTRY = 14.0
+#: Peak bytes a direct solve adds per factor entry: 13.4-17.5 measured as
+#: the peak RSS of ``solve`` over the RSS before it at the sizes above.
+BYTES_PER_ENTRY = 18.0
+
+#: Regions of at most this many elements keep the natural dof order.  At
+#: tc2 n=256, leaves of 4, 16 and 64 elements gave 6.69 M, 7.07 M and
+#: 11.3 M factor entries; leaves of 1 or 2 gave the same factor as 4.
+ND_LEAF_ELEMENTS = 4
 
 #: Share of physical memory a predicted factor may take under "auto".
 DIRECT_MEMORY_SHARE = 0.5
@@ -65,10 +79,11 @@ class Solution:
     values: np.ndarray
     residual_norm: float
     iterations: int
+    method: str  # "direct" | "iterative": the path the solve took
 
 
 def predicted_factor_bytes(dofs: int) -> float:
-    """Predicted peak memory of the MMD-ordered LU factor of ``dofs`` unknowns."""
+    """Predicted peak memory of the direct solve of ``dofs`` unknowns."""
     fill = max(FILL_SLOPE * math.log(max(dofs, 1) / FILL_ORIGIN), 1.0)
     return BYTES_PER_ENTRY * fill * dofs
 
@@ -81,12 +96,64 @@ def auto_method(dofs: int, memory_bytes: int | None = None) -> str:
     return "direct" if fits else "iterative"
 
 
-def _solve_direct(matrix, rhs):
+def nested_dissection(dof_map: DofMap) -> np.ndarray:
+    """Nested-dissection order of all edge dofs of a tensor mesh.
+
+    A region is a block of elements.  It is split at the middle grid line of
+    its longer side (counted in elements; x on a tie), and its edges on that
+    line, which separate the two halves, are ordered after both halves.
+    Regions of at most ``ND_LEAF_ELEMENTS`` elements keep the natural order.
+    Edges on the global boundary stay in the region that holds them.  The
+    order depends on (nx, ny) only.
+    """
+    vertical = dof_map.is_vertical
+    # doubled coordinates: vertical edge (i, j) at (2i, 2j+1), horizontal at (2i+1, 2j)
+    coords = np.stack([2 * dof_map.grid_i + ~vertical, 2 * dof_map.grid_j + vertical])
+    # one base-3 digit per level: 0 first half, 1 second half, 2 separator;
+    # a mesh needs about log2(nx * ny) levels, and an int64 key holds 39
+    key = np.zeros(dof_map.count, dtype=np.int64)
+    ids = np.arange(dof_map.count)
+    region = np.zeros(dof_map.count, dtype=np.int64)
+    # element-index corners (x, y) of each region; region r has children 2r, 2r+1
+    lo = np.zeros((1, 2), dtype=np.int64)
+    hi = np.array([[dof_map.nx, dof_map.ny]])
+    while ids.size:
+        size = hi - lo
+        rows = np.arange(lo.shape[0])
+        axis = (size[:, 0] < size[:, 1]).astype(np.int64)
+        mid = (lo[rows, axis] + hi[rows, axis]) // 2
+        live = (size[:, 0] * size[:, 1] > ND_LEAF_ELEMENTS)[region]
+        ids, region = ids[live], region[live]
+        key *= 3
+        offset = coords[axis[region], ids] - 2 * mid[region]
+        digit = (offset > 0) + 2 * (offset == 0)
+        key[ids] += digit
+        keep = offset != 0
+        ids, region = ids[keep], 2 * region[keep] + digit[keep]
+        lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+        hi[2 * rows, axis] = mid
+        lo[2 * rows + 1, axis] = mid
+    return np.argsort(key, kind="stable")
+
+
+def system_ordering(system: SparseSystem) -> np.ndarray:
+    """Nested-dissection order of the rows and columns of ``system.matrix``."""
+    order = nested_dissection(system.dof_map)
+    if system.bc_mode == "eliminate":
+        free = system.dof_map.free_index[order]
+        return free[free >= 0]
+    return order
+
+
+def _solve_direct(matrix, rhs, perm):
+    """Factor P A P^T in the given order and scatter the solution back."""
     try:
-        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        x = lu.solve(rhs)
+        lu = spla.splu(matrix[perm][:, perm].tocsc(), permc_spec="NATURAL")
+        y = lu.solve(rhs[perm])
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SingularMatrix(str(exc)) from exc
+    x = np.empty_like(y)
+    x[perm] = y
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("factorization produced non-finite values")
     return x, 0
@@ -131,7 +198,7 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
         residual = 0.0
     else:
         if method == "direct":
-            x, iters = _solve_direct(matrix, rhs)
+            x, iters = _solve_direct(matrix, rhs, system_ordering(system))
         else:
             x, iters = _solve_iterative(matrix, rhs, config.tol, config.max_iter)
         r = matrix @ x - rhs
@@ -156,4 +223,5 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
         values[dof_map.interior] = x
     else:
         values[:] = x
-    return Solution(values=values, residual_norm=float(residual), iterations=iters)
+    return Solution(values=values, residual_norm=float(residual), iterations=iters,
+                    method=method)

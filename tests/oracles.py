@@ -82,3 +82,36 @@ def random_geom(rng, lo=1e-3, hi=1.0):
     hy = rng.uniform(lo, hi)
     center = rng.uniform(-1.0, 1.0, size=2)
     return ElementGeom.standalone(hx, hy, center)
+
+
+def nested_dissection_oracle(nx, ny, leaf):
+    """Recursive nested dissection of the edge dofs of an nx x ny mesh.
+
+    Splits each element block at the middle grid line of its longer side
+    (x on a tie) and lists first half, second half, then the edges on that
+    line; blocks of at most ``leaf`` elements list their dofs by id.
+    """
+    nv = (nx + 1) * ny
+
+    def doubled(d):
+        if d < nv:
+            j, i = divmod(d, nx + 1)
+            return 2 * i, 2 * j + 1
+        j, i = divmod(d - nv, nx)
+        return 2 * i + 1, 2 * j
+
+    def order(i0, i1, j0, j1, dofs):
+        if (i1 - i0) * (j1 - j0) <= leaf:
+            return sorted(dofs)
+        axis = 0 if i1 - i0 >= j1 - j0 else 1
+        k = (i0 + i1) // 2 if axis == 0 else (j0 + j1) // 2
+        first = [d for d in dofs if doubled(d)[axis] < 2 * k]
+        second = [d for d in dofs if doubled(d)[axis] > 2 * k]
+        separator = [d for d in dofs if doubled(d)[axis] == 2 * k]
+        if axis == 0:
+            halves = order(i0, k, j0, j1, first) + order(k, i1, j0, j1, second)
+        else:
+            halves = order(i0, i1, j0, k, first) + order(i0, i1, k, j1, second)
+        return halves + sorted(separator)
+
+    return order(0, nx, 0, ny, list(range(nv + nx * (ny + 1))))

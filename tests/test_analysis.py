@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import swgfem.mesh as m
 from swgfem.analysis import (
+    _rate,
     convergence_table,
     discrete_h1_error,
     discrete_l2_error,
@@ -74,6 +76,15 @@ class TestConvergenceTable:
         assert all(r.l2_error <= 1e-12 for r in rows)
         assert rows[1].l2_rate is None
         assert rows[1].h1_rate is None
+
+    def test_rate_floor_grows_with_n(self):
+        # the floor is 1e-12 up to n = 64 and 1e-12 * (n/64)^2 beyond
+        assert _rate(1e-10, 1e-12, 32, 64) is None
+        assert _rate(1e-10, 1.1e-12, 32, 64) == pytest.approx(math.log2(1e-10 / 1.1e-12))
+        assert _rate(4e-11, 1.6e-11, 128, 256) is None
+        assert _rate(4e-11, 1.7e-11, 128, 256) == pytest.approx(math.log2(4e-11 / 1.7e-11))
+        assert _rate(4e-12, 1e-9, 128, 256) is None
+        assert _rate(4.1e-12, 1e-9, 128, 256) == pytest.approx(math.log2(4.1e-12 / 1e-9))
 
     def test_bad_resolutions(self):
         with pytest.raises(ValueError):

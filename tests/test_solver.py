@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swgfem.solver
 from swgfem.analysis import solve_problem
 from swgfem.assembly import AssemblyConfig, SparseSystem, assemble
 from swgfem.errors import NonFiniteData, SingularMatrix
-from swgfem.mesh import enumerate_dofs, uniform_mesh
+from swgfem.mesh import build_tensor_mesh, enumerate_dofs, uniform_mesh
 from swgfem.problems import get_problem, make_custom, mesh_for
 from swgfem.solver import (
     DIRECT_MEMORY_SHARE,
+    ND_LEAF_ELEMENTS,
     SolveConfig,
     auto_method,
+    nested_dissection,
     predicted_factor_bytes,
     solve,
+    system_ordering,
 )
+
+from oracles import nested_dissection_oracle
 
 GIB = 2**30
 
@@ -42,6 +49,7 @@ class TestSolve:
         sol = solve(identity_system(rhs))
         np.testing.assert_allclose(sol.values[identity_system(rhs).dof_map.interior], rhs)
         assert sol.iterations == 0
+        assert sol.method == "direct"
         assert sol.residual_norm <= 1e-14
 
     def test_single_cell_returns_boundary_values(self):
@@ -103,18 +111,32 @@ class TestSolve:
         _, _, sol_p = solve_problem(problem, 8, 0.7, bc_mode="penalty")
         assert np.max(np.abs(sol_e.values - sol_p.values)) <= 1e-8
 
-    def test_direct_orders_by_mmd_on_at_plus_a(self, monkeypatch):
+    def test_direct_factors_in_nested_dissection_order(self, monkeypatch):
         calls = []
         splu = spla.splu
 
         def spy(matrix, **kwargs):
-            calls.append(kwargs)
+            calls.append((matrix, kwargs))
             return splu(matrix, **kwargs)
 
         monkeypatch.setattr(spla, "splu", spy)
-        solve_problem(get_problem("tc2"), 8, 4.0,
-                      solve_config=SolveConfig(method="direct"))
-        assert calls == [{"permc_spec": "MMD_AT_PLUS_A"}]
+        _, system, _ = solve_problem(get_problem("tc2"), 8, 4.0,
+                                     solve_config=SolveConfig(method="direct"))
+        [(factored, kwargs)] = calls
+        assert kwargs == {"permc_spec": "NATURAL"}
+        perm = system_ordering(system)
+        assert (factored != system.matrix[perm][:, perm]).nnz == 0
+
+    def test_reports_the_path_taken(self):
+        # BiCGStab converges here before its first callback: 0 iterations
+        problem = get_problem("fd1")
+        _, _, sol = solve_problem(problem, 8, 4.0,
+                                  solve_config=SolveConfig(method="iterative"))
+        assert sol.iterations == 0
+        assert sol.method == "iterative"
+        _, _, sol = solve_problem(problem, 8, 4.0,
+                                  solve_config=SolveConfig(method="direct"))
+        assert sol.method == "direct"
 
     def test_auto_follows_auto_method(self, monkeypatch):
         seen = []
@@ -140,6 +162,75 @@ class TestSolve:
             solve_problem(make_custom(**kwargs), 8, 4.0)
 
 
+ND_MESHES = {
+    "square": uniform_mesh(6),
+    "wide": build_tensor_mesh(np.linspace(0.0, 2.0, 10), np.linspace(0.0, 1.0, 4)),
+    "one column": build_tensor_mesh([0.0, 1.0], np.linspace(0.0, 1.0, 10)),
+    "one row": build_tensor_mesh(np.linspace(0.0, 1.0, 12), [0.0, 0.5]),
+    "one cell": uniform_mesh(1),
+    "nonuniform": build_tensor_mesh([0.0, 0.1, 0.35, 0.4, 0.8, 1.0],
+                                    [0.0, 0.3, 0.45, 0.9, 1.2, 1.3, 2.0]),
+}
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("bc_mode", ["eliminate", "penalty"])
+    @pytest.mark.parametrize("name", ND_MESHES)
+    def test_permutation_of_free_dofs(self, name, bc_mode):
+        system = assemble(ND_MESHES[name], make_custom(f=1.0),
+                          AssemblyConfig(kappa=4.0, bc_mode=bc_mode))
+        perm = system_ordering(system)
+        np.testing.assert_array_equal(np.sort(perm), np.arange(system.matrix.shape[0]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(1, 14), ny=st.integers(1, 14))
+    def test_top_split_separates_halves(self, nx, ny):
+        mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+        problem = make_custom(beta=(1.0, -0.5), c=1.0, f=1.0)
+        system = assemble(mesh, problem, AssemblyConfig(kappa=4.0, bc_mode="penalty"))
+        dm = system.dof_map
+        order = nested_dissection(dm)
+        if nx * ny <= ND_LEAF_ELEMENTS:
+            np.testing.assert_array_equal(order, np.arange(dm.count))
+            return
+        # the longer side (x on a tie) is split at its middle grid line
+        if nx >= ny:
+            line, pos, on_line = nx // 2, dm.grid_i, dm.is_vertical
+        else:
+            line, pos, on_line = ny // 2, dm.grid_j, ~dm.is_vertical
+        separator = on_line & (pos == line)
+        first = ~separator & (pos < line)
+        second = ~separator & ~first
+        rank = np.empty(dm.count, dtype=int)
+        rank[order] = np.arange(dm.count)
+        assert rank[first].max() < rank[second].min()
+        assert rank[second].max() < rank[separator].min()
+        coupling = system.matrix[np.flatnonzero(first)][:, np.flatnonzero(second)]
+        assert not np.any(coupling.toarray())
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(1, 24), ny=st.integers(1, 24))
+    def test_matches_recursive_oracle(self, nx, ny):
+        mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+        expected = nested_dissection_oracle(nx, ny, ND_LEAF_ELEMENTS)
+        np.testing.assert_array_equal(nested_dissection(enumerate_dofs(mesh)), expected)
+
+    def test_fill_below_mmd(self, monkeypatch):
+        factors = []
+        splu = spla.splu
+
+        def keep(matrix, **kwargs):
+            factors.append(splu(matrix, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(spla, "splu", keep)
+        _, system, _ = solve_problem(get_problem("tc2"), 64, 20.0,
+                                     solve_config=SolveConfig(method="direct"))
+        mmd = splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        # measured 292,328 against 458,386 entries
+        assert factors[0].nnz < mmd.nnz
+
+
 class TestAutoRule:
     def test_just_above_old_dof_limit_goes_direct(self):
         # tc1 at n = 260 and fd1 at n = 512 on an 8 GiB machine
@@ -152,9 +243,10 @@ class TestAutoRule:
         assert auto_method(dofs, memory_bytes=8 * GIB) == "iterative"
 
     def test_prediction_tracks_measured_fill(self):
-        # measured peak-RSS rise of solve() at n = 256 and 512: 151 and 817 MiB
-        assert 151 * 2**20 <= predicted_factor_bytes(130_560) <= 1.5 * 151 * 2**20
-        assert 817 * 2**20 <= predicted_factor_bytes(523_264) <= 1.5 * 817 * 2**20
+        # peak RSS of solve() over the RSS before it, tc1 at n = 256 and 512:
+        # 87 and 476 MiB
+        assert 87 * 2**20 <= predicted_factor_bytes(130_560) <= 1.5 * 87 * 2**20
+        assert 476 * 2**20 <= predicted_factor_bytes(523_264) <= 1.5 * 476 * 2**20
 
     def test_monotone_in_dofs(self):
         dofs = np.unique(np.geomspace(1, 1e8, 400).astype(int))
