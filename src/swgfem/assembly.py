@@ -206,8 +206,9 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
 
     if config.bc_mode == "eliminate":
         interior, boundary = dof_map.interior, dof_map.boundary
-        a_ii = full[interior][:, interior].tocsr()
-        rhs_free = rhs[interior] - full[interior][:, boundary] @ g_b
+        interior_rows = full[interior]
+        a_ii = interior_rows[:, interior].tocsr()
+        rhs_free = rhs[interior] - interior_rows[:, boundary] @ g_b
         return SparseSystem(a_ii, rhs_free, dof_map, g_b, "eliminate", mesh)
 
     weight = config.penalty_weight

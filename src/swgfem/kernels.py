@@ -221,15 +221,18 @@ def local_operator(geom: ElementGeom, kappa, h_global, alpha_q, beta_q, c_value)
     ``alpha_q = (a11, a22)`` and ``beta_q = (b1, b2)`` are the coefficients
     at the :func:`gauss_points`, ``c_value`` the reaction at the element
     center.  The caller evaluates and validates them.  The blocks are summed
-    in the fixed order S, A, B, C.
+    in the fixed order S, A, B, C.  B is skipped when beta is zero at every
+    Gauss point, C when c is zero on every element: with kappa > 0 no entry
+    of S + A is -0.0, so adding such a block of (signed) zeros changes no bit.
     """
     qx, _, w, s, gx, gy = _element_terms(geom)
     a11, a22 = _at_points(alpha_q, qx.shape)
     local = kappa * stabilizer_matrix(geom, h_global)
-    for term in (
-        *_diffusion_terms(w, gx, gy, a11, a22),
-        _convection_block(w, s, gx, gy, *_at_points(beta_q, qx.shape)),
-        _reaction_block(w, s, c_value),
-    ):
+    for term in _diffusion_terms(w, gx, gy, a11, a22):
         local += term
+    b1, b2 = _at_points(beta_q, qx.shape)
+    if b1.any() or b2.any():
+        local += _convection_block(w, s, gx, gy, b1, b2)
+    if np.any(c_value):
+        local += _reaction_block(w, s, c_value)
     return local

@@ -9,10 +9,12 @@ unknowns of the scheme live at edge midpoints:
 
 Degrees of freedom are numbered deterministically: all vertical edges in
 row-major order (j outer, i inner), then all horizontal edges likewise.
-Meshes are immutable; geometry and dof maps are computed views.
+Meshes are immutable; geometry is a computed view, and each mesh builds
+its dof map once, on first use.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +84,11 @@ class TensorMesh:
             float(self.y_breaks[0]),
             float(self.y_breaks[-1]),
         )
+
+    @cached_property
+    def dof_map(self) -> "DofMap":
+        """The edge-dof map of this mesh, built on first use (read-only arrays)."""
+        return DofMap(self)
 
     @property
     def is_uniform(self) -> bool:
@@ -285,8 +292,8 @@ def element_geometry(mesh: TensorMesh, i: int, j: int) -> ElementGeom:
 
 
 def enumerate_dofs(mesh: TensorMesh) -> DofMap:
-    """Deterministic edge-dof enumeration for ``mesh``."""
-    return DofMap(mesh)
+    """Deterministic edge-dof enumeration for ``mesh``, built once per mesh."""
+    return mesh.dof_map
 
 
 def element_arrays(mesh: TensorMesh):

@@ -7,10 +7,11 @@ Numer. Anal. 10 (1973) 345; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16
 share its edge, so the edges on any grid line of a block of elements
 separate the block's two sides.  The order recursively splits the mesh at
 the middle grid line of the longer side and numbers each separator after
-the two halves; SuperLU then keeps that order (``permc_spec="NATURAL"``).
-This halves the factor against SuperLU's minimum-degree ordering of
-A^T A + A: 6.69 M against 13.4 M entries at 130,560 dofs.  The iterative
-path is ILU-preconditioned BiCGStab, which handles the nonsymmetric systems
+the two halves; each distinct block shape is ordered once and translated.
+SuperLU then keeps that order (``permc_spec="NATURAL"``).  This halves
+the factor against SuperLU's minimum-degree ordering of A^T A + A: 6.69 M
+against 13.4 M entries at 130,560 dofs.  The iterative path is
+ILU-preconditioned BiCGStab, which handles the nonsymmetric systems
 produced by nonzero convection.
 
 ``auto`` solves directly while the factor predicted from the measured
@@ -96,6 +97,37 @@ def auto_method(dofs: int, memory_bytes: int | None = None) -> str:
     return "direct" if fits else "iterative"
 
 
+def _block_order(w, h, sides, row, nv, memo):
+    """Order of the edges a w x h block at the origin holds, as padded ids.
+
+    The block holds its edges on those of its (left, right, bottom, top)
+    sides that ``sides`` flags as global boundary, and on no other side.
+    Padded ids are j*row + i for vertical edge (i, j) and nv + j*row + i for
+    horizontal ones, so moving a block by (di, dj) adds dj*row + di to each.
+    """
+    order = memo.get((w, h, sides))
+    if order is not None:
+        return order
+    left, right, bottom, top = sides
+    if w * h <= ND_LEAF_ELEMENTS:  # id order: vertical edges row by row, then horizontal
+        xs = range(0 if left else 1, w + 1 if right else w)
+        ys = range(0 if bottom else 1, h + 1 if top else h)
+        order = np.array([j * row + i for j in range(h) for i in xs]
+                         + [nv + j * row + i for j in ys for i in range(w)], dtype=np.int64)
+    elif w >= h:
+        k = w // 2
+        first = _block_order(k, h, (left, False, bottom, top), row, nv, memo)
+        second = _block_order(w - k, h, (False, right, bottom, top), row, nv, memo)
+        order = np.concatenate([first, second + k, np.arange(k, k + h * row, row)])
+    else:
+        k = h // 2
+        first = _block_order(w, k, (left, right, bottom, False), row, nv, memo)
+        second = _block_order(w, h - k, (left, right, False, top), row, nv, memo)
+        order = np.concatenate([first, second + k * row, nv + k * row + np.arange(w)])
+    memo[(w, h, sides)] = order
+    return order
+
+
 def nested_dissection(dof_map: DofMap) -> np.ndarray:
     """Nested-dissection order of all edge dofs of a tensor mesh.
 
@@ -104,36 +136,14 @@ def nested_dissection(dof_map: DofMap) -> np.ndarray:
     line, which separate the two halves, are ordered after both halves.
     Regions of at most ``ND_LEAF_ELEMENTS`` elements keep the natural order.
     Edges on the global boundary stay in the region that holds them.  The
-    order depends on (nx, ny) only.
+    order depends on (nx, ny) only.  Blocks of one shape whose sides lie on
+    the global boundary alike are ordered alike up to a translation, so each
+    such (shape, sides) is ordered once per call and shifted into place.
     """
-    vertical = dof_map.is_vertical
-    # doubled coordinates: vertical edge (i, j) at (2i, 2j+1), horizontal at (2i+1, 2j)
-    coords = np.stack([2 * dof_map.grid_i + ~vertical, 2 * dof_map.grid_j + vertical])
-    # one base-3 digit per level: 0 first half, 1 second half, 2 separator;
-    # a mesh needs about log2(nx * ny) levels, and an int64 key holds 39
-    key = np.zeros(dof_map.count, dtype=np.int64)
-    ids = np.arange(dof_map.count)
-    region = np.zeros(dof_map.count, dtype=np.int64)
-    # element-index corners (x, y) of each region; region r has children 2r, 2r+1
-    lo = np.zeros((1, 2), dtype=np.int64)
-    hi = np.array([[dof_map.nx, dof_map.ny]])
-    while ids.size:
-        size = hi - lo
-        rows = np.arange(lo.shape[0])
-        axis = (size[:, 0] < size[:, 1]).astype(np.int64)
-        mid = (lo[rows, axis] + hi[rows, axis]) // 2
-        live = (size[:, 0] * size[:, 1] > ND_LEAF_ELEMENTS)[region]
-        ids, region = ids[live], region[live]
-        key *= 3
-        offset = coords[axis[region], ids] - 2 * mid[region]
-        digit = (offset > 0) + 2 * (offset == 0)
-        key[ids] += digit
-        keep = offset != 0
-        ids, region = ids[keep], 2 * region[keep] + digit[keep]
-        lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
-        hi[2 * rows, axis] = mid
-        lo[2 * rows + 1, axis] = mid
-    return np.argsort(key, kind="stable")
+    nx, nv = dof_map.nx, dof_map.n_vertical
+    padded = _block_order(nx, dof_map.ny, (True,) * 4, nx + 1, nv, {})
+    # a horizontal edge on grid row j has a padded id j too large
+    return padded - np.maximum(padded - nv, 0) // (nx + 1)
 
 
 def system_ordering(system: SparseSystem) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swgfem import kernels
 from swgfem.errors import (
     NegativeReaction,
     NonPositiveDiffusion,
@@ -14,12 +15,14 @@ from swgfem.kernels import (
     extension_coeffs,
     gauss_points,
     load_vector,
+    local_operator,
     midpoint_defects,
     reaction_matrix,
     stabilizer_matrix,
     weak_gradient,
 )
-from swgfem.mesh import ElementGeom
+from swgfem.mesh import ElementGeom, build_tensor_mesh, element_arrays
+from swgfem.problems import get_problem, make_custom, mesh_for
 
 from oracles import (
     basis_value_oracle,
@@ -383,3 +386,59 @@ class TestSymmetryProperties:
         np.testing.assert_allclose(a @ [1, 1, 0, 0], 0.0, atol=1e-12)
         np.testing.assert_allclose(a @ [0, 0, 1, 1], 0.0, atol=1e-12)
         assert np.linalg.eigvalsh(a).min() >= -1e-12
+
+
+def _batched_inputs(problem, mesh):
+    """The arguments ``assemble`` passes to ``local_operator`` for ``mesh``."""
+    hx, hy, cx, cy, _ = element_arrays(mesh)
+    geom = ElementGeom(hx, hy, (cx, cy))
+    pts, _ = gauss_points(geom)
+    qx, qy = pts[..., 0], pts[..., 1]
+    c_value = np.asarray(problem.c(cx, cy), dtype=float)
+    return geom, mesh.h, problem.alpha(qx, qy), problem.beta(qx, qy), c_value
+
+
+def _all_blocks_summed(geom, kappa, h_global, alpha_q, beta_q, c_value):
+    """kappa*S + A + B + C summed in order, with no block left out."""
+    qx, _, w, s, gx, gy = kernels._element_terms(geom)
+    a11, a22 = kernels._at_points(alpha_q, qx.shape)
+    local = kappa * stabilizer_matrix(geom, h_global)
+    for term in (
+        *kernels._diffusion_terms(w, gx, gy, a11, a22),
+        kernels._convection_block(w, s, gx, gy, *kernels._at_points(beta_q, qx.shape)),
+        kernels._reaction_block(w, s, c_value),
+    ):
+        local += term
+    return local
+
+
+NONUNIFORM = build_tensor_mesh([0.0, 0.1, 0.45, 0.5, 1.0], [0.0, 0.3, 0.35, 1.0])
+ZERO_BLOCK_PROBLEMS = {
+    **{pid: get_problem(pid) for pid in ("tc1", "tc2", "tc3", "fd1", "fd2")},
+    "beta-no-c": make_custom(alpha0=1.5, beta=(0.7, -0.2), c=0.0, f=1.0),
+    "negative-zeros": make_custom(beta=(-0.0, -0.0), c=-0.0, f=1.0, g=-0.0),
+    "negative-zero-beta1": make_custom(alpha0=2.0, beta=(-0.0, 1.0), c=-0.0, f=1.0),
+}
+
+
+class TestLocalOperatorZeroBlocks:
+    @pytest.mark.parametrize("name", ZERO_BLOCK_PROBLEMS)
+    @pytest.mark.parametrize("kappa", [0.7, 4.0])
+    def test_same_bytes_as_every_block_summed(self, name, kappa):
+        problem = ZERO_BLOCK_PROBLEMS[name]
+        for mesh in (mesh_for(problem, 8), NONUNIFORM):
+            args = _batched_inputs(problem, mesh)
+            got = local_operator(args[0], kappa, *args[1:])
+            want = _all_blocks_summed(args[0], kappa, *args[1:])
+            assert got.tobytes() == want.tobytes()
+
+    def test_zero_coefficients_form_no_block(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an all-zero block was formed")
+
+        monkeypatch.setattr(kernels, "_convection_block", refuse)
+        monkeypatch.setattr(kernels, "_reaction_block", refuse)
+        for name in ("fd1", "negative-zeros"):
+            problem = ZERO_BLOCK_PROBLEMS[name]
+            args = _batched_inputs(problem, mesh_for(problem, 4))
+            local_operator(args[0], 4.0, *args[1:])

@@ -127,6 +127,15 @@ class TestEnumerateDofs:
         np.testing.assert_array_equal(a.midpoints, b.midpoints)
         np.testing.assert_array_equal(a.interior, b.interior)
 
+    def test_built_once_per_mesh(self):
+        mesh = uniform_mesh(4)
+        dm = enumerate_dofs(mesh)
+        assert enumerate_dofs(mesh) is dm
+        assert enumerate_dofs(uniform_mesh(4)) is not dm
+        for arr in (dm.is_vertical, dm.grid_i, dm.grid_j, dm.midpoints, dm.lengths,
+                    dm.is_boundary, dm.interior, dm.boundary, dm.free_index):
+            assert not arr.flags.writeable
+
     def test_midpoint_is_mean_of_endpoints(self):
         dm = enumerate_dofs(build_tensor_mesh([0, 0.4, 1], [0, 0.25, 1]))
         for k in range(dm.count):

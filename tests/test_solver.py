@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swgfem.solver
@@ -210,10 +210,22 @@ class TestNestedDissection:
 
     @settings(max_examples=40, deadline=None)
     @given(nx=st.integers(1, 24), ny=st.integers(1, 24))
+    @example(nx=1, ny=40)
+    @example(nx=40, ny=1)
+    @example(nx=64, ny=64)
+    @example(nx=100, ny=3)
+    @example(nx=37, ny=129)
     def test_matches_recursive_oracle(self, nx, ny):
         mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
         expected = nested_dissection_oracle(nx, ny, ND_LEAF_ELEMENTS)
         np.testing.assert_array_equal(nested_dissection(enumerate_dofs(mesh)), expected)
+
+    def test_successive_calls_share_no_state(self):
+        # the meshes share block shapes, at other row strides
+        for nx, ny in ((24, 10), (48, 10), (24, 10)):
+            mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+            expected = nested_dissection_oracle(nx, ny, ND_LEAF_ELEMENTS)
+            np.testing.assert_array_equal(nested_dissection(enumerate_dofs(mesh)), expected)
 
     def test_fill_below_mmd(self, monkeypatch):
         factors = []
