@@ -25,6 +25,7 @@ Stability of Numerical Algorithms*, ch. 7), an iterative one by its
 relative residual against ``tol``.
 """
 
+import ctypes
 import math
 import os
 from dataclasses import dataclass
@@ -58,6 +59,17 @@ DIRECT_MEMORY_SHARE = 0.5
 
 #: Largest normwise backward error accepted from a direct solve.
 DIRECT_BACKWARD_TOL = 64 * np.finfo(float).eps
+
+#: Systems of at least this many unknowns release the free heap before they
+#: are factored (:func:`_release_free_heap`).  Below it each SuperLU work
+#: array is under 3.4 MB, and the trim costs 0.1 ms of a 7 ms solve at
+#: 2,112 dofs.
+TRIM_MIN_DOFS = 20_000
+
+try:  # glibc; elsewhere the heap is left as it is
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 @dataclass(frozen=True)
@@ -155,10 +167,28 @@ def system_ordering(system: SparseSystem) -> np.ndarray:
     return order
 
 
+def _release_free_heap(dofs):
+    """Hand the allocator's free heap pages back to the OS before a factorization.
+
+    SuperLU allocates two work arrays of about 170 bytes per column.  Each
+    lands in a free block of the heap when one is large enough, and in a
+    fresh mapping otherwise.  Which one depends on how earlier allocations
+    fragmented the heap, and that differs between runs of the same code.
+    Free heap pages stay resident, so the peak RSS of the fd1 n=340 solve
+    was 360 MB in some runs and 400 MB in others.  Once they are released,
+    both placements cost the same resident memory, and that peak read
+    336-338 MB in 14 of 14 runs.
+    """
+    if _malloc_trim is not None and dofs >= TRIM_MIN_DOFS:
+        _malloc_trim(0)
+
+
 def _solve_direct(matrix, rhs, perm):
     """Factor P A P^T in the given order and scatter the solution back."""
+    permuted = matrix[perm][:, perm].tocsc()
+    _release_free_heap(permuted.shape[0])
     try:
-        lu = spla.splu(matrix[perm][:, perm].tocsc(), permc_spec="NATURAL")
+        lu = spla.splu(permuted, permc_spec="NATURAL")
         y = lu.solve(rhs[perm])
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SingularMatrix(str(exc)) from exc

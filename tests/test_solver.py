@@ -153,6 +153,16 @@ class TestSolve:
         _, system, _ = solve_problem(get_problem("fd1"), 8, 4.0)
         assert seen == [system.matrix.shape[0]]
 
+    def test_releases_free_heap_before_large_factorizations(self, monkeypatch):
+        trims = []
+        monkeypatch.setattr(swgfem.solver, "_malloc_trim", trims.append)
+        direct = SolveConfig(method="direct")
+        solve_problem(get_problem("tc2"), 8, 4.0, solve_config=direct)
+        assert trims == []
+        monkeypatch.setattr(swgfem.solver, "TRIM_MIN_DOFS", 1)
+        solve_problem(get_problem("tc2"), 8, 4.0, solve_config=direct)
+        assert trims == [0]
+
     @pytest.mark.parametrize("kwargs", [
         {"f": math.nan}, {"g": math.nan}, {"alpha0": math.nan},
         {"c": math.inf}, {"beta": (math.nan, 0.0)},
