@@ -68,15 +68,21 @@ def _gauss(geom: ElementGeom):
 def _element_terms(geom: ElementGeom):
     """The intermediates every block shares, computed once.
 
-    Gauss coordinates qx, qy (..., 4); the Gauss weight |T|/4 (...); the
-    basis extensions at the Gauss points s (..., 4 basis, 4 points); and
-    the basis weak gradients gx, gy (..., 4).
+    The columns (hx, hy, cx, cy) of :func:`_gauss`; Gauss coordinates qx, qy
+    (..., 4); the Gauss weight |T|/4 (...); and the basis weak gradients
+    gx, gy (..., 4).
     """
-    (hx, hy, cx, cy), qx, qy = _gauss(geom)
+    cols, qx, qy = _gauss(geom)
+    hx, hy = cols[:2]
+    return cols, qx, qy, 0.25 * (hx * hy)[..., 0], (1.0 / hx) * _GRAD_X, (1.0 / hy) * _GRAD_Y
+
+
+def _extensions(cols, qx, qy):
+    """The basis extensions at the Gauss points, (..., 4 basis, 4 points)."""
+    hx, hy, cx, cy = cols
     xi, eta = (qx - cx) / hx, (qy - cy) / hy
     g_v, g_h = hy / (2.0 * (hx + hy)), hx / (2.0 * (hx + hy))
-    s = np.stack([g_v - xi, g_v + xi, g_h - eta, g_h + eta], axis=-2)
-    return qx, qy, 0.25 * (hx * hy)[..., 0], s, (1.0 / hx) * _GRAD_X, (1.0 / hy) * _GRAD_Y
+    return np.stack([g_v - xi, g_v + xi, g_h - eta, g_h + eta], axis=-2)
 
 
 def _at_points(pair, shape):
@@ -171,7 +177,7 @@ def diffusion_matrix(geom: ElementGeom, alpha):
     ``alpha(x, y)`` returns the diagonal pair (a11, a22); both components
     must be positive at every quadrature point.
     """
-    qx, qy, w, _, gx, gy = _element_terms(geom)
+    _, qx, qy, w, gx, gy = _element_terms(geom)
     a11, a22 = _at_points(alpha(qx, qy), qx.shape)
     if min(a11.min(), a22.min()) <= 0:
         raise NonPositiveDiffusion("diffusion tensor not positive at a quadrature point")
@@ -181,7 +187,8 @@ def diffusion_matrix(geom: ElementGeom, alpha):
 
 def convection_matrix(geom: ElementGeom, beta):
     """Convection matrix; entry (i, j) integrates (beta . grad_w phi_j) s(phi_i)."""
-    qx, qy, w, s, gx, gy = _element_terms(geom)
+    cols, qx, qy, w, gx, gy = _element_terms(geom)
+    s = _extensions(cols, qx, qy)
     return _convection_block(w, s, gx, gy, *_at_points(beta(qx, qy), qx.shape))
 
 
@@ -189,8 +196,8 @@ def reaction_matrix(geom: ElementGeom, c_value):
     """Reaction mass matrix c * (s(phi_i), s(phi_j)); requires c >= 0."""
     if np.min(c_value) < 0:
         raise NegativeReaction(f"reaction coefficient must be >= 0, got {np.min(c_value)}")
-    _, _, w, s, _, _ = _element_terms(geom)
-    return _reaction_block(w, s, c_value)
+    cols, qx, qy, w, _, _ = _element_terms(geom)
+    return _reaction_block(w, _extensions(cols, qx, qy), c_value)
 
 
 def load_vector(geom: ElementGeom, f, f_mid=None):
@@ -224,15 +231,19 @@ def local_operator(geom: ElementGeom, kappa, h_global, alpha_q, beta_q, c_value)
     in the fixed order S, A, B, C.  B is skipped when beta is zero at every
     Gauss point, C when c is zero on every element: with kappa > 0 no entry
     of S + A is -0.0, so adding such a block of (signed) zeros changes no bit.
+    The basis extensions, which only B and C use, are built only for them.
     """
-    qx, _, w, s, gx, gy = _element_terms(geom)
+    cols, qx, qy, w, gx, gy = _element_terms(geom)
     a11, a22 = _at_points(alpha_q, qx.shape)
     local = kappa * stabilizer_matrix(geom, h_global)
     for term in _diffusion_terms(w, gx, gy, a11, a22):
         local += term
     b1, b2 = _at_points(beta_q, qx.shape)
-    if b1.any() or b2.any():
+    convection, reaction = b1.any() or b2.any(), np.any(c_value)
+    if convection or reaction:
+        s = _extensions(cols, qx, qy)
+    if convection:
         local += _convection_block(w, s, gx, gy, b1, b2)
-    if np.any(c_value):
+    if reaction:
         local += _reaction_block(w, s, c_value)
     return local

@@ -190,35 +190,19 @@ class DofMap:
 
         xm = 0.5 * (xb[:-1] + xb[1:])
         ym = 0.5 * (yb[:-1] + yb[1:])
+        # vertical edges (i fastest): x on a grid line, y at an element mid-height
+        vi, vj = np.tile(np.arange(nx + 1), ny), np.repeat(np.arange(ny), nx + 1)
+        # horizontal edges (i fastest): x at an element mid-width, y on a grid line
+        hi, hj = np.tile(np.arange(nx), ny + 1), np.repeat(np.arange(ny + 1), nx)
 
-        # vertical edges: x on a grid line, y at an element mid-height
-        vi, vj = np.meshgrid(np.arange(nx + 1), np.arange(ny), indexing="ij")
-        vid = vj * (nx + 1) + vi
-        # horizontal edges: x at an element mid-width, y on a grid line
-        hi, hj = np.meshgrid(np.arange(nx), np.arange(ny + 1), indexing="ij")
-        hid = self.n_vertical + hj * nx + hi
-
-        self.is_vertical = np.zeros(self.count, dtype=bool)
-        self.grid_i = np.zeros(self.count, dtype=np.int64)
-        self.grid_j = np.zeros(self.count, dtype=np.int64)
-        self.midpoints = np.zeros((self.count, 2))
-        self.lengths = np.zeros(self.count)
-        self.is_boundary = np.zeros(self.count, dtype=bool)
-
-        self.is_vertical[vid] = True
-        self.grid_i[vid.ravel()] = vi.ravel()
-        self.grid_j[vid.ravel()] = vj.ravel()
-        self.midpoints[vid.ravel(), 0] = xb[vi.ravel()]
-        self.midpoints[vid.ravel(), 1] = ym[vj.ravel()]
-        self.lengths[vid.ravel()] = mesh.dy[vj.ravel()]
-        self.is_boundary[vid.ravel()] = (vi.ravel() == 0) | (vi.ravel() == nx)
-
-        self.grid_i[hid.ravel()] = hi.ravel()
-        self.grid_j[hid.ravel()] = hj.ravel()
-        self.midpoints[hid.ravel(), 0] = xm[hi.ravel()]
-        self.midpoints[hid.ravel(), 1] = yb[hj.ravel()]
-        self.lengths[hid.ravel()] = mesh.dx[hi.ravel()]
-        self.is_boundary[hid.ravel()] = (hj.ravel() == 0) | (hj.ravel() == ny)
+        self.is_vertical = np.arange(self.count) < self.n_vertical
+        self.grid_i = np.concatenate([vi, hi])
+        self.grid_j = np.concatenate([vj, hj])
+        self.midpoints = np.stack([np.concatenate([np.tile(xb, ny), np.tile(xm, ny + 1)]),
+                                   np.concatenate([np.repeat(ym, nx + 1), np.repeat(yb, nx)])],
+                                  axis=1)
+        self.lengths = np.concatenate([np.repeat(mesh.dy, nx + 1), np.tile(mesh.dx, ny + 1)])
+        self.is_boundary = np.concatenate([(vi == 0) | (vi == nx), (hj == 0) | (hj == ny)])
 
         self.interior = np.flatnonzero(~self.is_boundary)
         self.boundary = np.flatnonzero(self.is_boundary)

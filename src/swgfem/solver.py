@@ -10,14 +10,18 @@ the middle grid line of the longer side and numbers each separator after
 the two halves; each distinct block shape is ordered once and translated.
 SuperLU then keeps that order (``permc_spec="NATURAL"``).  This halves
 the factor against SuperLU's minimum-degree ordering of A^T A + A: 6.69 M
-against 13.4 M entries at 130,560 dofs.  The iterative path is
-ILU-preconditioned BiCGStab, which handles the nonsymmetric systems
-produced by nonzero convection.
+against 13.4 M entries at 130,560 dofs.  Most of its supernodes are the
+small leaves of the dissection, so SuperLU runs with a panel of
+``SUPERLU_PANEL`` columns instead of its default, which was tuned for long
+supernodes (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal.
+Appl. 20 (1999) 720); that cuts the memory a solve adds by 30-38%.  The
+iterative path is ILU-preconditioned BiCGStab, which handles the
+nonsymmetric systems produced by nonzero convection.
 
 ``auto`` solves directly while the factor predicted from the measured
 nested-dissection fill (:func:`predicted_factor_bytes`) fits in
 ``DIRECT_MEMORY_SHARE`` of physical memory, and iteratively otherwise:
-up to about 3.3 M dofs (the unit square at n = 1290) with 8 GB.
+up to about 4.5 M dofs (the unit square at n = 1500) with 8 GB.
 
 Every solve checks the returned vector independently of solver internals:
 a direct solve by its normwise backward error (Higham, *Accuracy and
@@ -45,14 +49,25 @@ from .mesh import DofMap
 FILL_SLOPE = 5.6
 FILL_ORIGIN = 13.0
 
-#: Peak bytes a direct solve adds per factor entry: 13.4-17.5 measured as
+#: Peak bytes a direct solve adds per factor entry: 8.6-13.0 measured as
 #: the peak RSS of ``solve`` over the RSS before it at the sizes above.
-BYTES_PER_ENTRY = 18.0
+BYTES_PER_ENTRY = 13.0
 
 #: Regions of at most this many elements keep the natural dof order.  At
 #: tc2 n=256, leaves of 4, 16 and 64 elements gave 6.69 M, 7.07 M and
 #: 11.3 M factor entries; leaves of 1 or 2 gave the same factor as 4.
 ND_LEAF_ELEMENTS = 4
+
+#: SuperLU's supernode relaxation and panel width, in columns.  Nested
+#: dissection leaves thousands of supernodes of a few columns, for which a
+#: wide panel only enlarges the dense work arrays SuperLU sizes by it.  At 2
+#: and 2, factor plus triangular solve took a median 0.78x the default's
+#: time over 60 cases of 112 to 525,312 dofs, and the peak RSS a tc1 solve
+#: adds fell from 90 to 56 MiB at 130,560 dofs and from 475 to 331 MiB at
+#: 523,264.  Keep relax <= panel_size, as SuperLU's defaults do: a relaxed
+#: supernode wider than a panel has been seen to corrupt the heap.
+SUPERLU_RELAX = 2
+SUPERLU_PANEL = 2
 
 #: Share of physical memory a predicted factor may take under "auto".
 DIRECT_MEMORY_SHARE = 0.5
@@ -61,9 +76,9 @@ DIRECT_MEMORY_SHARE = 0.5
 DIRECT_BACKWARD_TOL = 64 * np.finfo(float).eps
 
 #: Systems of at least this many unknowns release the free heap before they
-#: are factored (:func:`_release_free_heap`).  Below it each SuperLU work
-#: array is under 3.4 MB, and the trim costs 0.1 ms of a 7 ms solve at
-#: 2,112 dofs.
+#: are factored (:func:`_release_free_heap`).  Below it the release lowered
+#: the peak RSS of an fd1 solve by at most 2.5 MiB (at 19,800 dofs), for
+#: about 0.1 ms a call.
 TRIM_MIN_DOFS = 20_000
 
 try:  # glibc; elsewhere the heap is left as it is
@@ -170,14 +185,15 @@ def system_ordering(system: SparseSystem) -> np.ndarray:
 def _release_free_heap(dofs):
     """Hand the allocator's free heap pages back to the OS before a factorization.
 
-    SuperLU allocates two work arrays of about 170 bytes per column.  Each
-    lands in a free block of the heap when one is large enough, and in a
-    fresh mapping otherwise.  Which one depends on how earlier allocations
-    fragmented the heap, and that differs between runs of the same code.
-    Free heap pages stay resident, so the peak RSS of the fd1 n=340 solve
-    was 360 MB in some runs and 400 MB in others.  Once they are released,
-    both placements cost the same resident memory, and that peak read
-    336-338 MB in 14 of 14 runs.
+    Building the permuted matrix leaves its temporaries as free heap, whose
+    pages stay resident.  SuperLU's work arrays and its growing L and U
+    storage reuse free blocks only when one is large enough and otherwise
+    take fresh mappings, so those resident pages add to the factorization's
+    peak.  Released, the peak RSS of a standalone fd1 n=340 solve fell from
+    296 to 273 MiB in 3 of 3 runs.  The placement of each allocation also
+    depends on how earlier allocations fragmented the heap, which differs
+    between runs of the same code; the release makes both placements cost
+    the same resident memory, so the peak no longer varies with it.
     """
     if _malloc_trim is not None and dofs >= TRIM_MIN_DOFS:
         _malloc_trim(0)
@@ -188,7 +204,8 @@ def _solve_direct(matrix, rhs, perm):
     permuted = matrix[perm][:, perm].tocsc()
     _release_free_heap(permuted.shape[0])
     try:
-        lu = spla.splu(permuted, permc_spec="NATURAL")
+        lu = spla.splu(permuted, permc_spec="NATURAL", relax=SUPERLU_RELAX,
+                       panel_size=SUPERLU_PANEL)
         y = lu.solve(rhs[perm])
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SingularMatrix(str(exc)) from exc

@@ -400,7 +400,8 @@ def _batched_inputs(problem, mesh):
 
 def _all_blocks_summed(geom, kappa, h_global, alpha_q, beta_q, c_value):
     """kappa*S + A + B + C summed in order, with no block left out."""
-    qx, _, w, s, gx, gy = kernels._element_terms(geom)
+    cols, qx, qy, w, gx, gy = kernels._element_terms(geom)
+    s = kernels._extensions(cols, qx, qy)
     a11, a22 = kernels._at_points(alpha_q, qx.shape)
     local = kappa * stabilizer_matrix(geom, h_global)
     for term in (
@@ -436,9 +437,12 @@ class TestLocalOperatorZeroBlocks:
         def refuse(*args):
             raise AssertionError("an all-zero block was formed")
 
+        built = []
         monkeypatch.setattr(kernels, "_convection_block", refuse)
         monkeypatch.setattr(kernels, "_reaction_block", refuse)
+        monkeypatch.setattr(kernels, "_extensions", lambda *args: built.append(args))
         for name in ("fd1", "negative-zeros"):
             problem = ZERO_BLOCK_PROBLEMS[name]
             args = _batched_inputs(problem, mesh_for(problem, 4))
             local_operator(args[0], 4.0, *args[1:])
+        assert built == []  # only B and C use the basis extensions

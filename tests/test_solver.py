@@ -16,6 +16,8 @@ from swgfem.problems import get_problem, make_custom, mesh_for
 from swgfem.solver import (
     DIRECT_MEMORY_SHARE,
     ND_LEAF_ELEMENTS,
+    SUPERLU_PANEL,
+    SUPERLU_RELAX,
     SolveConfig,
     auto_method,
     nested_dissection,
@@ -123,9 +125,14 @@ class TestSolve:
         _, system, _ = solve_problem(get_problem("tc2"), 8, 4.0,
                                      solve_config=SolveConfig(method="direct"))
         [(factored, kwargs)] = calls
-        assert kwargs == {"permc_spec": "NATURAL"}
+        assert kwargs == {"permc_spec": "NATURAL", "relax": SUPERLU_RELAX,
+                          "panel_size": SUPERLU_PANEL}
         perm = system_ordering(system)
         assert (factored != system.matrix[perm][:, perm]).nnz == 0
+
+    def test_supernode_relaxation_fits_the_panel(self):
+        # a relaxed supernode wider than a panel has corrupted SuperLU's heap
+        assert 1 <= SUPERLU_RELAX <= SUPERLU_PANEL
 
     def test_reports_the_path_taken(self):
         # BiCGStab converges here before its first callback: 0 iterations
@@ -266,9 +273,9 @@ class TestAutoRule:
 
     def test_prediction_tracks_measured_fill(self):
         # peak RSS of solve() over the RSS before it, tc1 at n = 256 and 512:
-        # 87 and 476 MiB
-        assert 87 * 2**20 <= predicted_factor_bytes(130_560) <= 1.5 * 87 * 2**20
-        assert 476 * 2**20 <= predicted_factor_bytes(523_264) <= 1.5 * 476 * 2**20
+        # 56 and 331 MiB
+        assert 56 * 2**20 <= predicted_factor_bytes(130_560) <= 1.5 * 56 * 2**20
+        assert 331 * 2**20 <= predicted_factor_bytes(523_264) <= 1.5 * 331 * 2**20
 
     def test_monotone_in_dofs(self):
         dofs = np.unique(np.geomspace(1, 1e8, 400).astype(int))
