@@ -1,7 +1,8 @@
 """Command-line front end for convergence tables, DMP reports, and the
 finite-difference schemes.
 
-Exit codes: 0 success, 1 numerical or verification failure, 2 usage error.
+Exit codes: 0 success, 1 numerical or verification failure (including a
+solve refused because its factor would not fit in memory), 2 usage error.
 Output is deterministic: re-running a command with identical flags writes
 byte-identical files.
 """
@@ -12,9 +13,9 @@ import sys
 from . import analysis, fd
 from .assembly import AssemblyConfig, assemble, dump_matrix
 from .errors import (
-    NoConvergence,
     NonFiniteData,
     NonPositiveKappa,
+    OutOfMemory,
     SingularConfig,
     SingularMatrix,
     UnknownProblem,
@@ -32,7 +33,7 @@ _USAGE_ERRORS = (
     NonPositiveKappa,
     ValueError,
 )
-_SOLVE_ERRORS = (SingularMatrix, NoConvergence)
+_SOLVE_ERRORS = (SingularMatrix, OutOfMemory)
 
 
 def _parse_ns(text):
@@ -64,10 +65,8 @@ def _add_common(p, need_kappa=True):
     p.add_argument("--problem", required=True, help="problem id or 'custom'")
     p.add_argument("--kappa", type=float, required=need_kappa,
                    help="stabilization parameter")
-    p.add_argument("--solver", choices=("direct", "iterative", "auto"),
-                   default="auto")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="iterative relative-residual target")
+    p.add_argument("--solver", choices=("direct", "auto"), default="auto",
+                   help="auto refuses systems whose factor would not fit in memory")
     p.add_argument("--bc", choices=("eliminate", "penalty"), default="eliminate")
     p.add_argument("--penalty-weight", type=float, default=1e10)
     p.add_argument("--qb", choices=("midpoint", "simpson"), default="midpoint",
@@ -128,7 +127,7 @@ def cmd_run(args):
     if args.dump_matrix and len(args.ns) != 1:
         print("--dump-matrix requires a single resolution", file=sys.stderr)
         return 2
-    solve_config = SolveConfig(method=args.solver, tol=args.tol)
+    solve_config = SolveConfig(method=args.solver)
     rows = analysis.convergence_table(
         problem, args.kappa, args.ns,
         bc_mode=args.bc, qb_rule=args.qb,
@@ -170,7 +169,7 @@ def cmd_fd(args):
     if ns == [None]:
         print("pass --n or --ns", file=sys.stderr)
         return 2
-    solve_config = SolveConfig(method=args.solver, tol=args.tol)
+    solve_config = SolveConfig(method=args.solver)
 
     def fd_solver(prob, n):
         if args.scheme == 5:
@@ -207,7 +206,7 @@ def _render_dmp(entries, header, csv):
 def cmd_dmp(args):
     problem = _resolve_problem(args)
     c_nonneg = not problem.c_is_zero
-    solve_config = SolveConfig(method=args.solver, tol=args.tol)
+    solve_config = SolveConfig(method=args.solver)
     entries = []
     if args.x_breaks or args.y_breaks:
         if args.ns:

@@ -49,16 +49,17 @@ class SingularMatrix(SwgError, RuntimeError):
     """Sparse factorization failed or produced non-finite values."""
 
 
-class NoConvergence(SwgError, RuntimeError):
-    """Iterative solver stopped without reaching the residual target."""
+class OutOfMemory(SwgError, MemoryError):
+    """Direct solve predicted to need more memory than its budget allows."""
 
-    def __init__(self, iterations, residual):
+    def __init__(self, dofs, predicted_bytes, budget_bytes):
         super().__init__(
-            "no convergence after %d iterations (relative residual %.3e)"
-            % (iterations, residual)
+            "direct solve of %d dofs is predicted to need %d bytes, above the "
+            "memory budget of %d bytes" % (dofs, predicted_bytes, budget_bytes)
         )
-        self.iterations = iterations
-        self.residual = residual
+        self.dofs = dofs
+        self.predicted_bytes = predicted_bytes
+        self.budget_bytes = budget_bytes
 
 
 class NonUniformMesh(SwgError, ValueError):

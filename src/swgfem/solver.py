@@ -1,6 +1,6 @@
-"""Sparse linear solves with a post-hoc residual check.
+"""Sparse direct solves with a post-hoc backward-error check.
 
-The direct path is SuperLU on the system permuted by geometric nested
+Every system is solved by SuperLU on the system permuted by geometric nested
 dissection of the tensor mesh (:func:`nested_dissection`; George, SIAM J.
 Numer. Anal. 10 (1973) 345; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16
 (1979) 346).  Each SWG row couples only the edges of the two elements that
@@ -14,19 +14,18 @@ against 13.4 M entries at 130,560 dofs.  Most of its supernodes are the
 small leaves of the dissection, so SuperLU runs with a panel of
 ``SUPERLU_PANEL`` columns instead of its default, which was tuned for long
 supernodes (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal.
-Appl. 20 (1999) 720); that cuts the memory a solve adds by 30-38%.  The
-iterative path is ILU-preconditioned BiCGStab, which handles the
-nonsymmetric systems produced by nonzero convection.
+Appl. 20 (1999) 720); that cuts the memory a solve adds by 30-38%.
 
-``auto`` solves directly while the factor predicted from the measured
+``auto`` first checks that the factor predicted from the measured
 nested-dissection fill (:func:`predicted_factor_bytes`) fits in
-``DIRECT_MEMORY_SHARE`` of physical memory, and iteratively otherwise:
-up to about 4.5 M dofs (the unit square at n = 1500) with 8 GB.
+``DIRECT_MEMORY_SHARE`` of physical memory, and raises
+:class:`~swgfem.errors.OutOfMemory` before any ordering or factoring
+otherwise: past about 4.5 M dofs (the unit square at n = 1500) with 8 GB.
+``direct`` skips that check.
 
-Every solve checks the returned vector independently of solver internals:
-a direct solve by its normwise backward error (Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 7), an iterative one by its
-relative residual against ``tol``.
+Every solve checks the returned vector independently of solver internals
+by its normwise backward error (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 7).
 """
 
 import ctypes
@@ -35,11 +34,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SparseSystem
-from .errors import NoConvergence, SingularMatrix
+from .errors import OutOfMemory, SingularMatrix
 from .mesh import DofMap
 
 #: Factor entries per dof are FILL_SLOPE * ln(dofs / FILL_ORIGIN); the
@@ -89,15 +87,11 @@ except (AttributeError, OSError, TypeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    method: str = "auto"  # "direct" | "iterative" | "auto"
-    tol: float = 1e-12
-    max_iter: int = 100_000
+    method: str = "auto"  # "direct" | "auto" (direct after the memory check)
 
     def __post_init__(self):
-        if self.method not in ("direct", "iterative", "auto"):
+        if self.method not in ("direct", "auto"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +100,7 @@ class Solution:
 
     values: np.ndarray
     residual_norm: float
-    iterations: int
-    method: str  # "direct" | "iterative": the path the solve took
+    iterations: int  # always 0: no solve iterates
 
 
 def predicted_factor_bytes(dofs: int) -> float:
@@ -116,12 +109,14 @@ def predicted_factor_bytes(dofs: int) -> float:
     return BYTES_PER_ENTRY * fill * dofs
 
 
-def auto_method(dofs: int, memory_bytes: int | None = None) -> str:
-    """The method "auto" picks: direct while the factor fits the memory share."""
+def check_memory(dofs: int, memory_bytes: int | None = None) -> None:
+    """Raise OutOfMemory unless the predicted factor fits the memory share."""
     if memory_bytes is None:
         memory_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    fits = predicted_factor_bytes(dofs) <= DIRECT_MEMORY_SHARE * memory_bytes
-    return "direct" if fits else "iterative"
+    predicted = predicted_factor_bytes(dofs)
+    budget = DIRECT_MEMORY_SHARE * memory_bytes
+    if predicted > budget:
+        raise OutOfMemory(dofs, predicted, budget)
 
 
 def _block_order(w, h, sides, row, nv, memo):
@@ -213,65 +208,32 @@ def _solve_direct(matrix, rhs, perm):
     x[perm] = y
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("factorization produced non-finite values")
-    return x, 0
-
-
-def _solve_iterative(matrix, rhs, tol, max_iter):
-    csc = matrix.tocsc()
-    precond = None
-    try:
-        ilu = spla.spilu(csc, drop_tol=1e-5, fill_factor=20)
-        precond = spla.LinearOperator(matrix.shape, ilu.solve)
-    except RuntimeError:
-        pass  # fall back to unpreconditioned iteration
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    x, info = spla.bicgstab(
-        csc, rhs, rtol=tol, atol=0.0, maxiter=max_iter, M=precond, callback=count
-    )
-    if info != 0:
-        res = np.linalg.norm(matrix @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        raise NoConvergence(iters, res)
-    return x, iters
+    return x
 
 
 def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
     """Solve ``system`` and merge boundary values into a full edge vector."""
     config = config or SolveConfig()
     matrix, rhs = system.matrix, system.rhs
-    dim = matrix.shape[0]
+    if config.method == "auto":
+        check_memory(matrix.shape[0])
 
-    method = config.method
-    if method == "auto":
-        method = auto_method(dim)
-
-    if dim == 0:
+    if matrix.shape[0] == 0:
         x = np.zeros(0)
-        iters = 0
         residual = 0.0
     else:
-        if method == "direct":
-            x, iters = _solve_direct(matrix, rhs, system_ordering(system))
-        else:
-            x, iters = _solve_iterative(matrix, rhs, config.tol, config.max_iter)
+        x = _solve_direct(matrix, rhs, system_ordering(system))
         r = matrix @ x - rhs
         rhs_norm = np.linalg.norm(rhs)
         res = np.linalg.norm(r)
         residual = res / rhs_norm if rhs_norm > 0 else res
-        if method == "direct":
-            # |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf); 0 when b = Ax = 0
-            scale = spla.norm(matrix, np.inf) * np.abs(x).max() + np.abs(rhs).max()
-            backward = np.abs(r).max() / scale if scale > 0 else 0.0
-            if backward > DIRECT_BACKWARD_TOL:
-                raise SingularMatrix(
-                    f"direct solve left normwise backward error {backward:.3e}"
-                )
-        elif residual > 10.0 * config.tol:
-            raise NoConvergence(iters, residual)
+        # |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf); 0 when b = Ax = 0
+        scale = spla.norm(matrix, np.inf) * np.abs(x).max() + np.abs(rhs).max()
+        backward = np.abs(r).max() / scale if scale > 0 else 0.0
+        if backward > DIRECT_BACKWARD_TOL:
+            raise SingularMatrix(
+                f"direct solve left normwise backward error {backward:.3e}"
+            )
 
     dof_map = system.dof_map
     values = np.zeros(dof_map.count)
@@ -280,5 +242,4 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
         values[dof_map.interior] = x
     else:
         values[:] = x
-    return Solution(values=values, residual_norm=float(residual), iterations=iters,
-                    method=method)
+    return Solution(values=values, residual_norm=float(residual), iterations=0)

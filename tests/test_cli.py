@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -94,6 +95,30 @@ class TestRun:
             capsys, "run", "--problem", "fd1", "--kappa", "4", "--ns", "4,8",
             "--dump-matrix", "x.txt")
         assert code == 2
+
+
+class TestSolveFlags:
+    @pytest.mark.parametrize("flags", [("--solver", "iterative"), ("--tol", "1e-12")])
+    def test_removed_solver_flags_exit_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "tc1", "--kappa", "4", "--ns", "8", *flags])
+        assert exc.value.code == 2
+
+    def test_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):
+        share = 1e-6
+        monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", share)
+        out = tmp_path / "table.csv"
+        code, _, err = run_cli(
+            capsys, "run", "--problem", "tc1", "--kappa", "4", "--ns", "8",
+            "--out", str(out))
+        assert code == 1
+        assert err.startswith("solve failed:")
+        problem = get_problem("tc1")
+        dofs = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0)).matrix.shape[0]
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert "%d bytes" % swgfem.solver.predicted_factor_bytes(dofs) in err
+        assert "%d bytes" % (share * memory) in err
+        assert not out.exists()
 
 
 class TestFdCommand:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import swgfem.solver
 from swgfem.analysis import solve_problem
 from swgfem.assembly import AssemblyConfig, SparseSystem, assemble
-from swgfem.errors import NonFiniteData, SingularMatrix
+from swgfem.errors import NonFiniteData, OutOfMemory, SingularMatrix
 from swgfem.mesh import build_tensor_mesh, enumerate_dofs, uniform_mesh
 from swgfem.problems import get_problem, make_custom, mesh_for
 from swgfem.solver import (
@@ -19,7 +19,7 @@ from swgfem.solver import (
     SUPERLU_PANEL,
     SUPERLU_RELAX,
     SolveConfig,
-    auto_method,
+    check_memory,
     nested_dissection,
     predicted_factor_bytes,
     solve,
@@ -51,7 +51,6 @@ class TestSolve:
         sol = solve(identity_system(rhs))
         np.testing.assert_allclose(sol.values[identity_system(rhs).dof_map.interior], rhs)
         assert sol.iterations == 0
-        assert sol.method == "direct"
         assert sol.residual_norm <= 1e-14
 
     def test_single_cell_returns_boundary_values(self):
@@ -69,15 +68,18 @@ class TestSolve:
         assert sol.residual_norm <= 1e-12
         assert np.max(np.abs(sol.values - exact_mid)) <= 1e-12
 
+    @pytest.mark.parametrize("bc_mode", ["eliminate", "penalty"])
+    @pytest.mark.parametrize("n", [4, 8, 16])
     @pytest.mark.parametrize("pid", ["tc1", "tc2", "tc3", "fd1", "fd2"])
-    def test_direct_vs_iterative(self, pid):
+    def test_matches_dense_solve(self, pid, n, bc_mode):
+        # up to 2,112 dofs (tc3 at n = 16); measured at most 5.4e-15
         problem = get_problem(pid)
-        mesh = mesh_for(problem, 16)
-        system = assemble(mesh, problem, AssemblyConfig(kappa=4.0))
-        direct = solve(system, SolveConfig(method="direct"))
-        iterative = solve(system, SolveConfig(method="iterative", tol=1e-12))
-        assert np.max(np.abs(direct.values - iterative.values)) <= 1e-10
-        assert iterative.iterations > 0
+        system = assemble(mesh_for(problem, n), problem,
+                          AssemblyConfig(kappa=4.0, bc_mode=bc_mode))
+        sol = solve(system)
+        dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
+        sparse = sol.values[system.dof_map.interior] if bc_mode == "eliminate" else sol.values
+        assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_posthoc_residual_contract(self):
         problem = get_problem("tc3")
@@ -86,11 +88,11 @@ class TestSolve:
         assert np.linalg.norm(r) / np.linalg.norm(system.rhs) <= 10 * 1e-12
 
     def test_direct_judged_by_backward_error(self):
-        # the relative residual (6.5e-14) exceeds 10*tol, but the normwise
-        # backward error is a few eps, so the direct solve is accepted
+        # the relative residual (6.5e-14) is above a 1e-14 bar, but the
+        # normwise backward error is a few eps, so the solve is accepted
         _, _, sol = solve_problem(get_problem("fd1"), 32, 4.0,
-                                  solve_config=SolveConfig(method="direct", tol=1e-15))
-        assert sol.residual_norm > 10 * 1e-15
+                                  solve_config=SolveConfig(method="direct"))
+        assert sol.residual_norm > 1e-14
 
     def test_singular_matrix(self):
         mesh = uniform_mesh(2)
@@ -105,7 +107,7 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolveConfig(method="magic")
         with pytest.raises(ValueError):
-            SolveConfig(tol=0.0)
+            SolveConfig(method="iterative")
 
     def test_penalty_solution_close_to_eliminate(self):
         problem = get_problem("tc1")
@@ -134,31 +136,33 @@ class TestSolve:
         # a relaxed supernode wider than a panel has corrupted SuperLU's heap
         assert 1 <= SUPERLU_RELAX <= SUPERLU_PANEL
 
-    def test_reports_the_path_taken(self):
-        # BiCGStab converges here before its first callback: 0 iterations
-        problem = get_problem("fd1")
-        _, _, sol = solve_problem(problem, 8, 4.0,
-                                  solve_config=SolveConfig(method="iterative"))
-        assert sol.iterations == 0
-        assert sol.method == "iterative"
-        _, _, sol = solve_problem(problem, 8, 4.0,
-                                  solve_config=SolveConfig(method="direct"))
-        assert sol.method == "direct"
+    def test_auto_refuses_before_ordering_or_factoring(self, monkeypatch):
+        orders = []
+        ordering = swgfem.solver.system_ordering
 
-    def test_auto_follows_auto_method(self, monkeypatch):
-        seen = []
-
-        def pick(dofs):
-            seen.append(dofs)
-            return "iterative"
+        def spy(system):
+            orders.append(system)
+            return ordering(system)
 
         def no_lu(*args, **kwargs):
-            raise AssertionError("auto took the direct path")
+            raise AssertionError("auto factored a system past its budget")
 
-        monkeypatch.setattr(swgfem.solver, "auto_method", pick)
+        problem = get_problem("fd1")
+        system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
+        monkeypatch.setattr(swgfem.solver, "system_ordering", spy)
+        monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", 1e-12)
+        splu = spla.splu
         monkeypatch.setattr(spla, "splu", no_lu)
-        _, system, _ = solve_problem(get_problem("fd1"), 8, 4.0)
-        assert seen == [system.matrix.shape[0]]
+        with pytest.raises(OutOfMemory) as exc:
+            solve(system, SolveConfig())
+        assert exc.value.dofs == system.matrix.shape[0]
+        assert exc.value.predicted_bytes > exc.value.budget_bytes
+        assert orders == []
+        # "direct" skips the check and factors the same system
+        monkeypatch.setattr(spla, "splu", splu)
+        sol = solve(system, SolveConfig(method="direct"))
+        assert orders == [system]
+        assert sol.residual_norm <= 1e-12
 
     def test_releases_free_heap_before_large_factorizations(self, monkeypatch):
         trims = []
@@ -263,13 +267,18 @@ class TestNestedDissection:
 class TestAutoRule:
     def test_just_above_old_dof_limit_goes_direct(self):
         # tc1 at n = 260 and fd1 at n = 512 on an 8 GiB machine
-        assert auto_method(134_680, memory_bytes=8 * GIB) == "direct"
-        assert auto_method(523_264, memory_bytes=8 * GIB) == "direct"
+        check_memory(134_680, memory_bytes=8 * GIB)
+        check_memory(523_264, memory_bytes=8 * GIB)
 
-    def test_factor_beyond_memory_share_goes_iterative(self):
+    def test_factor_beyond_memory_share_raises_out_of_memory(self):
         dofs = 10_000_000
-        assert predicted_factor_bytes(dofs) > DIRECT_MEMORY_SHARE * 8 * GIB
-        assert auto_method(dofs, memory_bytes=8 * GIB) == "iterative"
+        with pytest.raises(OutOfMemory) as exc:
+            check_memory(dofs, memory_bytes=8 * GIB)
+        assert exc.value.dofs == dofs
+        assert exc.value.predicted_bytes == predicted_factor_bytes(dofs)
+        assert exc.value.budget_bytes == DIRECT_MEMORY_SHARE * 8 * GIB
+        assert exc.value.predicted_bytes > exc.value.budget_bytes
+        assert isinstance(exc.value, MemoryError)
 
     def test_prediction_tracks_measured_fill(self):
         # peak RSS of solve() over the RSS before it, tc1 at n = 256 and 512:
@@ -281,7 +290,15 @@ class TestAutoRule:
         dofs = np.unique(np.geomspace(1, 1e8, 400).astype(int))
         sizes = [predicted_factor_bytes(int(n)) for n in dofs]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-        choices = [auto_method(int(n), memory_bytes=8 * GIB) for n in dofs]
-        first = choices.index("iterative")
-        assert set(choices[:first]) == {"direct"}
-        assert set(choices[first:]) == {"iterative"}
+        refusals = []
+        for n in dofs:
+            try:
+                check_memory(int(n), memory_bytes=8 * GIB)
+                refusals.append(None)
+            except OutOfMemory as exc:
+                refusals.append(exc)
+        first = next(i for i, exc in enumerate(refusals) if exc is not None)
+        assert 0 < first
+        assert all(exc is None for exc in refusals[:first])
+        assert all(exc is not None and exc.predicted_bytes > exc.budget_bytes
+                   for exc in refusals[first:])
