@@ -26,6 +26,11 @@ QB_RULES = ("midpoint", "simpson")
 BC_MODES = ("eliminate", "penalty")
 MIN_PENALTY_WEIGHT = 1e8
 
+#: Rows whose lines :func:`dump_matrix` lays out and writes at a time.  A
+#: chunk of 8192 rows (at most 57,344 lines) takes a few MB, so the dump
+#: does not raise the peak memory of a solve of the same system.
+DUMP_CHUNK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -142,8 +147,12 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
 
     Each coefficient is evaluated once over all elements; the batched
     :func:`kernels.local_operator` and :func:`kernels.load_vector` give the
-    element blocks, which are accumulated in a fixed row-major order, so
-    single-threaded assembly is bit-reproducible.
+    element blocks.  The CSR arrays are filled straight from the blocks in
+    the tensor mesh's 7-slot row template (:func:`_edge_rows`): interior
+    rows with boundary columns moved to the right-hand side (``eliminate``),
+    or every row with the penalty weight on the boundary diagonals
+    (``penalty``).  Every sum runs in a fixed order, so assembly is
+    bit-reproducible.
     """
     dof_map = enumerate_dofs(mesh)
     hx, hy, cx, cy, conn = element_arrays(mesh)
@@ -192,38 +201,162 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     loads = kernels.load_vector(geom, problem.f, f_mid=f_mid[conn])
     _require_finite("f", loads)
 
-    count = dof_map.count
-    rows = np.broadcast_to(conn[:, :, None], local.shape)
-    cols = np.broadcast_to(conn[:, None, :], local.shape)
-    full = sp.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(count, count)
-    ).tocsr()
-    rhs = np.zeros(count)
+    rhs = np.zeros(dof_map.count)
     np.add.at(rhs, conn.ravel(), loads.ravel())
 
     g_b = boundary_averages(mesh, dof_map, problem.g, config.qb_rule)
     _require_finite("g", g_b)
 
+    count = dof_map.count
+    index = np.int32 if count <= np.iinfo(np.int32).max else np.int64
+    blocks = local.reshape(mesh.ny, mesh.nx, 4, 4)
     if config.bc_mode == "eliminate":
-        interior, boundary = dof_map.interior, dof_map.boundary
-        interior_rows = full[interior]
-        a_ii = interior_rows[:, interior].tocsr()
-        rhs_free = rhs[interior] - interior_rows[:, boundary] @ g_b
-        return SparseSystem(a_ii, rhs_free, dof_map, g_b, "eliminate", mesh)
+        # interior rows; columns are free indices, and boundary dof k is
+        # numbered -2 - (its place in g_b)
+        number = dof_map.free_index.astype(index)
+        number[dof_map.boundary] = -2 - np.arange(dof_map.boundary.size, dtype=index)
+        values, columns = _edge_rows(blocks, number, boundary_rows=False)
+        keep = columns >= 0
+        row_nnz = _per_row(keep)
+        # an interior row has all 7 slots, so it couples to the boundary
+        # exactly when it keeps fewer
+        rhs = rhs[dof_map.interior] - _boundary_lift(values, columns, row_nnz < 7, g_b)
+    else:
+        values, columns = _edge_rows(blocks, np.arange(count, dtype=index), boundary_rows=True)
+        boundary = dof_map.boundary
+        values[boundary, np.where(dof_map.is_vertical[boundary], *_DIAGONAL_SLOT)] += (
+            config.penalty_weight)
+        # a penalty system stores no zero entry and an eliminated one keeps
+        # them, as the reference scatter in tests/oracles.py does
+        keep = (columns >= 0) & (values != 0)
+        row_nnz = _per_row(keep)
+        rhs[boundary] += config.penalty_weight * g_b
+    size = row_nnz.size
+    indptr = np.zeros(size + 1, dtype=index)
+    np.cumsum(row_nnz, out=indptr[1:])
+    matrix = sp.csr_matrix((values[keep], columns[keep], indptr), shape=(size, size))
+    return SparseSystem(matrix, rhs, dof_map, g_b, config.bc_mode, mesh)
 
-    weight = config.penalty_weight
-    pen = sp.coo_matrix(
-        (np.full(dof_map.boundary.size, weight), (dof_map.boundary, dof_map.boundary)),
-        shape=(count, count),
-    ).tocsr()
-    rhs_pen = rhs.copy()
-    rhs_pen[dof_map.boundary] += weight * g_b
-    return SparseSystem(full + pen, rhs_pen, dof_map, g_b, "penalty", mesh)
+
+#: How an edge's row values are gathered from the rows of its two elements.
+#: Vertical edge v(i, j) is the right edge of element (i-1, j) and the left
+#: edge of (i, j); horizontal edge h(i, j) is the top of (i, j-1) and the
+#: bottom of (i, j).  Per orientation: each element as (the local row of the
+#: edge, where the element grid sits on the edge grid), then which of the 8
+#: gathered entries (the first element's row, then the second's; local
+#: columns left, right, bottom, top) fills each of the 7 slots.
+_VERTICAL = ((1, np.s_[:, 1:]), (0, np.s_[:, :-1]), (0, 1, 5, 2, 6, 3, 7))
+_HORIZONTAL = ((3, np.s_[1:, :]), (2, np.s_[:-1, :]), (0, 1, 4, 5, 2, 3, 7))
+
+#: Slot of the diagonal in a vertical and in a horizontal edge's row.
+_DIAGONAL_SLOT = (1, 5)
+
+
+def _edge_rows(blocks, number, boundary_rows):
+    """Edge matrix rows in the tensor mesh's 7-slot template: (values, columns).
+
+    A vertical edge's row holds v(i-1, j), itself, v(i+1, j) and the four
+    horizontal edges of its two elements; a horizontal edge's row holds the
+    same pattern turned 90 degrees.  Slots run in ascending dof id, and the
+    diagonal is the sum of the two elements' entries.  ``blocks`` holds the
+    (ny, nx, 4, 4) element blocks and ``number`` the column number of each
+    edge dof.  Rows are in dof order, shape (rows, 7), over every edge or,
+    without ``boundary_rows``, over the interior edges.  A slot of an
+    element beyond the mesh holds value 0 and column -1.
+    """
+    ny, nx = blocks.shape[:2]
+    nv = (nx + 1) * ny
+    trim = 0 if boundary_rows else 1
+    vn, hn = number[:nv].reshape(ny, nx + 1), number[nv:].reshape(ny + 1, nx)
+    # the number grids padded with -1 across x and across y
+    vx, hx = (np.full((g.shape[0], g.shape[1] + 2), -1, dtype=g.dtype) for g in (vn, hn))
+    vy, hy = (np.full((g.shape[0] + 2, g.shape[1]), -1, dtype=g.dtype) for g in (vn, hn))
+    vx[:, 1:-1], hx[:, 1:-1], vy[1:-1], hy[1:-1] = vn, hn, vn, hn
+    # per orientation: the edges, the rows kept, how values are gathered, and
+    # the columns of slots 0-6: v(i-1, j), v(i, j), v(i+1, j), h(i-1, j),
+    # h(i, j), h(i-1, j+1), h(i, j+1) for vertical edge v(i, j), and v(i, j-1),
+    # v(i+1, j-1), v(i, j), v(i+1, j), h(i, j-1), h(i, j), h(i, j+1) for h(i, j)
+    grids = (
+        (vn, np.s_[:, trim:nx + 1 - trim], _VERTICAL,
+         (vx[:, :-2], vx[:, 1:-1], vx[:, 2:], hx[:-1, :-1], hx[:-1, 1:], hx[1:, :-1], hx[1:, 1:])),
+        (hn, np.s_[trim:ny + 1 - trim, :], _HORIZONTAL,
+         (vy[:-1, :-1], vy[:-1, 1:], vy[1:, :-1], vy[1:, 1:], hy[:-2], hy[1:-1], hy[2:])),
+    )
+    sizes = [own[rows].size for own, rows, _, _ in grids]
+    values = np.empty((sum(sizes), 7))
+    columns = np.empty((sum(sizes), 7), dtype=number.dtype)
+    start = 0
+    for size, (own, rows, (first, second, slots), slot_columns) in zip(sizes, grids):
+        pairs = np.zeros(own.shape + (8,))
+        for half, (local_row, place) in ((np.s_[:4], first), (np.s_[4:], second)):
+            pairs[place + (half,)] = blocks[:, :, local_row]
+        pairs[..., first[0]] += pairs[..., 4 + second[0]]  # the diagonal
+        shape = own[rows].shape + (7,)
+        np.take(pairs[rows], slots, axis=-1, mode="clip",
+                out=values[start:start + size].reshape(shape))
+        out_columns = columns[start:start + size].reshape(shape)
+        for slot, grid in enumerate(slot_columns):
+            out_columns[..., slot] = grid[rows]
+        start += size
+    return values, columns
+
+
+def _per_row(mask):
+    """Number of set slots in each row of a (rows, 7) mask."""
+    count = mask[:, 0].astype(np.int64)
+    for slot in mask.T[1:]:
+        count += slot
+    return count
+
+
+def _boundary_lift(values, columns, coupled, g_b):
+    """Per row, the sum of value * g over the slots of boundary dofs.
+
+    A boundary column is numbered -2 - (its place in ``g_b``); ``coupled``
+    flags the rows that hold one.  Each sum runs in ascending column order
+    from +0, as the product of the boundary columns with ``g_b`` sums it.
+    """
+    lift = np.zeros(values.shape[0])
+    rows = np.flatnonzero(coupled)
+    cols = columns[rows]
+    terms = np.where(cols <= -2, values[rows] * g_b[np.maximum(-2 - cols, 0)], 0.0)
+    sums = np.zeros(rows.size)
+    for slot in terms.T:
+        sums += slot
+    lift[rows] = sums
+    return lift
+
+
+def _as_byte_rows(strings):
+    """A fixed-width bytes array as a (len, width) uint8 array, NUL padded."""
+    return strings.view(np.uint8).reshape(strings.size, strings.itemsize)
 
 
 def dump_matrix(system: SparseSystem, path) -> None:
-    """Write the matrix in coordinate text format (row col value per line)."""
-    coo = system.matrix.tocoo()
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write("%d %d %.17g\n" % (r, c, v))
+    """Write the matrix in coordinate text format (row col value per line).
+
+    Each stored entry gives one ``"%d %d %.17g"`` line, row by row.  Every
+    index and every distinct value bit pattern is formatted once (so -0.0
+    prints as -0), into NUL-padded byte fields; the lines of
+    ``DUMP_CHUNK_ROWS`` rows are laid out side by side in one byte array and
+    written at once without the padding.  No Python object is made per entry.
+    """
+    matrix = system.matrix
+    indptr, indices = matrix.indptr, matrix.indices
+    size = max(matrix.shape)
+    ids = _as_byte_rows(np.arange(size).astype(f"S{len(str(max(size - 1, 0)))}"))
+    patterns, which = np.unique(matrix.data.view(np.int64), return_inverse=True)
+    texts = _as_byte_rows(np.array([b"%.17g" % v for v in patterns.view(np.float64)],
+                                   dtype=bytes))
+    wide, text_wide = ids.shape[1], texts.shape[1]
+    with open(path, "wb") as fh:
+        for first in range(0, matrix.shape[0], DUMP_CHUNK_ROWS):
+            last = min(first + DUMP_CHUNK_ROWS, matrix.shape[0])
+            lo, hi = indptr[first], indptr[last]
+            lines = np.zeros((hi - lo, 2 * wide + text_wide + 3), dtype=np.uint8)
+            lines[:, :wide] = np.repeat(ids[first:last], np.diff(indptr[first:last + 1]), axis=0)
+            lines[:, wide + 1:2 * wide + 1] = ids[indices[lo:hi]]
+            lines[:, 2 * wide + 2:-1] = texts[which[lo:hi]]
+            lines[:, [wide, 2 * wide + 1]] = ord(" ")
+            lines[:, -1] = ord("\n")
+            fh.write(lines[lines != 0].tobytes())

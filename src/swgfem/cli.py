@@ -21,7 +21,7 @@ from .errors import (
     UnknownProblem,
 )
 from .mesh import build_tensor_mesh
-from .problems import PROBLEM_IDS, get_problem, make_custom, mesh_for
+from .problems import PROBLEM_IDS, get_problem, make_custom
 from .solver import SolveConfig, solve
 
 EQUIV_TOL = 1e-13
@@ -128,16 +128,21 @@ def cmd_run(args):
         print("--dump-matrix requires a single resolution", file=sys.stderr)
         return 2
     solve_config = SolveConfig(method=args.solver)
-    rows = analysis.convergence_table(
-        problem, args.kappa, args.ns,
-        bc_mode=args.bc, qb_rule=args.qb,
-        penalty_weight=args.penalty_weight, solve_config=solve_config,
-    )
-    if args.dump_matrix:
-        system = assemble(mesh_for(problem, args.ns[0]), problem, AssemblyConfig(
-            kappa=args.kappa, bc_mode=args.bc,
-            penalty_weight=args.penalty_weight, qb_rule=args.qb))
-        dump_matrix(system, args.dump_matrix)
+    solved = []
+
+    def solve_and_keep(prob, n):
+        mesh, system, sol = analysis.solve_problem(
+            prob, n, args.kappa,
+            bc_mode=args.bc, qb_rule=args.qb,
+            penalty_weight=args.penalty_weight, solve_config=solve_config,
+        )
+        if args.dump_matrix:
+            solved.append(system)
+        return mesh, sol
+
+    rows = analysis.convergence_table(problem, args.kappa, args.ns, solver_fn=solve_and_keep)
+    if args.dump_matrix:  # the system the table just solved
+        dump_matrix(solved[0], args.dump_matrix)
     header = "# problem=%s kappa=%g bc=%s qb=%s" % (
         problem.name, args.kappa, args.bc, args.qb)
     _emit(_render_rows(rows, header, args.format == "csv"), args.out)

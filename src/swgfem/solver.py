@@ -194,6 +194,12 @@ def _release_free_heap(dofs):
         _malloc_trim(0)
 
 
+def _inf_norm(matrix) -> float:
+    """Largest absolute row sum of a non-empty CSR matrix whose every row
+    stores an entry, as assembled systems store their diagonal."""
+    return np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]).max()
+
+
 def _solve_direct(matrix, rhs, perm):
     """Factor P A P^T in the given order and scatter the solution back."""
     permuted = matrix[perm][:, perm].tocsc()
@@ -228,7 +234,7 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
         res = np.linalg.norm(r)
         residual = res / rhs_norm if rhs_norm > 0 else res
         # |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf); 0 when b = Ax = 0
-        scale = spla.norm(matrix, np.inf) * np.abs(x).max() + np.abs(rhs).max()
+        scale = _inf_norm(matrix) * np.abs(x).max() + np.abs(rhs).max()
         backward = np.abs(r).max() / scale if scale > 0 else 0.0
         if backward > DIRECT_BACKWARD_TOL:
             raise SingularMatrix(

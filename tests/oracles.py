@@ -115,3 +115,68 @@ def nested_dissection_oracle(nx, ny, leaf):
         return halves + sorted(separator)
 
     return order(0, nx, 0, ny, list(range(nv + nx * (ny + 1))))
+
+
+def scatter_assemble(mesh, problem, config):
+    """The global system by COO scatter of the element blocks.
+
+    Sums the (n_elements, 4, 4) blocks of :func:`swgfem.kernels.local_operator`
+    into a full CSR matrix over all edge dofs, then either slices out the
+    interior rows and columns and moves the boundary columns times g to the
+    right-hand side (``eliminate``), or adds the penalty diagonal to the
+    full matrix (``penalty``).  Returns (matrix, rhs, boundary_values).
+    """
+    import scipy.sparse as sp
+
+    from swgfem import kernels
+    from swgfem.assembly import boundary_averages
+    from swgfem.mesh import ElementGeom, element_arrays
+
+    dof_map = mesh.dof_map
+    hx, hy, cx, cy, conn = element_arrays(mesh)
+    geom = ElementGeom(hx, hy, (cx, cy))
+    pts, _ = kernels.gauss_points(geom)
+    qx, qy = pts[..., 0], pts[..., 1]
+    alpha_q = tuple(np.broadcast_to(np.asarray(a, dtype=float), qx.shape)
+                    for a in problem.alpha(qx, qy))
+    c_val = np.asarray(problem.c(cx, cy), dtype=float)
+    local = kernels.local_operator(
+        geom, config.kappa, mesh.h, alpha_q, problem.beta(qx, qy), c_val)
+    f_mid = np.asarray(
+        problem.f(dof_map.midpoints[:, 0], dof_map.midpoints[:, 1]), dtype=float
+    ) + np.zeros(dof_map.count)
+    loads = kernels.load_vector(geom, problem.f, f_mid=f_mid[conn])
+
+    count = dof_map.count
+    rows = np.broadcast_to(conn[:, :, None], local.shape)
+    cols = np.broadcast_to(conn[:, None, :], local.shape)
+    full = sp.coo_matrix(
+        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(count, count)
+    ).tocsr()
+    rhs = np.zeros(count)
+    np.add.at(rhs, conn.ravel(), loads.ravel())
+    g_b = boundary_averages(mesh, dof_map, problem.g, config.qb_rule)
+
+    if config.bc_mode == "eliminate":
+        interior, boundary = dof_map.interior, dof_map.boundary
+        interior_rows = full[interior]
+        a_ii = interior_rows[:, interior].tocsr()
+        return a_ii, rhs[interior] - interior_rows[:, boundary] @ g_b, g_b
+
+    weight = config.penalty_weight
+    pen = sp.coo_matrix(
+        (np.full(dof_map.boundary.size, weight), (dof_map.boundary, dof_map.boundary)),
+        shape=(count, count),
+    ).tocsr()
+    rhs_pen = rhs.copy()
+    rhs_pen[dof_map.boundary] += weight * g_b
+    return full + pen, rhs_pen, g_b
+
+
+def dump_matrix_oracle(matrix, path):
+    """Coordinate text of ``matrix``: one "%d %d %.17g" line per stored entry,
+    row by row, written line by line."""
+    coo = matrix.tocoo()
+    with open(path, "w") as fh:
+        for r, c, v in zip(coo.row, coo.col, coo.data):
+            fh.write("%d %d %.17g\n" % (r, c, v))

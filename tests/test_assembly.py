@@ -1,8 +1,13 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from swgfem.assembly import (
+    BC_MODES,
+    QB_RULES,
     AssemblyConfig,
     assemble,
     boundary_averages,
@@ -17,8 +22,10 @@ from swgfem.kernels import (
     reaction_matrix,
     stabilizer_matrix,
 )
-from swgfem.mesh import element_geometry, enumerate_dofs, uniform_mesh
-from swgfem.problems import get_problem, make_custom, mesh_for
+from swgfem.mesh import build_tensor_mesh, element_geometry, enumerate_dofs, uniform_mesh
+from swgfem.problems import PROBLEM_IDS, get_problem, make_custom, mesh_for
+
+from oracles import dump_matrix_oracle, scatter_assemble
 
 
 def reference_assemble(mesh, problem, kappa):
@@ -204,3 +211,101 @@ class TestDump:
         rebuilt = sp.coo_matrix(
             (vals, (rows, cols)), shape=system.matrix.shape).tocsr()
         assert (rebuilt - system.matrix).nnz == 0
+
+
+ORACLE_PROBLEMS = {
+    **{pid: get_problem(pid) for pid in PROBLEM_IDS},
+    "custom-beta-x-zero": make_custom(beta=(0.0, 1.5), f=1.0, g=0.5),
+    "custom-c-positive": make_custom(beta=(-0.5, 0.25), c=3.0, f=-2.0, g=1.0),
+}
+
+#: Uniform meshes by n, thin meshes by elements (nx, ny), random break meshes by seed.
+ORACLE_MESHES = (["n1", "n2", "n3", "n12", "n64", "1x5", "5x1", "2x7"]
+                 + [f"random{seed}" for seed in range(5)])
+
+
+def oracle_mesh(problem, label):
+    """The mesh ``label`` names, stretched over the problem's domain."""
+    if label.startswith("n"):
+        return mesh_for(problem, int(label[1:]))
+    if label.startswith("random"):
+        rng = np.random.default_rng(int(label[6:]))
+        nx, ny = rng.integers(2, 10, size=2)
+        xt, yt = (np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, k - 1)), [1.0]])
+                  for k in (nx, ny))
+    else:
+        nx, ny = (int(k) for k in label.split("x"))
+        xt, yt = np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1)
+    x0, x1, y0, y1 = problem.domain
+    return build_tensor_mesh(x0 + (x1 - x0) * xt, y0 + (y1 - y0) * yt)
+
+
+def assert_same_bytes(name, got, want):
+    assert got.dtype == want.dtype, name
+    assert got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+class TestScatterOracle:
+    @pytest.mark.parametrize("label", ORACLE_MESHES)
+    @pytest.mark.parametrize("pid", list(ORACLE_PROBLEMS))
+    def test_stencil_matches_scatter_bytes(self, pid, label):
+        """The stencil-built CSR arrays, rhs and boundary values equal those of
+        the COO scatter of the same element blocks, byte for byte."""
+        problem = ORACLE_PROBLEMS[pid]
+        mesh = oracle_mesh(problem, label)
+        for kappa, bc_mode, qb_rule in itertools.product((0.7, 4.0), BC_MODES, QB_RULES):
+            config = AssemblyConfig(kappa=kappa, bc_mode=bc_mode, qb_rule=qb_rule)
+            system = assemble(mesh, problem, config)
+            matrix, rhs, g_b = scatter_assemble(mesh, problem, config)
+            assert system.matrix.shape == matrix.shape, config
+            for name, got, want in (
+                ("data", system.matrix.data, matrix.data),
+                ("indices", system.matrix.indices, matrix.indices),
+                ("indptr", system.matrix.indptr, matrix.indptr),
+                ("rhs", system.rhs, rhs),
+                ("boundary_values", system.boundary_values, g_b),
+            ):
+                assert_same_bytes(f"{name} {config}", got, want)
+
+
+class TestDumpBytes:
+    @staticmethod
+    def _system(case):
+        if case == "penalty":
+            problem = get_problem("tc2")
+            return assemble(mesh_for(problem, 6), problem,
+                            AssemblyConfig(kappa=0.7, bc_mode="penalty"))
+        if case == "nonuniform":
+            problem = get_problem("tc1")
+            return assemble(oracle_mesh(problem, "random3"), problem, AssemblyConfig(kappa=4.0))
+        if case == "empty":
+            problem = get_problem("fd2")
+            return assemble(mesh_for(problem, 1), problem, AssemblyConfig(kappa=4.0))
+        if case == "signed-zeros":
+            problem = get_problem("fd1")
+            system = assemble(mesh_for(problem, 4), problem, AssemblyConfig(kappa=0.7))
+            data = system.matrix.data.copy()
+            data[[0, 3]] = -0.0
+            data[[1, 5]] = 0.0
+            matrix = sp.csr_matrix((data, system.matrix.indices, system.matrix.indptr),
+                                   shape=system.matrix.shape)
+            return dataclasses.replace(system, matrix=matrix)
+        problem = get_problem("fd2")
+        return assemble(mesh_for(problem, 128), problem, AssemblyConfig(kappa=4.0))
+
+    @pytest.mark.parametrize("case", ["penalty", "nonuniform", "empty", "signed-zeros",
+                                      "fd2-k4-n128"])
+    def test_matches_line_writer(self, case, tmp_path):
+        system = self._system(case)
+        got, want = tmp_path / "bulk.txt", tmp_path / "lines.txt"
+        dump_matrix(system, got)
+        dump_matrix_oracle(system.matrix, want)
+        assert got.read_bytes() == want.read_bytes()
+        text = got.read_text()
+        assert text.count("\n") == system.matrix.nnz
+        if case == "empty":
+            assert text == ""
+        if case == "signed-zeros":
+            assert text.splitlines()[0].endswith(" -0")
+            assert text.splitlines()[1].endswith(" 0")

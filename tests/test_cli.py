@@ -90,6 +90,21 @@ class TestRun:
                     expected)
         assert path.read_bytes() == expected.read_bytes()
 
+    def test_dump_matrix_assembles_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counting_assemble(mesh, problem, config):
+            calls.append((mesh.nx, config.bc_mode))
+            return swgfem.assembly.assemble(mesh, problem, config)
+
+        monkeypatch.setattr(swgfem.analysis, "assemble", counting_assemble)
+        monkeypatch.setattr(swgfem.cli, "assemble", counting_assemble)
+        code, _, _ = run_cli(
+            capsys, "run", "--problem", "fd2", "--kappa", "4", "--ns", "8",
+            "--bc", "penalty", "--dump-matrix", str(tmp_path / "mat.txt"))
+        assert code == 0
+        assert calls == [(8, "penalty")]
+
     def test_dump_matrix_needs_single_n(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--problem", "fd1", "--kappa", "4", "--ns", "4,8",

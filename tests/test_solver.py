@@ -183,6 +183,19 @@ class TestSolve:
             solve_problem(make_custom(**kwargs), 8, 4.0)
 
 
+@pytest.mark.parametrize("pid", ["tc1", "tc2", "tc3", "fd1", "fd2"])
+@pytest.mark.parametrize("bc_mode", ["eliminate", "penalty"])
+def test_inf_norm_is_largest_row_sum(pid, bc_mode):
+    """The backward-error scale equals scipy's infinity norm: every row of an
+    assembled system stores its diagonal, so no row is empty."""
+    problem = get_problem(pid)
+    for n in (2, 3, 12, 40):
+        config = AssemblyConfig(kappa=4.0, bc_mode=bc_mode)
+        matrix = assemble(mesh_for(problem, n), problem, config).matrix
+        assert np.all(np.diff(matrix.indptr) > 0)
+        assert swgfem.solver._inf_norm(matrix) == spla.norm(matrix, np.inf)
+
+
 ND_MESHES = {
     "square": uniform_mesh(6),
     "wide": build_tensor_mesh(np.linspace(0.0, 2.0, 10), np.linspace(0.0, 1.0, 4)),
