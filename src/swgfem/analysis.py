@@ -96,17 +96,13 @@ def discrete_h1_error(solution, mesh: TensorMesh, grad_exact) -> float:
 
 
 def solve_problem(problem: ProblemSpec, n: int, kappa: float, *,
-                  bc_mode="eliminate", qb_rule="midpoint",
-                  penalty_weight=1e10, solve_config=None):
+                  qb_rule="midpoint", solve_config=None):
     """Assemble and solve ``problem`` at resolution n (h = 1/n).
 
     Returns (mesh, system, solution).
     """
     mesh = mesh_for(problem, n)
-    config = AssemblyConfig(
-        kappa=kappa, bc_mode=bc_mode, penalty_weight=penalty_weight, qb_rule=qb_rule
-    )
-    system = assemble(mesh, problem, config)
+    system = assemble(mesh, problem, AssemblyConfig(kappa=kappa, qb_rule=qb_rule))
     return mesh, system, solve(system, solve_config)
 
 
@@ -121,8 +117,7 @@ def _rate(prev_err, err, prev_n, n):
 
 
 def convergence_table(problem: ProblemSpec, kappa: float, ns, *,
-                      bc_mode="eliminate", qb_rule="midpoint",
-                      penalty_weight=1e10, solve_config=None,
+                      qb_rule="midpoint", solve_config=None,
                       solver_fn=None) -> list:
     """One solve per resolution; rates from successive error ratios.
 
@@ -140,10 +135,7 @@ def convergence_table(problem: ProblemSpec, kappa: float, ns, *,
             mesh, sol = solver_fn(problem, n)
         else:
             mesh, _, sol = solve_problem(
-                problem, n, kappa,
-                bc_mode=bc_mode, qb_rule=qb_rule,
-                penalty_weight=penalty_weight, solve_config=solve_config,
-            )
+                problem, n, kappa, qb_rule=qb_rule, solve_config=solve_config)
         return (
             discrete_l2_error(sol, mesh, problem.exact),
             discrete_h1_error(sol, mesh, problem.exact_grad),
@@ -230,19 +222,12 @@ def kappa_condition(mesh: TensorMesh, problem: ProblemSpec, kappa: float,
 
     pts, _ = kernels.gauss_points(ElementGeom(hx, hy, (cx, cy)))
     qx, qy = pts[..., 0], pts[..., 1]
-    a11, a22 = problem.alpha(qx, qy)
-    a11 = np.broadcast_to(np.asarray(a11, dtype=float), qx.shape)
-    a22 = np.broadcast_to(np.asarray(a22, dtype=float), qx.shape)
+    a11, a22 = kernels._at_points(problem.alpha(qx, qy), qx.shape)
     alpha_min = np.minimum(a11.min(axis=1), a22.min(axis=1))
 
-    b1, b2 = problem.beta(qx, qy)
-    beta_inf = max(
-        float(np.max(np.abs(np.broadcast_to(np.asarray(b1, dtype=float), qx.shape)))),
-        float(np.max(np.abs(np.broadcast_to(np.asarray(b2, dtype=float), qx.shape)))),
-    )
-    c_inf = float(np.max(np.abs(np.broadcast_to(
-        np.asarray(problem.c(cx, cy), dtype=float), cx.shape
-    ))))
+    b1, b2 = kernels._at_points(problem.beta(qx, qy), qx.shape)
+    beta_inf = max(float(np.abs(b1).max()), float(np.abs(b2).max()))
+    c_inf = float(np.abs(np.asarray(problem.c(cx, cy), dtype=float)).max())
 
     rhs_bound = C0 * beta_inf * h_eff + C1 * c_inf * h_eff * h_eff
     eta = kappa * area / (2.0 * h_eff * (hx + hy))

@@ -2,9 +2,9 @@
 
 The equation attached to an interior edge is the sum of the local-operator
 rows contributed by its (at most two) adjacent elements, so every row
-couples at most 7 unknowns.  Dirichlet data enters either by elimination
-(default: boundary unknowns substituted and moved to the right-hand side)
-or by a large diagonal penalty.
+couples at most 7 unknowns.  Dirichlet data enters by elimination: the
+boundary unknowns take the imposed values, and their columns times those
+values move to the right-hand side.
 
 Boundary values are per-edge averages of g.  Two quadrature rules are
 available: ``midpoint`` (the default; reproduces midpoint-sampled
@@ -19,12 +19,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .errors import NonFiniteData, NonPositiveDiffusion, SingularConfig
+from .errors import NonFiniteData, NonPositiveDiffusion, NonPositiveKappa
 from .mesh import DofMap, EdgeDof, ElementGeom, TensorMesh, element_arrays, enumerate_dofs
 
 QB_RULES = ("midpoint", "simpson")
-BC_MODES = ("eliminate", "penalty")
-MIN_PENALTY_WEIGHT = 1e8
 
 #: Rows whose lines :func:`dump_matrix` lays out and writes at a time.  A
 #: chunk of 8192 rows (at most 57,344 lines) takes a few MB, so the dump
@@ -52,7 +50,6 @@ class ProblemSpec:
     g: Callable
     exact: Callable | None = None
     exact_grad: Callable | None = None
-    alpha0: float = 0.0
     c_is_zero: bool = True
     pure_unit_diffusion: bool = False  # alpha = I, beta = 0, c = 0; gates the FD schemes
     description: str = ""
@@ -60,40 +57,30 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class AssemblyConfig:
-    """Stabilization parameter and boundary treatment."""
+    """Stabilization parameter and the averaging rule of the Dirichlet data."""
 
     kappa: float
-    bc_mode: str = "eliminate"
-    penalty_weight: float = 1e10
     qb_rule: str = "midpoint"
 
     def __post_init__(self):
         if self.kappa <= 0:
-            raise SingularConfig(f"kappa must be positive, got {self.kappa}")
-        if self.bc_mode not in BC_MODES:
-            raise ValueError(f"bc_mode must be one of {BC_MODES}")
+            raise NonPositiveKappa(f"kappa must be positive, got {self.kappa}")
         if self.qb_rule not in QB_RULES:
             raise ValueError(f"qb_rule must be one of {QB_RULES}")
-        if self.bc_mode == "penalty" and self.penalty_weight < MIN_PENALTY_WEIGHT:
-            raise SingularConfig(
-                f"penalty weight must be >= {MIN_PENALTY_WEIGHT:g}"
-            )
 
 
 @dataclass(frozen=True)
 class SparseSystem:
-    """Assembled sparse system over the free edge dofs.
+    """Assembled sparse system over the interior edge dofs.
 
-    In ``eliminate`` mode the matrix covers interior dofs only and
-    ``boundary_values`` holds the imposed averages of g (aligned with
-    ``dof_map.boundary``).  In ``penalty`` mode the matrix covers all dofs.
+    ``boundary_values`` holds the imposed averages of g, aligned with
+    ``dof_map.boundary``.
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dof_map: DofMap
     boundary_values: np.ndarray
-    bc_mode: str
     mesh: TensorMesh
 
 
@@ -148,10 +135,9 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     Each coefficient is evaluated once over all elements; the batched
     :func:`kernels.local_operator` and :func:`kernels.load_vector` give the
     element blocks.  The CSR arrays are filled straight from the blocks in
-    the tensor mesh's 7-slot row template (:func:`_edge_rows`): interior
-    rows with boundary columns moved to the right-hand side (``eliminate``),
-    or every row with the penalty weight on the boundary diagonals
-    (``penalty``).  Every sum runs in a fixed order, so assembly is
+    the tensor mesh's 7-slot row template (:func:`_edge_rows`), over the
+    interior rows, with the boundary columns times g moved to the
+    right-hand side.  Every sum runs in a fixed order, so assembly is
     bit-reproducible.
     """
     dof_map = enumerate_dofs(mesh)
@@ -159,8 +145,7 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     geom = ElementGeom(hx, hy, (cx, cy))
     pts, _ = kernels.gauss_points(geom)
     qx, qy = pts[..., 0], pts[..., 1]
-    a11, a22 = (np.broadcast_to(np.asarray(a, dtype=float), qx.shape)
-                for a in problem.alpha(qx, qy))
+    a11, a22 = kernels._at_points(problem.alpha(qx, qy), qx.shape)
     _require_finite("alpha", a11, a22)
     amin = min(a11.min(), a22.min())
     if amin < 0:
@@ -207,35 +192,22 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     g_b = boundary_averages(mesh, dof_map, problem.g, config.qb_rule)
     _require_finite("g", g_b)
 
-    count = dof_map.count
-    index = np.int32 if count <= np.iinfo(np.int32).max else np.int64
-    blocks = local.reshape(mesh.ny, mesh.nx, 4, 4)
-    if config.bc_mode == "eliminate":
-        # interior rows; columns are free indices, and boundary dof k is
-        # numbered -2 - (its place in g_b)
-        number = dof_map.free_index.astype(index)
-        number[dof_map.boundary] = -2 - np.arange(dof_map.boundary.size, dtype=index)
-        values, columns = _edge_rows(blocks, number, boundary_rows=False)
-        keep = columns >= 0
-        row_nnz = _per_row(keep)
-        # an interior row has all 7 slots, so it couples to the boundary
-        # exactly when it keeps fewer
-        rhs = rhs[dof_map.interior] - _boundary_lift(values, columns, row_nnz < 7, g_b)
-    else:
-        values, columns = _edge_rows(blocks, np.arange(count, dtype=index), boundary_rows=True)
-        boundary = dof_map.boundary
-        values[boundary, np.where(dof_map.is_vertical[boundary], *_DIAGONAL_SLOT)] += (
-            config.penalty_weight)
-        # a penalty system stores no zero entry and an eliminated one keeps
-        # them, as the reference scatter in tests/oracles.py does
-        keep = (columns >= 0) & (values != 0)
-        row_nnz = _per_row(keep)
-        rhs[boundary] += config.penalty_weight * g_b
+    index = np.int32 if dof_map.count <= np.iinfo(np.int32).max else np.int64
+    # columns are free indices, and boundary dof k is numbered -2 - (its
+    # place in g_b)
+    number = dof_map.free_index.astype(index)
+    number[dof_map.boundary] = -2 - np.arange(dof_map.boundary.size, dtype=index)
+    values, columns = _edge_rows(local.reshape(mesh.ny, mesh.nx, 4, 4), number)
+    keep = columns >= 0
+    row_nnz = _per_row(keep)
+    # an interior row has all 7 slots, so it couples to the boundary
+    # exactly when it keeps fewer
+    rhs = rhs[dof_map.interior] - _boundary_lift(values, columns, row_nnz < 7, g_b)
     size = row_nnz.size
     indptr = np.zeros(size + 1, dtype=index)
     np.cumsum(row_nnz, out=indptr[1:])
     matrix = sp.csr_matrix((values[keep], columns[keep], indptr), shape=(size, size))
-    return SparseSystem(matrix, rhs, dof_map, g_b, config.bc_mode, mesh)
+    return SparseSystem(matrix, rhs, dof_map, g_b, mesh)
 
 
 #: How an edge's row values are gathered from the rows of its two elements.
@@ -248,11 +220,8 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
 _VERTICAL = ((1, np.s_[:, 1:]), (0, np.s_[:, :-1]), (0, 1, 5, 2, 6, 3, 7))
 _HORIZONTAL = ((3, np.s_[1:, :]), (2, np.s_[:-1, :]), (0, 1, 4, 5, 2, 3, 7))
 
-#: Slot of the diagonal in a vertical and in a horizontal edge's row.
-_DIAGONAL_SLOT = (1, 5)
 
-
-def _edge_rows(blocks, number, boundary_rows):
+def _edge_rows(blocks, number):
     """Edge matrix rows in the tensor mesh's 7-slot template: (values, columns).
 
     A vertical edge's row holds v(i-1, j), itself, v(i+1, j) and the four
@@ -260,13 +229,11 @@ def _edge_rows(blocks, number, boundary_rows):
     same pattern turned 90 degrees.  Slots run in ascending dof id, and the
     diagonal is the sum of the two elements' entries.  ``blocks`` holds the
     (ny, nx, 4, 4) element blocks and ``number`` the column number of each
-    edge dof.  Rows are in dof order, shape (rows, 7), over every edge or,
-    without ``boundary_rows``, over the interior edges.  A slot of an
-    element beyond the mesh holds value 0 and column -1.
+    edge dof.  Rows are the interior edges in dof order, shape (rows, 7).
+    A slot of an element beyond the mesh holds value 0 and column -1.
     """
     ny, nx = blocks.shape[:2]
     nv = (nx + 1) * ny
-    trim = 0 if boundary_rows else 1
     vn, hn = number[:nv].reshape(ny, nx + 1), number[nv:].reshape(ny + 1, nx)
     # the number grids padded with -1 across x and across y
     vx, hx = (np.full((g.shape[0], g.shape[1] + 2), -1, dtype=g.dtype) for g in (vn, hn))
@@ -277,9 +244,9 @@ def _edge_rows(blocks, number, boundary_rows):
     # h(i, j), h(i-1, j+1), h(i, j+1) for vertical edge v(i, j), and v(i, j-1),
     # v(i+1, j-1), v(i, j), v(i+1, j), h(i, j-1), h(i, j), h(i, j+1) for h(i, j)
     grids = (
-        (vn, np.s_[:, trim:nx + 1 - trim], _VERTICAL,
+        (vn, np.s_[:, 1:nx], _VERTICAL,
          (vx[:, :-2], vx[:, 1:-1], vx[:, 2:], hx[:-1, :-1], hx[:-1, 1:], hx[1:, :-1], hx[1:, 1:])),
-        (hn, np.s_[trim:ny + 1 - trim, :], _HORIZONTAL,
+        (hn, np.s_[1:ny, :], _HORIZONTAL,
          (vy[:-1, :-1], vy[:-1, 1:], vy[1:, :-1], vy[1:, 1:], hy[:-2], hy[1:-1], hy[2:])),
     )
     sizes = [own[rows].size for own, rows, _, _ in grids]

@@ -12,27 +12,17 @@ import sys
 
 from . import analysis, fd
 from .assembly import AssemblyConfig, assemble, dump_matrix
-from .errors import (
-    NonFiniteData,
-    NonPositiveKappa,
-    OutOfMemory,
-    SingularConfig,
-    SingularMatrix,
-    UnknownProblem,
-)
+from .errors import OutOfMemory, SingularMatrix
 from .mesh import build_tensor_mesh
 from .problems import PROBLEM_IDS, get_problem, make_custom
 from .solver import SolveConfig, solve
 
 EQUIV_TOL = 1e-13
 
-_USAGE_ERRORS = (
-    UnknownProblem,
-    NonFiniteData,
-    SingularConfig,
-    NonPositiveKappa,
-    ValueError,
-)
+#: The constants of ``--problem custom``, flags of ``swg dmp`` only.
+_CUSTOM_FLAGS = ("alpha0", "beta", "c", "f", "g")
+
+_USAGE_ERRORS = (ValueError,)
 _SOLVE_ERRORS = (SingularMatrix, OutOfMemory)
 
 
@@ -67,24 +57,17 @@ def _add_common(p, need_kappa=True):
                    help="stabilization parameter")
     p.add_argument("--solver", choices=("direct", "auto"), default="auto",
                    help="auto refuses systems whose factor would not fit in memory")
-    p.add_argument("--bc", choices=("eliminate", "penalty"), default="eliminate")
-    p.add_argument("--penalty-weight", type=float, default=1e10)
     p.add_argument("--qb", choices=("midpoint", "simpson"), default="midpoint",
                    help="per-edge averaging rule for Dirichlet data")
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    # constants for --problem custom
-    p.add_argument("--alpha0", type=float, default=1.0)
-    p.add_argument("--beta", type=_parse_pair, default=(0.0, 0.0))
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--f", type=float, default=0.0)
-    p.add_argument("--g", type=float, default=0.0)
 
 
 def _resolve_problem(args):
+    """The problem ``--problem`` names; custom constants default where the
+    subcommand takes none (`run` and `fd` then refuse the problem)."""
     if args.problem == "custom":
-        return make_custom(alpha0=args.alpha0, beta=args.beta, c=args.c,
-                           f=args.f, g=args.g)
+        return make_custom(**{k: getattr(args, k) for k in _CUSTOM_FLAGS if k in args})
     return get_problem(args.problem)
 
 
@@ -132,10 +115,7 @@ def cmd_run(args):
 
     def solve_and_keep(prob, n):
         mesh, system, sol = analysis.solve_problem(
-            prob, n, args.kappa,
-            bc_mode=args.bc, qb_rule=args.qb,
-            penalty_weight=args.penalty_weight, solve_config=solve_config,
-        )
+            prob, n, args.kappa, qb_rule=args.qb, solve_config=solve_config)
         if args.dump_matrix:
             solved.append(system)
         return mesh, sol
@@ -143,8 +123,8 @@ def cmd_run(args):
     rows = analysis.convergence_table(problem, args.kappa, args.ns, solver_fn=solve_and_keep)
     if args.dump_matrix:  # the system the table just solved
         dump_matrix(solved[0], args.dump_matrix)
-    header = "# problem=%s kappa=%g bc=%s qb=%s" % (
-        problem.name, args.kappa, args.bc, args.qb)
+    header = "# problem=%s kappa=%g bc=eliminate qb=%s" % (
+        problem.name, args.kappa, args.qb)
     _emit(_render_rows(rows, header, args.format == "csv"), args.out)
     return 0
 
@@ -226,9 +206,7 @@ def cmd_dmp(args):
             print(f"mesh bounds {mesh.bounds} do not match problem domain "
                   f"{problem.domain}", file=sys.stderr)
             return 2
-        system = assemble(mesh, problem, AssemblyConfig(
-            kappa=args.kappa, bc_mode=args.bc,
-            penalty_weight=args.penalty_weight, qb_rule=args.qb))
+        system = assemble(mesh, problem, AssemblyConfig(kappa=args.kappa, qb_rule=args.qb))
         sol = solve(system, solve_config)
         label = max(mesh.nx, mesh.ny)
         entries.append((label, analysis.dmp_check(sol, mesh, c_nonneg)))
@@ -238,10 +216,7 @@ def cmd_dmp(args):
             return 2
         for n in args.ns:
             mesh, _, sol = analysis.solve_problem(
-                problem, n, args.kappa,
-                bc_mode=args.bc, qb_rule=args.qb,
-                penalty_weight=args.penalty_weight, solve_config=solve_config,
-            )
+                problem, n, args.kappa, qb_rule=args.qb, solve_config=solve_config)
             entries.append((n, analysis.dmp_check(sol, mesh, c_nonneg)))
     rule = "max(boundary, 0)" if c_nonneg else "boundary"
     header = "# problem=%s kappa=%g bound=%s" % (problem.name, args.kappa, rule)
@@ -293,6 +268,12 @@ def build_parser():
 
     p_dmp = sub.add_parser("dmp", help="discrete maximum principle report")
     _add_common(p_dmp)
+    # constants for --problem custom, which only dmp accepts
+    p_dmp.add_argument("--alpha0", type=float, default=1.0)
+    p_dmp.add_argument("--beta", type=_parse_pair, default=(0.0, 0.0))
+    p_dmp.add_argument("--c", type=float, default=0.0)
+    p_dmp.add_argument("--f", type=float, default=0.0)
+    p_dmp.add_argument("--g", type=float, default=0.0)
     p_dmp.add_argument("--ns", type=_parse_ns, default=None)
     p_dmp.add_argument("--x-breaks", type=_parse_breaks, default=None)
     p_dmp.add_argument("--y-breaks", type=_parse_breaks, default=None)

@@ -37,10 +37,6 @@ class NonFiniteData(SwgError, ValueError):
     """A coefficient or data function is NaN or infinite at a sample point."""
 
 
-class SingularConfig(SwgError, ValueError):
-    """Assembly configuration cannot produce a solvable system."""
-
-
 class NonPositiveKappa(SwgError, ValueError):
     """Stabilization parameter must be positive."""
 

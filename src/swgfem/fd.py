@@ -106,7 +106,7 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g, qb_rule):
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_free, n_free),
     ).tocsr()
-    return SparseSystem(matrix, rhs, dm, g_b, "eliminate", mesh)
+    return SparseSystem(matrix, rhs, dm, g_b, mesh)
 
 
 def assemble_fd7(n, kappa, f, g, qb_rule="midpoint") -> SparseSystem:
@@ -158,7 +158,7 @@ def check_equivalence(n, kappa, problem: ProblemSpec | None = None,
     swg = assemble(
         uniform_mesh(n),
         pure,
-        AssemblyConfig(kappa=kappa, bc_mode="eliminate", qb_rule=qb_rule),
+        AssemblyConfig(kappa=kappa, qb_rule=qb_rule),
     )
     fd = assemble_fd7(n, kappa, src.f, src.g, qb_rule=qb_rule)
 

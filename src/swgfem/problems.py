@@ -43,7 +43,6 @@ def _tc1():
             2.0 * np.asarray(x, dtype=float) + 2.0 * np.asarray(y),
             2.0 * np.asarray(x, dtype=float) + np.zeros_like(np.asarray(y, dtype=float)),
         ),
-        alpha0=1.0,
         c_is_zero=True,
         description="u = x^2 + 2xy, alpha = I, beta = (-1,-1), c = 0, f = -2-4x-2y",
     )
@@ -76,7 +75,6 @@ def _tc2():
             -np.cos(np.asarray(x, dtype=float)) * np.sin(np.asarray(y, dtype=float)),
             -np.sin(np.asarray(x, dtype=float)) * np.cos(np.asarray(y, dtype=float)),
         ),
-        alpha0=0.0,  # a22 = 3xy degenerates on the axes
         c_is_zero=True,
         description="u = -sin(x)sin(y), alpha = diag(xy+1, 3xy), beta = (y,3x), c = 0",
     )
@@ -108,7 +106,6 @@ def _tc3():
             -dP(np.asarray(x, dtype=float)) * P(np.asarray(y, dtype=float)),
             -P(np.asarray(x, dtype=float)) * dP(np.asarray(y, dtype=float)),
         ),
-        alpha0=1.0,
         c_is_zero=False,
         description="u = -(x^2(x^2-1.2)-0.3)(y^2(y^2-1.2)-0.3) on (-1,1)^2, c = 16",
     )
@@ -134,7 +131,6 @@ def _fd1():
             -(2.0 * np.asarray(x, dtype=float) - 1.0) * np.asarray(y) * (np.asarray(y) - 1.0),
             -np.asarray(x, dtype=float) * (np.asarray(x) - 1.0) * (2.0 * np.asarray(y) - 1.0),
         ),
-        alpha0=1.0,
         c_is_zero=True,
         pure_unit_diffusion=True,
         description="u = -x(x-1)y(y-1), pure diffusion, f = 2x(x-1)+2y(y-1)",
@@ -164,7 +160,6 @@ def _fd2():
             -np.sin(np.asarray(x, dtype=float)) * np.cos(np.asarray(y, dtype=float))
             + 2.0 * np.asarray(y, dtype=float),
         ),
-        alpha0=1.0,
         c_is_zero=True,
         pure_unit_diffusion=True,
         description="u = -sin(x)sin(y) - x^2 + y^2, pure diffusion, f = -2sin(x)sin(y)",
@@ -207,7 +202,6 @@ def make_custom(alpha0=1.0, beta=(0.0, 0.0), c=0.0, f=0.0, g=0.0) -> ProblemSpec
         c=_const(c),
         f=_const(f),
         g=_const(g),
-        alpha0=alpha0,
         c_is_zero=(c == 0.0),
         description=f"constant coefficients: alpha = {alpha0} I, beta = {tuple(beta)}, "
         f"c = {c}, f = {f}, g = {g}",

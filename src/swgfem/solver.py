@@ -1,5 +1,9 @@
 """Sparse direct solves with a post-hoc backward-error check.
 
+A system covers the interior edge dofs, the Dirichlet data having been
+eliminated at assembly; :func:`solve` returns the full edge vector, with the
+imposed averages in the boundary slots.
+
 Every system is solved by SuperLU on the system permuted by geometric nested
 dissection of the tensor mesh (:func:`nested_dissection`; George, SIAM J.
 Numer. Anal. 10 (1973) 345; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16
@@ -169,12 +173,10 @@ def nested_dissection(dof_map: DofMap) -> np.ndarray:
 
 
 def system_ordering(system: SparseSystem) -> np.ndarray:
-    """Nested-dissection order of the rows and columns of ``system.matrix``."""
-    order = nested_dissection(system.dof_map)
-    if system.bc_mode == "eliminate":
-        free = system.dof_map.free_index[order]
-        return free[free >= 0]
-    return order
+    """Nested-dissection order of the rows and columns of ``system.matrix``,
+    the interior dofs of :func:`nested_dissection` in its order."""
+    free = system.dof_map.free_index[nested_dissection(system.dof_map)]
+    return free[free >= 0]
 
 
 def _release_free_heap(dofs):
@@ -243,9 +245,6 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
 
     dof_map = system.dof_map
     values = np.zeros(dof_map.count)
-    if system.bc_mode == "eliminate":
-        values[dof_map.boundary] = system.boundary_values
-        values[dof_map.interior] = x
-    else:
-        values[:] = x
+    values[dof_map.boundary] = system.boundary_values
+    values[dof_map.interior] = x
     return Solution(values=values, residual_norm=float(residual), iterations=0)

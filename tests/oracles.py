@@ -121,10 +121,9 @@ def scatter_assemble(mesh, problem, config):
     """The global system by COO scatter of the element blocks.
 
     Sums the (n_elements, 4, 4) blocks of :func:`swgfem.kernels.local_operator`
-    into a full CSR matrix over all edge dofs, then either slices out the
-    interior rows and columns and moves the boundary columns times g to the
-    right-hand side (``eliminate``), or adds the penalty diagonal to the
-    full matrix (``penalty``).  Returns (matrix, rhs, boundary_values).
+    into a full CSR matrix over all edge dofs, then slices out the interior
+    rows and columns and moves the boundary columns times g to the
+    right-hand side.  Returns (matrix, rhs, boundary_values).
     """
     import scipy.sparse as sp
 
@@ -137,8 +136,7 @@ def scatter_assemble(mesh, problem, config):
     geom = ElementGeom(hx, hy, (cx, cy))
     pts, _ = kernels.gauss_points(geom)
     qx, qy = pts[..., 0], pts[..., 1]
-    alpha_q = tuple(np.broadcast_to(np.asarray(a, dtype=float), qx.shape)
-                    for a in problem.alpha(qx, qy))
+    alpha_q = kernels._at_points(problem.alpha(qx, qy), qx.shape)
     c_val = np.asarray(problem.c(cx, cy), dtype=float)
     local = kernels.local_operator(
         geom, config.kappa, mesh.h, alpha_q, problem.beta(qx, qy), c_val)
@@ -157,20 +155,10 @@ def scatter_assemble(mesh, problem, config):
     np.add.at(rhs, conn.ravel(), loads.ravel())
     g_b = boundary_averages(mesh, dof_map, problem.g, config.qb_rule)
 
-    if config.bc_mode == "eliminate":
-        interior, boundary = dof_map.interior, dof_map.boundary
-        interior_rows = full[interior]
-        a_ii = interior_rows[:, interior].tocsr()
-        return a_ii, rhs[interior] - interior_rows[:, boundary] @ g_b, g_b
-
-    weight = config.penalty_weight
-    pen = sp.coo_matrix(
-        (np.full(dof_map.boundary.size, weight), (dof_map.boundary, dof_map.boundary)),
-        shape=(count, count),
-    ).tocsr()
-    rhs_pen = rhs.copy()
-    rhs_pen[dof_map.boundary] += weight * g_b
-    return full + pen, rhs_pen, g_b
+    interior, boundary = dof_map.interior, dof_map.boundary
+    interior_rows = full[interior]
+    a_ii = interior_rows[:, interior].tocsr()
+    return a_ii, rhs[interior] - interior_rows[:, boundary] @ g_b, g_b
 
 
 def dump_matrix_oracle(matrix, path):

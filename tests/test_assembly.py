@@ -6,7 +6,6 @@ import pytest
 import scipy.sparse as sp
 
 from swgfem.assembly import (
-    BC_MODES,
     QB_RULES,
     AssemblyConfig,
     assemble,
@@ -14,7 +13,7 @@ from swgfem.assembly import (
     dump_matrix,
     edge_average,
 )
-from swgfem.errors import NonPositiveDiffusion, SingularConfig
+from swgfem.errors import NonPositiveDiffusion, NonPositiveKappa
 from swgfem.kernels import (
     convection_matrix,
     diffusion_matrix,
@@ -85,16 +84,13 @@ class TestEdgeAverage:
 
 class TestAssemblyConfig:
     def test_bad_kappa(self):
-        with pytest.raises(SingularConfig):
-            AssemblyConfig(kappa=0.0)
+        for kappa in (0.0, -1.0):
+            with pytest.raises(NonPositiveKappa):
+                AssemblyConfig(kappa=kappa)
 
-    def test_low_penalty_weight(self):
-        with pytest.raises(SingularConfig):
-            AssemblyConfig(kappa=1.0, bc_mode="penalty", penalty_weight=1e6)
-
-    def test_bad_mode(self):
+    def test_bad_qb_rule(self):
         with pytest.raises(ValueError):
-            AssemblyConfig(kappa=1.0, bc_mode="robin")
+            AssemblyConfig(kappa=1.0, qb_rule="trapezoid")
 
 
 class TestAssemble:
@@ -154,20 +150,6 @@ class TestAssemble:
             expect_rhs = rhs[dm.interior] - full[np.ix_(dm.interior, dm.boundary)] @ g_b
             np.testing.assert_allclose(system.rhs, expect_rhs, atol=1e-13 * max(
                 1.0, np.abs(rhs).max()))
-
-    def test_penalty_mode_structure(self):
-        problem = get_problem("fd2")
-        mesh = mesh_for(problem, 4)
-        weight = 1e10
-        config = AssemblyConfig(kappa=4.0, bc_mode="penalty", penalty_weight=weight)
-        system = assemble(mesh, problem, config)
-        dm = system.dof_map
-        assert system.matrix.shape == (dm.count, dm.count)
-        diag = system.matrix.diagonal()
-        assert np.all(diag[dm.boundary] >= weight)
-        # the O(h^2) load is negligible against weight * g on boundary rows
-        np.testing.assert_allclose(
-            system.rhs[dm.boundary], weight * system.boundary_values, rtol=1e-6)
 
     def test_degenerate_diffusion_on_boundary_warns(self):
         problem = get_problem("tc2")
@@ -254,8 +236,8 @@ class TestScatterOracle:
         the COO scatter of the same element blocks, byte for byte."""
         problem = ORACLE_PROBLEMS[pid]
         mesh = oracle_mesh(problem, label)
-        for kappa, bc_mode, qb_rule in itertools.product((0.7, 4.0), BC_MODES, QB_RULES):
-            config = AssemblyConfig(kappa=kappa, bc_mode=bc_mode, qb_rule=qb_rule)
+        for kappa, qb_rule in itertools.product((0.7, 4.0), QB_RULES):
+            config = AssemblyConfig(kappa=kappa, qb_rule=qb_rule)
             system = assemble(mesh, problem, config)
             matrix, rhs, g_b = scatter_assemble(mesh, problem, config)
             assert system.matrix.shape == matrix.shape, config
@@ -271,11 +253,23 @@ class TestScatterOracle:
 
 class TestDumpBytes:
     @staticmethod
-    def _system(case):
-        if case == "penalty":
+    def _with_data(system, data):
+        matrix = sp.csr_matrix((data, system.matrix.indices, system.matrix.indptr),
+                               shape=system.matrix.shape)
+        return dataclasses.replace(system, matrix=matrix)
+
+    @classmethod
+    def _system(cls, case):
+        if case == "wide-values":
+            # entries of magnitude 1e10 and up, of both signs, give the
+            # widest "%.17g" fields
             problem = get_problem("tc2")
-            return assemble(mesh_for(problem, 6), problem,
-                            AssemblyConfig(kappa=0.7, bc_mode="penalty"))
+            system = assemble(mesh_for(problem, 6), problem, AssemblyConfig(kappa=0.7))
+            data = system.matrix.data.copy()
+            wide = np.pi * 1e10 * np.geomspace(1.0, 1e290, data[::5].size)
+            wide[1::2] *= -1.0
+            data[::5] = wide
+            return cls._with_data(system, data)
         if case == "nonuniform":
             problem = get_problem("tc1")
             return assemble(oracle_mesh(problem, "random3"), problem, AssemblyConfig(kappa=4.0))
@@ -288,13 +282,11 @@ class TestDumpBytes:
             data = system.matrix.data.copy()
             data[[0, 3]] = -0.0
             data[[1, 5]] = 0.0
-            matrix = sp.csr_matrix((data, system.matrix.indices, system.matrix.indptr),
-                                   shape=system.matrix.shape)
-            return dataclasses.replace(system, matrix=matrix)
+            return cls._with_data(system, data)
         problem = get_problem("fd2")
         return assemble(mesh_for(problem, 128), problem, AssemblyConfig(kappa=4.0))
 
-    @pytest.mark.parametrize("case", ["penalty", "nonuniform", "empty", "signed-zeros",
+    @pytest.mark.parametrize("case", ["wide-values", "nonuniform", "empty", "signed-zeros",
                                       "fd2-k4-n128"])
     def test_matches_line_writer(self, case, tmp_path):
         system = self._system(case)

@@ -94,22 +94,40 @@ class TestRun:
         calls = []
 
         def counting_assemble(mesh, problem, config):
-            calls.append((mesh.nx, config.bc_mode))
+            calls.append(mesh.nx)
             return swgfem.assembly.assemble(mesh, problem, config)
 
         monkeypatch.setattr(swgfem.analysis, "assemble", counting_assemble)
         monkeypatch.setattr(swgfem.cli, "assemble", counting_assemble)
         code, _, _ = run_cli(
             capsys, "run", "--problem", "fd2", "--kappa", "4", "--ns", "8",
-            "--bc", "penalty", "--dump-matrix", str(tmp_path / "mat.txt"))
+            "--dump-matrix", str(tmp_path / "mat.txt"))
         assert code == 0
-        assert calls == [(8, "penalty")]
+        assert calls == [8]
 
     def test_dump_matrix_needs_single_n(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--problem", "fd1", "--kappa", "4", "--ns", "4,8",
             "--dump-matrix", "x.txt")
         assert code == 2
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("command", ["run", "dmp"])
+    @pytest.mark.parametrize("flags", [("--bc", "penalty"), ("--penalty-weight", "1e10")],
+                             ids=["bc", "penalty-weight"])
+    def test_boundary_flags_exit_2(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--problem", "tc1", "--kappa", "4", "--ns", "8", *flags])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run", "fd"])
+    def test_custom_flags_only_on_dmp(self, capsys, command):
+        # run and fd refuse --problem custom, so they take no custom constants
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--problem", "fd1", "--kappa", "4", "--ns", "8", "--alpha0", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha0 2" in capsys.readouterr().err
 
 
 class TestSolveFlags:

@@ -11,7 +11,7 @@ import swgfem.solver
 from swgfem.analysis import solve_problem
 from swgfem.assembly import AssemblyConfig, SparseSystem, assemble
 from swgfem.errors import NonFiniteData, OutOfMemory, SingularMatrix
-from swgfem.mesh import build_tensor_mesh, enumerate_dofs, uniform_mesh
+from swgfem.mesh import build_tensor_mesh, element_arrays, enumerate_dofs, uniform_mesh
 from swgfem.problems import get_problem, make_custom, mesh_for
 from swgfem.solver import (
     DIRECT_MEMORY_SHARE,
@@ -40,7 +40,6 @@ def identity_system(rhs):
         rhs=rhs,
         dof_map=dm,
         boundary_values=np.zeros(dm.boundary.size),
-        bc_mode="eliminate",
         mesh=mesh,
     )
 
@@ -68,18 +67,18 @@ class TestSolve:
         assert sol.residual_norm <= 1e-12
         assert np.max(np.abs(sol.values - exact_mid)) <= 1e-12
 
-    @pytest.mark.parametrize("bc_mode", ["eliminate", "penalty"])
     @pytest.mark.parametrize("n", [4, 8, 16])
     @pytest.mark.parametrize("pid", ["tc1", "tc2", "tc3", "fd1", "fd2"])
-    def test_matches_dense_solve(self, pid, n, bc_mode):
-        # up to 2,112 dofs (tc3 at n = 16); measured at most 5.4e-15
+    def test_matches_dense_solve(self, pid, n):
+        # up to 1,984 dofs (tc3 at n = 16); measured at most 5.4e-15
         problem = get_problem(pid)
-        system = assemble(mesh_for(problem, n), problem,
-                          AssemblyConfig(kappa=4.0, bc_mode=bc_mode))
+        system = assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=4.0))
         sol = solve(system)
         dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
-        sparse = sol.values[system.dof_map.interior] if bc_mode == "eliminate" else sol.values
+        sparse = sol.values[system.dof_map.interior]
         assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
+        np.testing.assert_array_equal(sol.values[system.dof_map.boundary],
+                                      system.boundary_values)
 
     def test_posthoc_residual_contract(self):
         problem = get_problem("tc3")
@@ -98,8 +97,7 @@ class TestSolve:
         mesh = uniform_mesh(2)
         dm = enumerate_dofs(mesh)
         singular = sp.csr_matrix((4, 4))
-        system = SparseSystem(singular, np.ones(4), dm,
-                              np.zeros(dm.boundary.size), "eliminate", mesh)
+        system = SparseSystem(singular, np.ones(4), dm, np.zeros(dm.boundary.size), mesh)
         with pytest.raises(SingularMatrix):
             solve(system, SolveConfig(method="direct"))
 
@@ -108,12 +106,6 @@ class TestSolve:
             SolveConfig(method="magic")
         with pytest.raises(ValueError):
             SolveConfig(method="iterative")
-
-    def test_penalty_solution_close_to_eliminate(self):
-        problem = get_problem("tc1")
-        _, _, sol_e = solve_problem(problem, 8, 0.7)
-        _, _, sol_p = solve_problem(problem, 8, 0.7, bc_mode="penalty")
-        assert np.max(np.abs(sol_e.values - sol_p.values)) <= 1e-8
 
     def test_direct_factors_in_nested_dissection_order(self, monkeypatch):
         calls = []
@@ -184,14 +176,12 @@ class TestSolve:
 
 
 @pytest.mark.parametrize("pid", ["tc1", "tc2", "tc3", "fd1", "fd2"])
-@pytest.mark.parametrize("bc_mode", ["eliminate", "penalty"])
-def test_inf_norm_is_largest_row_sum(pid, bc_mode):
+def test_inf_norm_is_largest_row_sum(pid):
     """The backward-error scale equals scipy's infinity norm: every row of an
     assembled system stores its diagonal, so no row is empty."""
     problem = get_problem(pid)
     for n in (2, 3, 12, 40):
-        config = AssemblyConfig(kappa=4.0, bc_mode=bc_mode)
-        matrix = assemble(mesh_for(problem, n), problem, config).matrix
+        matrix = assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=4.0)).matrix
         assert np.all(np.diff(matrix.indptr) > 0)
         assert swgfem.solver._inf_norm(matrix) == spla.norm(matrix, np.inf)
 
@@ -208,11 +198,9 @@ ND_MESHES = {
 
 
 class TestNestedDissection:
-    @pytest.mark.parametrize("bc_mode", ["eliminate", "penalty"])
     @pytest.mark.parametrize("name", ND_MESHES)
-    def test_permutation_of_free_dofs(self, name, bc_mode):
-        system = assemble(ND_MESHES[name], make_custom(f=1.0),
-                          AssemblyConfig(kappa=4.0, bc_mode=bc_mode))
+    def test_permutation_of_free_dofs(self, name):
+        system = assemble(ND_MESHES[name], make_custom(f=1.0), AssemblyConfig(kappa=4.0))
         perm = system_ordering(system)
         np.testing.assert_array_equal(np.sort(perm), np.arange(system.matrix.shape[0]))
 
@@ -221,7 +209,7 @@ class TestNestedDissection:
     def test_top_split_separates_halves(self, nx, ny):
         mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
         problem = make_custom(beta=(1.0, -0.5), c=1.0, f=1.0)
-        system = assemble(mesh, problem, AssemblyConfig(kappa=4.0, bc_mode="penalty"))
+        system = assemble(mesh, problem, AssemblyConfig(kappa=4.0))
         dm = system.dof_map
         order = nested_dissection(dm)
         if nx * ny <= ND_LEAF_ELEMENTS:
@@ -239,7 +227,13 @@ class TestNestedDissection:
         rank[order] = np.arange(dm.count)
         assert rank[first].max() < rank[second].min()
         assert rank[second].max() < rank[separator].min()
-        coupling = system.matrix[np.flatnonzero(first)][:, np.flatnonzero(second)]
+        # an equation couples only the edges of the elements beside its edge,
+        # so no element holding edges of both halves means no coupling
+        # between them, boundary dofs included
+        conn = element_arrays(mesh)[4]
+        assert not np.any(first[conn].any(axis=1) & second[conn].any(axis=1))
+        free, interior = dm.free_index, ~dm.is_boundary
+        coupling = system.matrix[free[first & interior]][:, free[second & interior]]
         assert not np.any(coupling.toarray())
 
     @settings(max_examples=40, deadline=None)
