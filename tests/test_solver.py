@@ -67,7 +67,8 @@ class TestSolve:
         assert sol.residual_norm <= 1e-12
         assert np.max(np.abs(sol.values - exact_mid)) <= 1e-12
 
-    @pytest.mark.parametrize("n", [4, 8, 16])
+    # the "eliminate" in the case ids names the Dirichlet treatment assembled
+    @pytest.mark.parametrize("n", [4, 8, 16], ids=lambda n: f"{n}-eliminate")
     @pytest.mark.parametrize("pid", ["tc1", "tc2", "tc3", "fd1", "fd2"])
     def test_matches_dense_solve(self, pid, n):
         # up to 1,984 dofs (tc3 at n = 16); measured at most 5.4e-15
@@ -175,7 +176,8 @@ class TestSolve:
             solve_problem(make_custom(**kwargs), 8, 4.0)
 
 
-@pytest.mark.parametrize("pid", ["tc1", "tc2", "tc3", "fd1", "fd2"])
+@pytest.mark.parametrize("pid", ["tc1", "tc2", "tc3", "fd1", "fd2"],
+                         ids=lambda pid: f"eliminate-{pid}")
 def test_inf_norm_is_largest_row_sum(pid):
     """The backward-error scale equals scipy's infinity norm: every row of an
     assembled system stores its diagonal, so no row is empty."""
@@ -198,7 +200,7 @@ ND_MESHES = {
 
 
 class TestNestedDissection:
-    @pytest.mark.parametrize("name", ND_MESHES)
+    @pytest.mark.parametrize("name", ND_MESHES, ids=lambda name: f"{name}-eliminate")
     def test_permutation_of_free_dofs(self, name):
         system = assemble(ND_MESHES[name], make_custom(f=1.0), AssemblyConfig(kappa=4.0))
         perm = system_ordering(system)
