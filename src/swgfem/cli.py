@@ -239,7 +239,8 @@ def cmd_list_problems(args):
         x0, x1, y0, y1 = p.domain
         lines.append("%-4s  domain=(%g,%g)x(%g,%g)  %s" % (
             pid, x0, x1, y0, y1, p.description))
-    lines.append("custom  constant coefficients via --alpha0 --beta --c --f --g")
+    lines.append("custom  constant coefficients via --alpha0 --beta --c --f --g"
+                 " (swg dmp only)")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -22,6 +22,17 @@ whose ``hx``, ``hy`` and ``center`` hold equal-shape arrays (as built from
 :func:`swgfem.mesh.element_arrays`) gives ``(..., 4)`` vectors and
 ``(..., 4, 4)`` blocks; a scalar geometry gives ``(4,)`` and ``(4, 4)``.
 Edge-value vectors ``v`` batch the same way, with shape ``(..., 4)``.
+
+The blocks of :func:`local_operator` are written from per-element scalars.
+With d = (1, 1, -1, -1), mu = hx*hy/(2*h*(hx+hy)), W = |T|/4 * sum_q a11(q)
+and X = (W/hx)/hx (Y likewise from a22 and hy), kappa*S + A is
+kappa*mu*d d^T + X*(e1-e2)(e1-e2)^T + Y*(e3-e4)(e3-e4)^T: entries -kappa*mu
+off the two 2x2 diagonal blocks and kappa*mu +- X (+- Y) on them.  Column 2
+of B is |T|/4 * sum_q s_i(q) b1(q)/hx and column 1 its negative (columns 4
+and 3 take b2/hy); C is c*|T|/4 * sum_q s_i(q) s_j(q).  Each sum over the
+Gauss points runs as (p0 + p2) + (p1 + p3): the order in which numpy's
+``einsum`` sums four terms on x86-64, as in the einsum form of B and C that
+``tests/oracles.py::block_sum_operator`` keeps, so the bytes stay the same.
 """
 
 from dataclasses import dataclass
@@ -37,9 +48,6 @@ STAB_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 _GAUSS_OFFSET = 1.0 / np.sqrt(3.0)
 _GAUSS_SX = np.array([-1.0, 1.0, -1.0, 1.0]) * _GAUSS_OFFSET
 _GAUSS_SY = np.array([-1.0, -1.0, 1.0, 1.0]) * _GAUSS_OFFSET
-_STAB_OUTER = np.outer(STAB_SIGNS, STAB_SIGNS)
-_GRAD_X = np.array([-1.0, 1.0, 0.0, 0.0])  # hx * grad_w of each basis function
-_GRAD_Y = np.array([0.0, 0.0, -1.0, 1.0])  # hy * grad_w of each basis function
 
 
 @dataclass(frozen=True)
@@ -65,24 +73,15 @@ def _gauss(geom: ElementGeom):
     return cols, cx + 0.5 * hx * _GAUSS_SX, cy + 0.5 * hy * _GAUSS_SY
 
 
-def _element_terms(geom: ElementGeom):
-    """The intermediates every block shares, computed once.
-
-    The columns (hx, hy, cx, cy) of :func:`_gauss`; Gauss coordinates qx, qy
-    (..., 4); the Gauss weight |T|/4 (...); and the basis weak gradients
-    gx, gy (..., 4).
-    """
-    cols, qx, qy = _gauss(geom)
-    hx, hy = cols[:2]
-    return cols, qx, qy, 0.25 * (hx * hy)[..., 0], (1.0 / hx) * _GRAD_X, (1.0 / hy) * _GRAD_Y
-
-
-def _extensions(cols, qx, qy):
-    """The basis extensions at the Gauss points, (..., 4 basis, 4 points)."""
-    hx, hy, cx, cy = cols
-    xi, eta = (qx - cx) / hx, (qy - cy) / hy
-    g_v, g_h = hy / (2.0 * (hx + hy)), hx / (2.0 * (hx + hy))
-    return np.stack([g_v - xi, g_v + xi, g_h - eta, g_h + eta], axis=-2)
+def _extensions(geom: ElementGeom):
+    """The basis extensions at the Gauss points, (4 basis, 4 points, ...)."""
+    hx, hy, cx, cy = (np.asarray(a, dtype=float) for a in (geom.hx, geom.hy, *geom.center))
+    # the Gauss coordinates of _gauss, point axis first
+    xi = (cx + np.multiply.outer(_GAUSS_SX, 0.5 * hx) - cx) / hx
+    eta = (cy + np.multiply.outer(_GAUSS_SY, 0.5 * hy) - cy) / hy
+    den = 2.0 * (hx + hy)
+    g_v, g_h = hy / den, hx / den
+    return np.array([g_v - xi, g_v + xi, g_h - eta, g_h + eta])
 
 
 def _at_points(pair, shape):
@@ -138,25 +137,20 @@ def basis_extensions(geom: ElementGeom):
     )
 
 
-def _diffusion_terms(w, gx, gy, a11, a22):
-    """The a11 and a22 parts of the diffusion block; ``w`` is the Gauss weight."""
-    return [
-        (w * a.sum(axis=-1))[..., None, None] * g[..., :, None] * g[..., None, :]
-        for a, g in ((a11, gx), (a22, gy))
-    ]
+#: Entry (i, j) of kappa*S + A as an index into (-kappa*mu, kappa*mu + X,
+#: kappa*mu - X, kappa*mu + Y, kappa*mu - Y).
+_EDGE_PATTERN = np.array([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 3, 4], [0, 0, 4, 3]])
 
 
-def _convection_block(w, s, gx, gy, b1, b2):
-    """Entry (i, j) integrates (beta . grad_w phi_j) s(phi_i); ``s`` is (..., 4, 4)."""
-    flux = gx[..., :, None] * b1[..., None, :] + gy[..., :, None] * b2[..., None, :]
-    return w[..., None, None] * np.einsum("...iq,...jq->...ij", s, flux)
-
-
-def _reaction_block(w, s, c):
-    """Entry (i, j) integrates c s(phi_i) s(phi_j), with c one value per element."""
-    return (w * np.asarray(c, dtype=float))[..., None, None] * np.einsum(
-        "...iq,...jq->...ij", s, s
-    )
+def _point_sums(s, factors):
+    """Row k sums s_i(q) * factors[k](q) over the Gauss points as (p0 + p2) + (p1 + p3)."""
+    rows = np.empty((len(factors),) + s.shape[:1] + s.shape[2:])
+    products = np.empty_like(s)
+    for k, f in enumerate(factors):
+        np.multiply(s, f, out=products)
+        np.add(products[:, :2], products[:, 2:], out=products[:, :2])
+        np.add(products[:, 0], products[:, 1], out=rows[k])
+    return rows
 
 
 def stabilizer_matrix(geom: ElementGeom, h_global: float):
@@ -165,10 +159,7 @@ def stabilizer_matrix(geom: ElementGeom, h_global: float):
     mu = hx*hy / (2*h_global*(hx+hy)); on a square with h_global = hx this
     is exactly 1/4.
     """
-    if h_global <= 0:
-        raise NonPositiveMeshsize(f"h_global must be positive, got {h_global}")
-    mu = geom.hx * geom.hy / (2.0 * h_global * (geom.hx + geom.hy))
-    return np.asarray(mu)[..., None, None] * _STAB_OUTER
+    return local_operator(geom, 1.0, h_global, (0.0, 0.0), (0.0, 0.0), 0.0)
 
 
 def diffusion_matrix(geom: ElementGeom, alpha):
@@ -177,27 +168,24 @@ def diffusion_matrix(geom: ElementGeom, alpha):
     ``alpha(x, y)`` returns the diagonal pair (a11, a22); both components
     must be positive at every quadrature point.
     """
-    _, qx, qy, w, gx, gy = _element_terms(geom)
+    _, qx, qy = _gauss(geom)
     a11, a22 = _at_points(alpha(qx, qy), qx.shape)
     if min(a11.min(), a22.min()) <= 0:
         raise NonPositiveDiffusion("diffusion tensor not positive at a quadrature point")
-    a_x, a_y = _diffusion_terms(w, gx, gy, a11, a22)
-    return a_x + a_y
+    return local_operator(geom, 0.0, 1.0, (a11, a22), (0.0, 0.0), 0.0)
 
 
 def convection_matrix(geom: ElementGeom, beta):
     """Convection matrix; entry (i, j) integrates (beta . grad_w phi_j) s(phi_i)."""
-    cols, qx, qy, w, gx, gy = _element_terms(geom)
-    s = _extensions(cols, qx, qy)
-    return _convection_block(w, s, gx, gy, *_at_points(beta(qx, qy), qx.shape))
+    _, qx, qy = _gauss(geom)
+    return local_operator(geom, 0.0, 1.0, (0.0, 0.0), beta(qx, qy), 0.0)
 
 
 def reaction_matrix(geom: ElementGeom, c_value):
     """Reaction mass matrix c * (s(phi_i), s(phi_j)); requires c >= 0."""
     if np.min(c_value) < 0:
         raise NegativeReaction(f"reaction coefficient must be >= 0, got {np.min(c_value)}")
-    cols, qx, qy, w, _, _ = _element_terms(geom)
-    return _reaction_block(w, _extensions(cols, qx, qy), c_value)
+    return local_operator(geom, 0.0, 1.0, (0.0, 0.0), (0.0, 0.0), c_value)
 
 
 def load_vector(geom: ElementGeom, f, f_mid=None):
@@ -227,23 +215,34 @@ def local_operator(geom: ElementGeom, kappa, h_global, alpha_q, beta_q, c_value)
 
     ``alpha_q = (a11, a22)`` and ``beta_q = (b1, b2)`` are the coefficients
     at the :func:`gauss_points`, ``c_value`` the reaction at the element
-    center.  The caller evaluates and validates them.  The blocks are summed
-    in the fixed order S, A, B, C.  B is skipped when beta is zero at every
-    Gauss point, C when c is zero on every element: with kappa > 0 no entry
-    of S + A is -0.0, so adding such a block of (signed) zeros changes no bit.
-    The basis extensions, which only B and C use, are built only for them.
+    center.  The caller evaluates and validates them.  Each entry sums the
+    blocks in the order S, A, B, C (closed forms in the module docstring);
+    the block stacks are built with the element axes last, so that every
+    array operation runs over contiguous elements.  B is skipped when beta
+    is zero at every Gauss point, C when c is zero on every element: with
+    kappa > 0 no entry of kappa*S + A is -0.0, so adding a block of (signed)
+    zeros changes no bit.  The kernels of single blocks call this with the
+    other coefficients, and kappa, set to zero.
     """
-    cols, qx, qy, w, gx, gy = _element_terms(geom)
-    a11, a22 = _at_points(alpha_q, qx.shape)
-    local = kappa * stabilizer_matrix(geom, h_global)
-    for term in _diffusion_terms(w, gx, gy, a11, a22):
-        local += term
-    b1, b2 = _at_points(beta_q, qx.shape)
-    convection, reaction = b1.any() or b2.any(), np.any(c_value)
-    if convection or reaction:
-        s = _extensions(cols, qx, qy)
-    if convection:
-        local += _convection_block(w, s, gx, gy, b1, b2)
+    if h_global <= 0:
+        raise NonPositiveMeshsize(f"h_global must be positive, got {h_global}")
+    hx, hy = np.asarray(geom.hx, dtype=float), np.asarray(geom.hy, dtype=float)
+    w, rx, ry = 0.25 * (hx * hy), 1.0 / hx, 1.0 / hy
+    diag = kappa * (hx * hy / (2.0 * h_global * (hx + hy)))
+    shape = w.shape + (4,)
+    x, y = ((w * a.sum(axis=-1) * r) * r for a, r in zip(_at_points(alpha_q, shape), (rx, ry)))
+    values = np.array([-diag, diag + x, diag - x, diag + y, diag - y])
+    local = np.take(values, _EDGE_PATTERN, axis=0)
+    b1, b2 = _at_points(beta_q, shape)
+    c = np.asarray(c_value, dtype=float)
+    convection, reaction = b1.any() or b2.any(), c.any()
+    if convection or reaction:  # only B and C use the basis extensions
+        s = _extensions(geom)
+    if convection:  # columns 2 and 4; columns 1 and 3 are their negatives
+        fluxes = [r * b.transpose(-1, *range(b.ndim - 1)) for r, b in ((rx, b1), (ry, b2))]
+        columns = (w * _point_sums(s, fluxes)).swapaxes(0, 1)
+        local[:, 0::2] -= columns
+        local[:, 1::2] += columns
     if reaction:
-        local += _reaction_block(w, s, c_value)
-    return local
+        local += (w * c) * _point_sums(s, s)
+    return np.ascontiguousarray(local.transpose(*range(2, local.ndim), 0, 1))

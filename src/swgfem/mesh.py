@@ -9,8 +9,8 @@ unknowns of the scheme live at edge midpoints:
 
 Degrees of freedom are numbered deterministically: all vertical edges in
 row-major order (j outer, i inner), then all horizontal edges likewise.
-Meshes are immutable; geometry is a computed view, and each mesh builds
-its dof map once, on first use.
+Meshes are immutable; each mesh computes its element sizes, meshsize and
+dof map once, on first use.
 """
 
 from dataclasses import dataclass
@@ -26,6 +26,11 @@ from .errors import (
 )
 
 _UNIFORM_RTOL = 1e-12
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,7 @@ class TensorMesh:
                 raise TooFewPoints(f"{name} needs at least 2 points, got {arr.size}")
             if not np.all(np.diff(arr) > 0):
                 raise NonMonotoneBreaks(f"{name} must be strictly increasing")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(arr))
 
     @property
     def nx(self) -> int:
@@ -63,15 +67,15 @@ class TensorMesh:
     def n_elements(self) -> int:
         return self.nx * self.ny
 
-    @property
+    @cached_property
     def dx(self) -> np.ndarray:
-        return np.diff(self.x_breaks)
+        return _read_only(np.diff(self.x_breaks))
 
-    @property
+    @cached_property
     def dy(self) -> np.ndarray:
-        return np.diff(self.y_breaks)
+        return _read_only(np.diff(self.y_breaks))
 
-    @property
+    @cached_property
     def h(self) -> float:
         """Global meshsize: max over elements of max(hx, hy)."""
         return float(max(self.dx.max(), self.dy.max()))
@@ -209,18 +213,9 @@ class DofMap:
         self.free_index = np.full(self.count, -1, dtype=np.int64)
         self.free_index[self.interior] = np.arange(self.interior.size)
 
-        for arr in (
-            self.is_vertical,
-            self.grid_i,
-            self.grid_j,
-            self.midpoints,
-            self.lengths,
-            self.is_boundary,
-            self.interior,
-            self.boundary,
-            self.free_index,
-        ):
-            arr.setflags(write=False)
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                _read_only(arr)
 
     def vertical_id(self, i, j) -> int:
         return j * (self.nx + 1) + i

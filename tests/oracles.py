@@ -117,6 +117,62 @@ def nested_dissection_oracle(nx, ny, leaf):
     return order(0, nx, 0, ny, list(range(nv + nx * (ny + 1))))
 
 
+_STAB_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+_GRAD_X = np.array([-1.0, 1.0, 0.0, 0.0])  # hx * grad_w of each basis function
+_GRAD_Y = np.array([0.0, 0.0, -1.0, 1.0])  # hy * grad_w of each basis function
+
+
+def _diffusion_terms(w, gx, gy, a11, a22):
+    """The a11 and a22 parts of the diffusion block; ``w`` is the Gauss weight."""
+    return [
+        (w * a.sum(axis=-1))[..., None, None] * g[..., :, None] * g[..., None, :]
+        for a, g in ((a11, gx), (a22, gy))
+    ]
+
+
+def _convection_block(w, s, gx, gy, b1, b2):
+    """Entry (i, j) integrates (beta . grad_w phi_j) s(phi_i); ``s`` is (..., 4, 4)."""
+    flux = gx[..., :, None] * b1[..., None, :] + gy[..., :, None] * b2[..., None, :]
+    return w[..., None, None] * np.einsum("...iq,...jq->...ij", s, flux)
+
+
+def _reaction_block(w, s, c):
+    """Entry (i, j) integrates c s(phi_i) s(phi_j), with c one value per element."""
+    return (w * np.asarray(c, dtype=float))[..., None, None] * np.einsum(
+        "...iq,...jq->...ij", s, s
+    )
+
+
+def block_sum_operator(geom, kappa, h_global, alpha_q, beta_q, c_value):
+    """kappa*S + A + B + C with every block formed in full and summed in order.
+
+    The byte oracle of :func:`swgfem.kernels.local_operator`: S is mu times
+    the outer product of the stabilizer signs, A the outer products of the
+    basis weak gradients, and B and C ``einsum`` contractions over the
+    Gauss points; no block is left out, even when its coefficient is zero.
+    Takes the same arguments, batched or for one element.
+    """
+    from swgfem import kernels
+
+    cols, qx, qy = kernels._gauss(geom)
+    hx, hy, cx, cy = cols
+    w = 0.25 * (hx * hy)[..., 0]
+    gx, gy = (1.0 / hx) * _GRAD_X, (1.0 / hy) * _GRAD_Y
+    xi, eta = (qx - cx) / hx, (qy - cy) / hy
+    g_v, g_h = hy / (2.0 * (hx + hy)), hx / (2.0 * (hx + hy))
+    s = np.stack([g_v - xi, g_v + xi, g_h - eta, g_h + eta], axis=-2)
+    a11, a22 = kernels._at_points(alpha_q, qx.shape)
+    mu = geom.hx * geom.hy / (2.0 * h_global * (geom.hx + geom.hy))
+    local = kappa * (np.asarray(mu)[..., None, None] * np.outer(_STAB_SIGNS, _STAB_SIGNS))
+    for term in (
+        *_diffusion_terms(w, gx, gy, a11, a22),
+        _convection_block(w, s, gx, gy, *kernels._at_points(beta_q, qx.shape)),
+        _reaction_block(w, s, c_value),
+    ):
+        local += term
+    return local
+
+
 def scatter_assemble(mesh, problem, config):
     """The global system by COO scatter of the element blocks.
 

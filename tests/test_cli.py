@@ -276,6 +276,12 @@ class TestListProblems:
         for pid in ("tc1", "tc2", "tc3", "fd1", "fd2", "custom"):
             assert pid in out
 
+    def test_custom_flags_named_for_dmp_only(self, capsys):
+        _, out, _ = run_cli(capsys, "list-problems")
+        [custom] = [line for line in out.splitlines() if line.startswith("custom")]
+        assert "--alpha0 --beta --c --f --g" in custom
+        assert "swg dmp only" in custom
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "list-problems")
         _, out2, _ = run_cli(capsys, "list-problems")

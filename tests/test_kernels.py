@@ -21,11 +21,12 @@ from swgfem.kernels import (
     stabilizer_matrix,
     weak_gradient,
 )
-from swgfem.mesh import ElementGeom, build_tensor_mesh, element_arrays
+from swgfem.mesh import ElementGeom, build_tensor_mesh, element_arrays, element_geometry
 from swgfem.problems import get_problem, make_custom, mesh_for
 
 from oracles import (
     basis_value_oracle,
+    block_sum_operator,
     extension_oracle,
     gauss_legendre_2d,
     integrate,
@@ -398,19 +399,27 @@ def _batched_inputs(problem, mesh):
     return geom, mesh.h, problem.alpha(qx, qy), problem.beta(qx, qy), c_value
 
 
-def _all_blocks_summed(geom, kappa, h_global, alpha_q, beta_q, c_value):
-    """kappa*S + A + B + C summed in order, with no block left out."""
-    cols, qx, qy, w, gx, gy = kernels._element_terms(geom)
-    s = kernels._extensions(cols, qx, qy)
-    a11, a22 = kernels._at_points(alpha_q, qx.shape)
-    local = kappa * stabilizer_matrix(geom, h_global)
-    for term in (
-        *kernels._diffusion_terms(w, gx, gy, a11, a22),
-        kernels._convection_block(w, s, gx, gy, *kernels._at_points(beta_q, qx.shape)),
-        kernels._reaction_block(w, s, c_value),
-    ):
-        local += term
-    return local
+def _element_inputs(problem, mesh, i, j):
+    """The arguments ``sign_inequality_value`` passes for element (i, j)."""
+    geom = element_geometry(mesh, i, j)
+    pts, _ = gauss_points(geom)
+    qx, qy = pts[:, 0], pts[:, 1]
+    c_value = float(problem.c(*geom.center))
+    return geom, mesh.h, problem.alpha(qx, qy), problem.beta(qx, qy), c_value
+
+
+def _random_breaks(rng, count):
+    widths = rng.uniform(1.0, 1.9, count)
+    return np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum()
+
+
+def _random_custom(rng):
+    """Constant coefficients with beta != 0, c > 0 or c = 0, and signed zeros."""
+    beta = tuple(float(v) for v in rng.choice([-0.0, 0.0, -1.3, 0.45, 2.0], 2))
+    if beta == (0.0, 0.0):
+        beta = (0.8, beta[1])
+    c = float(rng.choice([-0.0, 0.0, 0.5, 16.0]))
+    return make_custom(alpha0=float(rng.uniform(0.5, 2.0)), beta=beta, c=c, f=1.0)
 
 
 NONUNIFORM = build_tensor_mesh([0.0, 0.1, 0.45, 0.5, 1.0], [0.0, 0.3, 0.35, 1.0])
@@ -419,6 +428,7 @@ ZERO_BLOCK_PROBLEMS = {
     "beta-no-c": make_custom(alpha0=1.5, beta=(0.7, -0.2), c=0.0, f=1.0),
     "negative-zeros": make_custom(beta=(-0.0, -0.0), c=-0.0, f=1.0, g=-0.0),
     "negative-zero-beta1": make_custom(alpha0=2.0, beta=(-0.0, 1.0), c=-0.0, f=1.0),
+    **{f"random-custom-{k}": _random_custom(np.random.default_rng([7, k])) for k in range(8)},
 }
 
 
@@ -427,22 +437,34 @@ class TestLocalOperatorZeroBlocks:
     @pytest.mark.parametrize("kappa", [0.7, 4.0])
     def test_same_bytes_as_every_block_summed(self, name, kappa):
         problem = ZERO_BLOCK_PROBLEMS[name]
-        for mesh in (mesh_for(problem, 8), NONUNIFORM):
+        rng = np.random.default_rng([11, len(name)])
+        x0, x1, y0, y1 = problem.domain
+        meshes = [mesh_for(problem, 8), NONUNIFORM] + [  # and seeded nonuniform ones
+            build_tensor_mesh(x0 + (x1 - x0) * _random_breaks(rng, nx),
+                              y0 + (y1 - y0) * _random_breaks(rng, ny))
+            for nx, ny in ((9, 6), (1, 5), (13, 13))]
+        for mesh in meshes:
             args = _batched_inputs(problem, mesh)
             got = local_operator(args[0], kappa, *args[1:])
-            want = _all_blocks_summed(args[0], kappa, *args[1:])
+            want = block_sum_operator(args[0], kappa, *args[1:])
             assert got.tobytes() == want.tobytes()
+            for i, j in ((0, 0), (mesh.nx - 1, mesh.ny // 2)):  # one element at a time
+                args = _element_inputs(problem, mesh, i, j)
+                got = local_operator(args[0], kappa, *args[1:])
+                want = block_sum_operator(args[0], kappa, *args[1:])
+                assert got.shape == (4, 4) and got.tobytes() == want.tobytes()
 
     def test_zero_coefficients_form_no_block(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("an all-zero block was formed")
 
         built = []
-        monkeypatch.setattr(kernels, "_convection_block", refuse)
-        monkeypatch.setattr(kernels, "_reaction_block", refuse)
+        monkeypatch.setattr(kernels, "_point_sums", refuse)  # forms every B and C
         monkeypatch.setattr(kernels, "_extensions", lambda *args: built.append(args))
         for name in ("fd1", "negative-zeros"):
             problem = ZERO_BLOCK_PROBLEMS[name]
             args = _batched_inputs(problem, mesh_for(problem, 4))
+            local_operator(args[0], 4.0, *args[1:])
+            args = _element_inputs(problem, mesh_for(problem, 4), 1, 2)
             local_operator(args[0], 4.0, *args[1:])
         assert built == []  # only B and C use the basis extensions

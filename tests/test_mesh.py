@@ -176,3 +176,15 @@ class TestMeshInvariants:
     def test_global_meshsize(self):
         mesh = build_tensor_mesh([0, 0.2, 1], [0, 0.5, 1])
         assert mesh.h == pytest.approx(0.8)
+
+    def test_geometry_computed_once_and_read_only(self):
+        xb, yb = [0.0, 0.2, 0.45, 1.0], [-1.0, 0.5, 0.75]
+        mesh = build_tensor_mesh(xb, yb)
+        assert mesh.dx.tobytes() == np.diff(xb).tobytes()
+        assert mesh.dy.tobytes() == np.diff(yb).tobytes()
+        assert mesh.h == float(max(np.diff(xb).max(), np.diff(yb).max())) == 1.5
+        assert mesh.dx is mesh.dx and mesh.dy is mesh.dy
+        for arr in (mesh.dx, mesh.dy):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+        assert mesh.h == 1.5

@@ -87,6 +87,22 @@ class TestSolve:
         r = system.matrix @ sol.values[system.dof_map.interior] - system.rhs
         assert np.linalg.norm(r) / np.linalg.norm(system.rhs) <= 10 * 1e-12
 
+    def test_residual_norms_run_without_blas(self, monkeypatch):
+        # numpy.linalg.norm takes BLAS ddot, whose worker thread spins on after
+        # the call above about 10,000 entries and slows the next factorization
+        problem = get_problem("fd1")
+        system = assemble(mesh_for(problem, 72), problem, AssemblyConfig(kappa=4.0))
+        assert system.matrix.shape[0] >= 10_001
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.norm called")
+
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        sol = solve(system)
+        r = system.matrix @ sol.values[system.dof_map.interior] - system.rhs
+        expected = math.sqrt(math.fsum(r * r) / math.fsum(system.rhs * system.rhs))
+        assert sol.residual_norm == pytest.approx(expected, rel=1e-12)
+
     def test_direct_judged_by_backward_error(self):
         # the relative residual (6.5e-14) is above a 1e-14 bar, but the
         # normwise backward error is a few eps, so the solve is accepted
@@ -124,6 +140,20 @@ class TestSolve:
                           "panel_size": SUPERLU_PANEL}
         perm = system_ordering(system)
         assert (factored != system.matrix[perm][:, perm]).nnz == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 40])
+    def test_permuted_copy_matches_two_step_permute(self, n):
+        problem = get_problem("tc1")
+        matrix = assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=4.0)).matrix
+        perm = np.random.default_rng(n).permutation(matrix.shape[0])
+        before = [a.copy() for a in (matrix.data, matrix.indices, matrix.indptr)]
+        got = swgfem.solver._permuted_csc(matrix, perm)
+        want = matrix[perm][:, perm].tocsc()
+        for a, b in zip((got.data, got.indices, got.indptr),
+                        (want.data, want.indices, want.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(before, (matrix.data, matrix.indices, matrix.indptr)):
+            assert a.tobytes() == b.tobytes()  # the input is left as it was
 
     def test_supernode_relaxation_fits_the_panel(self):
         # a relaxed supernode wider than a panel has corrupted SuperLU's heap
@@ -215,7 +245,7 @@ class TestNestedDissection:
         dm = system.dof_map
         order = nested_dissection(dm)
         if nx * ny <= ND_LEAF_ELEMENTS:
-            np.testing.assert_array_equal(order, np.arange(dm.count))
+            np.testing.assert_array_equal(order, dm.interior)
             return
         # the longer side (x on a tie) is split at its middle grid line
         if nx >= ny:
@@ -225,10 +255,13 @@ class TestNestedDissection:
         separator = on_line & (pos == line)
         first = ~separator & (pos < line)
         second = ~separator & ~first
-        rank = np.empty(dm.count, dtype=int)
-        rank[order] = np.arange(dm.count)
-        assert rank[first].max() < rank[second].min()
-        assert rank[second].max() < rank[separator].min()
+        # the order ranks the interior edges, each exactly once
+        rank = np.full(dm.count, -1)
+        rank[order] = np.arange(order.size)
+        np.testing.assert_array_equal(rank >= 0, ~dm.is_boundary)
+        first_in, second_in = first & ~dm.is_boundary, second & ~dm.is_boundary
+        assert rank[first_in].max() < rank[second_in].min()
+        assert rank[second_in].max() < rank[separator].min()
         # an equation couples only the edges of the elements beside its edge,
         # so no element holding edges of both halves means no coupling
         # between them, boundary dofs included
@@ -246,16 +279,32 @@ class TestNestedDissection:
     @example(nx=100, ny=3)
     @example(nx=37, ny=129)
     def test_matches_recursive_oracle(self, nx, ny):
+        # the oracle orders every edge; the order keeps its interior ones
         mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
-        expected = nested_dissection_oracle(nx, ny, ND_LEAF_ELEMENTS)
-        np.testing.assert_array_equal(nested_dissection(enumerate_dofs(mesh)), expected)
+        dm = enumerate_dofs(mesh)
+        expected = np.array(nested_dissection_oracle(nx, ny, ND_LEAF_ELEMENTS))
+        np.testing.assert_array_equal(nested_dissection(dm), expected[~dm.is_boundary[expected]])
 
     def test_successive_calls_share_no_state(self):
         # the meshes share block shapes, at other row strides
         for nx, ny in ((24, 10), (48, 10), (24, 10)):
             mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
-            expected = nested_dissection_oracle(nx, ny, ND_LEAF_ELEMENTS)
-            np.testing.assert_array_equal(nested_dissection(enumerate_dofs(mesh)), expected)
+            dm = enumerate_dofs(mesh)
+            expected = np.array(nested_dissection_oracle(nx, ny, ND_LEAF_ELEMENTS))
+            np.testing.assert_array_equal(nested_dissection(dm),
+                                          expected[~dm.is_boundary[expected]])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(nx=st.integers(1, 40), ny=st.integers(1, 40))
+    @example(nx=1, ny=1)
+    @example(nx=1, ny=40)
+    @example(nx=40, ny=1)
+    @example(nx=1, ny=7)
+    @example(nx=9, ny=1)
+    def test_orders_each_interior_edge_once(self, nx, ny):
+        mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+        dm = enumerate_dofs(mesh)
+        np.testing.assert_array_equal(np.sort(nested_dissection(dm)), dm.interior)
 
     def test_fill_below_mmd(self, monkeypatch):
         factors = []
