@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .assembly import AssemblyConfig, ProblemSpec, assemble
+from .assembly import AssemblyConfig, ProblemSpec, assemble, sample_coefficients
 from .errors import NegativeReaction, NonPositiveDiffusion, NonUniformMesh
 from .mesh import ElementGeom, TensorMesh, element_arrays, enumerate_dofs
 from .problems import mesh_for
@@ -193,15 +193,12 @@ def sign_inequality_value(geom: ElementGeom, kappa, h_global, problem: ProblemSp
     condition (see :func:`kappa_condition`).
     """
     v_plus, v_minus = split_pos_neg(v)
-    pts, _ = kernels.gauss_points(geom)
-    qx, qy = pts[:, 0], pts[:, 1]
-    a11, a22 = problem.alpha(qx, qy)
-    if min(np.min(a11), np.min(a22)) <= 0:
+    (a11, a22), beta_q, c_val = sample_coefficients(geom, problem)
+    if min(a11.min(), a22.min()) <= 0:
         raise NonPositiveDiffusion("diffusion tensor not positive at a quadrature point")
-    c_val = float(problem.c(geom.center[0], geom.center[1]))
     if c_val < 0:
-        raise NegativeReaction(f"reaction coefficient must be >= 0, got {c_val}")
-    op = kernels.local_operator(geom, kappa, h_global, (a11, a22), problem.beta(qx, qy), c_val)
+        raise NegativeReaction(f"reaction coefficient must be >= 0, got {float(c_val)}")
+    op = kernels.local_operator(geom, kappa, h_global, (a11, a22), beta_q, c_val)
     # rows are test functions, columns trial: B(v-, v+) = v+^T Op v-
     return float(v_plus @ op @ v_minus)
 
@@ -220,14 +217,10 @@ def kappa_condition(mesh: TensorMesh, problem: ProblemSpec, kappa: float,
     h_eff = mesh.h if h is None else float(h)
     area = hx * hy
 
-    pts, _ = kernels.gauss_points(ElementGeom(hx, hy, (cx, cy)))
-    qx, qy = pts[..., 0], pts[..., 1]
-    a11, a22 = kernels._at_points(problem.alpha(qx, qy), qx.shape)
+    (a11, a22), (b1, b2), c = sample_coefficients(ElementGeom(hx, hy, (cx, cy)), problem)
     alpha_min = np.minimum(a11.min(axis=1), a22.min(axis=1))
-
-    b1, b2 = kernels._at_points(problem.beta(qx, qy), qx.shape)
     beta_inf = max(float(np.abs(b1).max()), float(np.abs(b2).max()))
-    c_inf = float(np.abs(np.asarray(problem.c(cx, cy), dtype=float)).max())
+    c_inf = float(np.abs(c).max())
 
     rhs_bound = C0 * beta_inf * h_eff + C1 * c_inf * h_eff * h_eff
     eta = kappa * area / (2.0 * h_eff * (hx + hy))

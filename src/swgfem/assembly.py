@@ -34,11 +34,13 @@ DUMP_CHUNK_ROWS = 8192
 class ProblemSpec:
     """Coefficients and data of one convection-diffusion-reaction problem.
 
-    All callables are vectorized over numpy coordinate arrays.  ``alpha``
-    returns the diagonal pair (a11, a22) of the diffusion tensor (scalar
-    diffusion passes a11 = a22); off-diagonal tensors are not representable
-    by construction.  ``exact``/``exact_grad`` are optional and enable
-    error studies.
+    All callables are vectorized: they take ``x, y`` as float64 arrays or
+    Python floats, never integers or lists, and return values of that shape
+    or scalars.  ``alpha`` returns the diagonal pair (a11, a22) of the
+    diffusion tensor (scalar diffusion passes a11 = a22); off-diagonal
+    tensors are not representable by construction.  The scheme samples
+    alpha, beta and c through :func:`sample_coefficients`.
+    ``exact``/``exact_grad`` are optional and enable error studies.
     """
 
     name: str
@@ -92,7 +94,7 @@ def _edge_averages(g, midpoints, lengths, vertical, rule: str) -> np.ndarray:
     """
     mx, my = midpoints[:, 0], midpoints[:, 1]
     if rule == "midpoint":
-        return np.asarray(g(mx, my), dtype=float) + np.zeros(mx.size)
+        return g(mx, my) + np.zeros(mx.size)
     if rule != "simpson":
         raise ValueError(f"rule must be one of {QB_RULES}")
     half = 0.5 * lengths
@@ -100,11 +102,7 @@ def _edge_averages(g, midpoints, lengths, vertical, rule: str) -> np.ndarray:
     x1 = np.where(vertical, mx, mx + half)
     y0 = np.where(vertical, my - half, my)
     y1 = np.where(vertical, my + half, my)
-    vals = (
-        np.asarray(g(x0, y0), dtype=float)
-        + 4.0 * np.asarray(g(mx, my), dtype=float)
-        + np.asarray(g(x1, y1), dtype=float)
-    ) / 6.0
+    vals = (g(x0, y0) + 4.0 * g(mx, my) + g(x1, y1)) / 6.0
     return vals + np.zeros(mx.size)
 
 
@@ -125,8 +123,25 @@ def boundary_averages(mesh: TensorMesh, dof_map: DofMap, g, rule: str) -> np.nda
 
 
 def _require_finite(name, *samples):
-    if not all(np.all(np.isfinite(v)) for v in samples):
+    if not all(np.isfinite(v).all() for v in samples):
         raise NonFiniteData(f"{name} is NaN or infinite at a sample point")
+
+
+def sample_coefficients(geom: ElementGeom, problem: ProblemSpec):
+    """alpha and beta of ``problem`` at the Gauss points, c at the centres.
+
+    Returns ``(a11, a22)`` and ``(b1, b2)``, each a (..., 4) float array over
+    the points of :func:`kernels.gauss_points`, and c.  Raises
+    :class:`NonFiniteData` on a NaN or infinite sample; each caller applies
+    its own sign policy.
+    """
+    _, qx, qy = kernels._gauss(geom)
+    alpha = kernels._at_points(problem.alpha(qx, qy), qx.shape)
+    beta = kernels._at_points(problem.beta(qx, qy), qx.shape)
+    c = np.asarray(problem.c(*geom.center), dtype=float)
+    for name, samples in (("alpha", alpha), ("beta", beta), ("c", (c,))):
+        _require_finite(name, *samples)
+    return alpha, beta, c
 
 
 def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> SparseSystem:
@@ -143,20 +158,14 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     dof_map = enumerate_dofs(mesh)
     hx, hy, cx, cy, conn = element_arrays(mesh)
     geom = ElementGeom(hx, hy, (cx, cy))
-    pts, _ = kernels.gauss_points(geom)
-    qx, qy = pts[..., 0], pts[..., 1]
-    a11, a22 = kernels._at_points(problem.alpha(qx, qy), qx.shape)
-    _require_finite("alpha", a11, a22)
+    (a11, a22), beta_q, c_val = sample_coefficients(geom, problem)
     amin = min(a11.min(), a22.min())
     if amin < 0:
         raise NonPositiveDiffusion("diffusion tensor negative at a quadrature point")
     if amin == 0:
         # tolerate degeneracy confined to elements touching the domain boundary
         el_min = np.minimum(a11.min(axis=1), a22.min(axis=1))
-        nx, ny = mesh.nx, mesh.ny
-        ii = np.arange(hx.size) % nx
-        jj = np.arange(hx.size) // nx
-        at_boundary = (ii == 0) | (ii == nx - 1) | (jj == 0) | (jj == ny - 1)
+        at_boundary = dof_map.is_boundary[conn].any(axis=1)
         if np.any((el_min <= 0) & ~at_boundary):
             raise NonPositiveDiffusion(
                 "diffusion tensor vanishes at an interior quadrature point"
@@ -166,10 +175,6 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
             RuntimeWarning,
             stacklevel=2,
         )
-    beta_q = problem.beta(qx, qy)
-    _require_finite("beta", *beta_q)
-    c_val = np.asarray(problem.c(cx, cy), dtype=float)
-    _require_finite("c", c_val)
     if c_val.min() < 0:
         warnings.warn(
             "reaction coefficient negative on some elements; "
@@ -180,9 +185,7 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     local = kernels.local_operator(
         geom, config.kappa, mesh.h, (a11, a22), beta_q, c_val)
     # f at the dof midpoints, which lie exactly on the mesh breakpoints
-    f_mid = np.asarray(
-        problem.f(dof_map.midpoints[:, 0], dof_map.midpoints[:, 1]), dtype=float
-    ) + np.zeros(dof_map.count)
+    f_mid = problem.f(*dof_map.midpoints.T) + np.zeros(dof_map.count)
     loads = kernels.load_vector(geom, problem.f, f_mid=f_mid[conn])
     _require_finite("f", loads)
 

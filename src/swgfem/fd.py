@@ -13,7 +13,7 @@ the weak Galerkin path, to which the 7-point matrix is algebraically
 identical when alpha = 1, beta = 0, c = 0.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +27,7 @@ from .assembly import (
 )
 from .errors import NonPositiveKappa
 from .mesh import enumerate_dofs, uniform_mesh
-from .problems import get_problem
+from .problems import _const, _const_pair, get_problem
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,7 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g, qb_rule):
     g_full[dm.boundary] = g_b
 
     mods = dm.midpoints[dm.interior]
-    rhs = rhs_scale * np.asarray(f(mods[:, 0], mods[:, 1]), dtype=float) + np.zeros(
-        dm.interior.size
-    )
+    rhs = rhs_scale * f(mods[:, 0], mods[:, 1]) + np.zeros(dm.interior.size)
 
     rows, cols, data = [], [], []
 
@@ -143,18 +141,8 @@ def check_equivalence(n, kappa, problem: ProblemSpec | None = None,
     load and the pointwise midpoint sampling.
     """
     src = problem if problem is not None else get_problem("fd2")
-    pure = ProblemSpec(
-        name=f"{src.name}-unit-diffusion",
-        domain=(0.0, 1.0, 0.0, 1.0),
-        alpha=lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
-                            np.ones_like(np.asarray(x, dtype=float))),
-        beta=lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),
-                           np.zeros_like(np.asarray(x, dtype=float))),
-        c=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        f=src.f,
-        g=src.g,
-        pure_unit_diffusion=True,
-    )
+    pure = replace(
+        src, alpha=_const_pair(1.0, 1.0), beta=_const_pair(0.0, 0.0), c=_const(0.0))
     swg = assemble(
         uniform_mesh(n),
         pure,

@@ -16,65 +16,47 @@ from .mesh import TensorMesh, build_tensor_mesh
 
 def _const_pair(v1, v2):
     def fn(x, y):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, v1), np.full_like(x, v2)
+        return np.full(np.shape(x), float(v1)), np.full(np.shape(x), float(v2))
 
     return fn
 
 
 def _const(v):
     def fn(x, y):
-        return np.full_like(np.asarray(x, dtype=float), v)
+        return np.full(np.shape(x), float(v))
 
     return fn
 
 
 def _tc1():
+    u = lambda x, y: x**2 + 2.0 * x * y
     return ProblemSpec(
         name="tc1",
         domain=(0.0, 1.0, 0.0, 1.0),
         alpha=_const_pair(1.0, 1.0),
         beta=_const_pair(-1.0, -1.0),
         c=_const(0.0),
-        f=lambda x, y: -2.0 - 4.0 * np.asarray(x, dtype=float) - 2.0 * np.asarray(y),
-        g=lambda x, y: np.asarray(x, dtype=float) ** 2 + 2.0 * np.asarray(x) * np.asarray(y),
-        exact=lambda x, y: np.asarray(x, dtype=float) ** 2 + 2.0 * np.asarray(x) * np.asarray(y),
-        exact_grad=lambda x, y: (
-            2.0 * np.asarray(x, dtype=float) + 2.0 * np.asarray(y),
-            2.0 * np.asarray(x, dtype=float) + np.zeros_like(np.asarray(y, dtype=float)),
-        ),
+        f=lambda x, y: -2.0 - 4.0 * x - 2.0 * y,
+        g=u,
+        exact=u,
+        exact_grad=lambda x, y: (2.0 * x + 2.0 * y, 2.0 * x + np.zeros_like(y)),
         c_is_zero=True,
         description="u = x^2 + 2xy, alpha = I, beta = (-1,-1), c = 0, f = -2-4x-2y",
     )
 
 
 def _tc2():
-    def alpha(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return x * y + 1.0, 3.0 * x * y
-
-    def beta(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return y + np.zeros_like(x), 3.0 * x + np.zeros_like(y)
-
-    u = lambda x, y: -np.sin(np.asarray(x, dtype=float)) * np.sin(np.asarray(y, dtype=float))
+    u = lambda x, y: -np.sin(x) * np.sin(y)
     return ProblemSpec(
         name="tc2",
         domain=(0.0, 1.0, 0.0, 1.0),
-        alpha=alpha,
-        beta=beta,
+        alpha=lambda x, y: (x * y + 1.0, 3.0 * x * y),
+        beta=lambda x, y: (y + np.zeros_like(x), 3.0 * x + np.zeros_like(y)),
         c=_const(0.0),
-        f=lambda x, y: -(4.0 * np.asarray(x, dtype=float) * np.asarray(y) + 1.0)
-        * np.sin(np.asarray(x, dtype=float))
-        * np.sin(np.asarray(y, dtype=float)),
+        f=lambda x, y: -(4.0 * x * y + 1.0) * np.sin(x) * np.sin(y),
         g=u,
         exact=u,
-        exact_grad=lambda x, y: (
-            -np.cos(np.asarray(x, dtype=float)) * np.sin(np.asarray(y, dtype=float)),
-            -np.sin(np.asarray(x, dtype=float)) * np.cos(np.asarray(y, dtype=float)),
-        ),
+        exact_grad=lambda x, y: (-np.cos(x) * np.sin(y), -np.sin(x) * np.cos(y)),
         c_is_zero=True,
         description="u = -sin(x)sin(y), alpha = diag(xy+1, 3xy), beta = (y,3x), c = 0",
     )
@@ -84,52 +66,36 @@ def _tc3():
     # u = -P(x)P(y) with P(t) = t^2(t^2 - 1.2) - 0.3
     P = lambda t: t * t * (t * t - 1.2) - 0.3
     dP = lambda t: 4.0 * t**3 - 2.4 * t
-
-    def u(x, y):
-        return -P(np.asarray(x, dtype=float)) * P(np.asarray(y, dtype=float))
-
-    def f(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return 8.0 * y * y * (2.7 - y * y) * P(x) + 8.0 * x * x * (2.7 - x * x) * P(y)
-
+    u = lambda x, y: -P(x) * P(y)
     return ProblemSpec(
         name="tc3",
         domain=(-1.0, 1.0, -1.0, 1.0),
         alpha=_const_pair(1.0, 1.0),
         beta=_const_pair(0.0, 0.0),
         c=_const(16.0),
-        f=f,
+        f=lambda x, y: 8.0 * y * y * (2.7 - y * y) * P(x) + 8.0 * x * x * (2.7 - x * x) * P(y),
         g=u,
         exact=u,
-        exact_grad=lambda x, y: (
-            -dP(np.asarray(x, dtype=float)) * P(np.asarray(y, dtype=float)),
-            -P(np.asarray(x, dtype=float)) * dP(np.asarray(y, dtype=float)),
-        ),
+        exact_grad=lambda x, y: (-dP(x) * P(y), -P(x) * dP(y)),
         c_is_zero=False,
         description="u = -(x^2(x^2-1.2)-0.3)(y^2(y^2-1.2)-0.3) on (-1,1)^2, c = 16",
     )
 
 
 def _fd1():
-    def u(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return -x * (x - 1.0) * y * (y - 1.0)
-
+    u = lambda x, y: -x * (x - 1.0) * y * (y - 1.0)
     return ProblemSpec(
         name="fd1",
         domain=(0.0, 1.0, 0.0, 1.0),
         alpha=_const_pair(1.0, 1.0),
         beta=_const_pair(0.0, 0.0),
         c=_const(0.0),
-        f=lambda x, y: 2.0 * np.asarray(x, dtype=float) * (np.asarray(x) - 1.0)
-        + 2.0 * np.asarray(y, dtype=float) * (np.asarray(y) - 1.0),
+        f=lambda x, y: 2.0 * x * (x - 1.0) + 2.0 * y * (y - 1.0),
         g=u,
         exact=u,
         exact_grad=lambda x, y: (
-            -(2.0 * np.asarray(x, dtype=float) - 1.0) * np.asarray(y) * (np.asarray(y) - 1.0),
-            -np.asarray(x, dtype=float) * (np.asarray(x) - 1.0) * (2.0 * np.asarray(y) - 1.0),
+            -(2.0 * x - 1.0) * y * (y - 1.0),
+            -x * (x - 1.0) * (2.0 * y - 1.0),
         ),
         c_is_zero=True,
         pure_unit_diffusion=True,
@@ -138,27 +104,19 @@ def _fd1():
 
 
 def _fd2():
-    def u(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return -np.sin(x) * np.sin(y) - x * x + y * y
-
+    u = lambda x, y: -np.sin(x) * np.sin(y) - x * x + y * y
     return ProblemSpec(
         name="fd2",
         domain=(0.0, 1.0, 0.0, 1.0),
         alpha=_const_pair(1.0, 1.0),
         beta=_const_pair(0.0, 0.0),
         c=_const(0.0),
-        f=lambda x, y: -2.0
-        * np.sin(np.asarray(x, dtype=float))
-        * np.sin(np.asarray(y, dtype=float)),
+        f=lambda x, y: -2.0 * np.sin(x) * np.sin(y),
         g=u,
         exact=u,
         exact_grad=lambda x, y: (
-            -np.cos(np.asarray(x, dtype=float)) * np.sin(np.asarray(y, dtype=float))
-            - 2.0 * np.asarray(x, dtype=float),
-            -np.sin(np.asarray(x, dtype=float)) * np.cos(np.asarray(y, dtype=float))
-            + 2.0 * np.asarray(y, dtype=float),
+            -np.cos(x) * np.sin(y) - 2.0 * x,
+            -np.sin(x) * np.cos(y) + 2.0 * y,
         ),
         c_is_zero=True,
         pure_unit_diffusion=True,

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from swgfem.analysis import kappa_condition, sign_inequality_value
 from swgfem.assembly import (
     QB_RULES,
     AssemblyConfig,
@@ -12,8 +14,9 @@ from swgfem.assembly import (
     boundary_averages,
     dump_matrix,
     edge_average,
+    sample_coefficients,
 )
-from swgfem.errors import NonPositiveDiffusion, NonPositiveKappa
+from swgfem.errors import NonFiniteData, NonPositiveDiffusion, NonPositiveKappa
 from swgfem.kernels import (
     convection_matrix,
     diffusion_matrix,
@@ -21,8 +24,15 @@ from swgfem.kernels import (
     reaction_matrix,
     stabilizer_matrix,
 )
-from swgfem.mesh import build_tensor_mesh, element_geometry, enumerate_dofs, uniform_mesh
-from swgfem.problems import PROBLEM_IDS, get_problem, make_custom, mesh_for
+from swgfem.mesh import (
+    ElementGeom,
+    build_tensor_mesh,
+    element_arrays,
+    element_geometry,
+    enumerate_dofs,
+    uniform_mesh,
+)
+from swgfem.problems import PROBLEM_IDS, _const, _const_pair, get_problem, make_custom, mesh_for
 
 from oracles import dump_matrix_oracle, scatter_assemble
 
@@ -47,6 +57,17 @@ def reference_assemble(mesh, problem, kappa):
             A[np.ix_(idx, idx)] += loc
             rhs[idx] += load_vector(geom, problem.f)
     return A, rhs, dm
+
+
+def alpha_vanishing_on(mesh, i, j):
+    """Unit diffusion except a22 = 0 at the Gauss points of element (i, j)."""
+    xb, yb = mesh.x_breaks, mesh.y_breaks
+
+    def alpha(x, y):
+        inside = (xb[i] < x) & (x < xb[i + 1]) & (yb[j] < y) & (y < yb[j + 1])
+        return np.ones(np.shape(x)), np.where(inside, 0.0, 1.0)
+
+    return alpha
 
 
 class TestEdgeAverage:
@@ -152,19 +173,20 @@ class TestAssemble:
                 1.0, np.abs(rhs).max()))
 
     def test_degenerate_diffusion_on_boundary_warns(self):
-        problem = get_problem("tc2")
-        mesh = mesh_for(problem, 4)
+        # (nx, ny) and the element (i, j) where a22 vanishes; every element
+        # of a mesh one element thick touches the boundary
+        for nx, ny, i, j in ((4, 4, 0, 0), (1, 5, 0, 2), (5, 1, 2, 0)):
+            x, y = np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1)
+            mesh = build_tensor_mesh(x, y)
+            degenerate = dataclasses.replace(
+                get_problem("tc2"), alpha=alpha_vanishing_on(mesh, i, j))
+            with pytest.warns(RuntimeWarning, match="boundary-adjacent"):
+                assemble(mesh, degenerate, AssemblyConfig(kappa=4.0))
 
-        def alpha_zero_at_corner(x, y):
-            a11, a22 = problem.alpha(x, y)
-            # force an exact zero at the lowest-left quadrature point
-            qmin = np.min(3.0 * np.asarray(x) * np.asarray(y))
-            return a11, np.asarray(a22) - qmin
-
-        import dataclasses
-
-        degenerate = dataclasses.replace(problem, alpha=alpha_zero_at_corner)
-        with pytest.warns(RuntimeWarning):
+    def test_vanishing_diffusion_inside_rejected(self):
+        mesh = uniform_mesh(3)
+        degenerate = dataclasses.replace(make_custom(), alpha=alpha_vanishing_on(mesh, 1, 1))
+        with pytest.raises(NonPositiveDiffusion, match="interior"):
             assemble(mesh, degenerate, AssemblyConfig(kappa=4.0))
 
     def test_negative_diffusion_rejected(self):
@@ -178,6 +200,51 @@ class TestAssemble:
         )
         with pytest.raises(NonPositiveDiffusion):
             assemble(uniform_mesh(4), bad, AssemblyConfig(kappa=1.0))
+
+
+class TestSampleCoefficients:
+    def test_shapes_batched_and_single(self):
+        problem = get_problem("tc2")
+        mesh = mesh_for(problem, 3)
+        hx, hy, cx, cy, _ = element_arrays(mesh)
+        (a11, a22), (b1, b2), c = sample_coefficients(ElementGeom(hx, hy, (cx, cy)), problem)
+        assert all(a.shape == (9, 4) and a.dtype == np.float64 for a in (a11, a22, b1, b2))
+        assert c.shape == (9,)
+        (s11, s22), (t1, t2), sc = sample_coefficients(element_geometry(mesh, 2, 1), problem)
+        k = mesh.nx + 2  # element (2, 1), numbered j*nx + i
+        for single, batched in ((s11, a11), (s22, a22), (t1, b1), (t2, b2)):
+            assert single.shape == (4,)
+            np.testing.assert_array_equal(single, batched[k])
+        assert float(sc) == c[k]
+
+    def test_scalar_coefficients_broadcast(self):
+        problem = dataclasses.replace(
+            make_custom(), alpha=lambda x, y: (2.0, 3.0), beta=lambda x, y: (0.5, 0.0),
+            c=lambda x, y: 1.5)
+        hx, hy, cx, cy, _ = element_arrays(uniform_mesh(2))
+        (a11, a22), (b1, b2), c = sample_coefficients(ElementGeom(hx, hy, (cx, cy)), problem)
+        assert a11.shape == a22.shape == b1.shape == b2.shape == (4, 4)
+        assert (a22 == 3.0).all() and (b1 == 0.5).all() and float(c) == 1.5
+
+    BAD = {
+        "alpha": {"alpha": _const_pair(math.nan, 1.0)},
+        "beta": {"beta": _const_pair(0.0, math.inf)},
+        "c": {"c": _const(math.nan)},
+    }
+    CONSUMERS = {
+        "assemble": lambda mesh, p: assemble(mesh, p, AssemblyConfig(kappa=4.0)),
+        "kappa_condition": lambda mesh, p: kappa_condition(mesh, p, 4.0),
+        "sign_inequality_value": lambda mesh, p: sign_inequality_value(
+            element_geometry(mesh, 1, 1), 4.0, mesh.h, p, np.array([0.3, -0.2, 0.5, -0.7])),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bad_data_raises_in_every_consumer(self, bad, consumer):
+        problem = dataclasses.replace(get_problem("fd1"), **self.BAD[bad])
+        with pytest.raises(NonFiniteData, match=bad):
+            self.CONSUMERS[consumer](uniform_mesh(4), problem)
 
 
 class TestDump:
