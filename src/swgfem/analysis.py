@@ -192,6 +192,7 @@ def sign_inequality_value(geom: ElementGeom, kappa, h_global, problem: ProblemSp
     Nonnegative whenever the element satisfies the stabilization-parameter
     condition (see :func:`kappa_condition`).
     """
+    kernels.require_kappa(kappa)
     v_plus, v_minus = split_pos_neg(v)
     (a11, a22), beta_q, c_val = sample_coefficients(geom, problem)
     if min(a11.min(), a22.min()) <= 0:
@@ -213,6 +214,7 @@ def kappa_condition(mesh: TensorMesh, problem: ProblemSpec, kappa: float,
     square-element reduction kappa <= 4*alpha*min(sigma, 1/sigma) when
     beta and c vanish.
     """
+    kernels.require_kappa(kappa)
     hx, hy, cx, cy, _ = element_arrays(mesh)
     h_eff = mesh.h if h is None else float(h)
     area = hx * hy

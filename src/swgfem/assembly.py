@@ -6,6 +6,12 @@ couples at most 7 unknowns.  Dirichlet data enters by elimination: the
 boundary unknowns take the imposed values, and their columns times those
 values move to the right-hand side.
 
+The system is stored once, in the order the solver factors it: the CSC of
+P A P^T, for the natural-order operator A over the interior dofs and their
+nested-dissection order P (:func:`~swgfem.mesh.nested_dissection`).  A
+itself, as CSR, is derived from it on first use (``SparseSystem.matrix``)
+for the matrix dump and other readers of the natural order.
+
 Boundary values are per-edge averages of g.  Two quadrature rules are
 available: ``midpoint`` (the default; reproduces midpoint-sampled
 quadratics exactly at kappa = 4) and the more accurate ``simpson``.
@@ -13,14 +19,23 @@ quadratics exactly at kappa = 4) and the more accurate ``simpson``.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .errors import NonFiniteData, NonPositiveDiffusion, NonPositiveKappa
-from .mesh import DofMap, EdgeDof, ElementGeom, TensorMesh, element_arrays, enumerate_dofs
+from .errors import NonPositiveDiffusion
+from .mesh import (
+    DofMap,
+    EdgeDof,
+    ElementGeom,
+    TensorMesh,
+    element_arrays,
+    enumerate_dofs,
+    nested_dissection,
+)
 
 QB_RULES = ("midpoint", "simpson")
 
@@ -65,25 +80,60 @@ class AssemblyConfig:
     qb_rule: str = "midpoint"
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise NonPositiveKappa(f"kappa must be positive, got {self.kappa}")
+        kernels.require_kappa(self.kappa)
         if self.qb_rule not in QB_RULES:
             raise ValueError(f"qb_rule must be one of {QB_RULES}")
 
 
+def _permuted_csc(matrix, perm):
+    """P A P^T in CSC, the same arrays as ``matrix[perm][:, perm].tocsc()``;
+    the inverse permutation is freed on return."""
+    permuted = matrix[perm]
+    inverse = np.empty(perm.size, dtype=permuted.indices.dtype)  # no int64 index copy
+    inverse[perm] = np.arange(perm.size, dtype=inverse.dtype)
+    permuted.indices[...] = inverse[permuted.indices]
+    return permuted.tocsc()
+
+
 @dataclass(frozen=True)
 class SparseSystem:
-    """Assembled sparse system over the interior edge dofs.
+    """Assembled sparse system over the interior edge dofs, stored once, in
+    the order the solver factors it.
 
-    ``boundary_values`` holds the imposed averages of g, aligned with
-    ``dof_map.boundary``.
+    ``ordered`` is the CSC of P A P^T, where A is the operator over the
+    interior dofs in their natural order and ``order`` the nested-dissection
+    order of its rows and columns (:func:`~swgfem.mesh.nested_dissection`):
+    row k of ``ordered`` is row ``order[k]`` of A.  ``rhs`` is in the natural
+    order, and ``boundary_values`` holds the imposed averages of g, aligned
+    with ``dof_map.boundary``.  :meth:`from_matrix` builds a system from A.
     """
 
-    matrix: sp.csr_matrix
+    ordered: sp.csc_matrix
+    order: np.ndarray
     rhs: np.ndarray
     dof_map: DofMap
     boundary_values: np.ndarray
     mesh: TensorMesh
+
+    @classmethod
+    def from_matrix(cls, matrix, rhs, dof_map, boundary_values, mesh) -> "SparseSystem":
+        """The system of the natural-order CSR ``matrix``, stored permuted."""
+        order = dof_map.free_index[nested_dissection(dof_map)]
+        return cls(_permuted_csc(matrix, order), order, rhs, dof_map, boundary_values, mesh)
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """A as CSR, derived on first access and kept: the arrays
+        :meth:`from_matrix` was given, when their indices were sorted and
+        unique in each row, as every assembler's are.
+
+        The CSC arrays of P A P^T are those of the CSR of its transpose, so
+        permuting that CSR back gives the CSC of A^T, whose arrays are the
+        CSR of A.
+        """
+        inverse = np.empty_like(self.order)
+        inverse[self.order] = np.arange(self.order.size)
+        return _permuted_csc(self.ordered.T, inverse).T
 
 
 def _edge_averages(g, midpoints, lengths, vertical, rule: str) -> np.ndarray:
@@ -122,11 +172,6 @@ def boundary_averages(mesh: TensorMesh, dof_map: DofMap, g, rule: str) -> np.nda
     )
 
 
-def _require_finite(name, *samples):
-    if not all(np.isfinite(v).all() for v in samples):
-        raise NonFiniteData(f"{name} is NaN or infinite at a sample point")
-
-
 def sample_coefficients(geom: ElementGeom, problem: ProblemSpec):
     """alpha and beta of ``problem`` at the Gauss points, c at the centres.
 
@@ -140,7 +185,7 @@ def sample_coefficients(geom: ElementGeom, problem: ProblemSpec):
     beta = kernels._at_points(problem.beta(qx, qy), qx.shape)
     c = np.asarray(problem.c(*geom.center), dtype=float)
     for name, samples in (("alpha", alpha), ("beta", beta), ("c", (c,))):
-        _require_finite(name, *samples)
+        kernels.require_finite(name, *samples)
     return alpha, beta, c
 
 
@@ -152,8 +197,9 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     element blocks.  The CSR arrays are filled straight from the blocks in
     the tensor mesh's 7-slot row template (:func:`_edge_rows`), over the
     interior rows, with the boundary columns times g moved to the
-    right-hand side.  Every sum runs in a fixed order, so assembly is
-    bit-reproducible.
+    right-hand side, and stored in nested-dissection order
+    (:meth:`SparseSystem.from_matrix`).  Every sum runs in a fixed order, so
+    assembly is bit-reproducible.
     """
     dof_map = enumerate_dofs(mesh)
     hx, hy, cx, cy, conn = element_arrays(mesh)
@@ -187,13 +233,13 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     # f at the dof midpoints, which lie exactly on the mesh breakpoints
     f_mid = problem.f(*dof_map.midpoints.T) + np.zeros(dof_map.count)
     loads = kernels.load_vector(geom, problem.f, f_mid=f_mid[conn])
-    _require_finite("f", loads)
+    kernels.require_finite("f", loads)
 
     rhs = np.zeros(dof_map.count)
     np.add.at(rhs, conn.ravel(), loads.ravel())
 
     g_b = boundary_averages(mesh, dof_map, problem.g, config.qb_rule)
-    _require_finite("g", g_b)
+    kernels.require_finite("g", g_b)
 
     index = np.int32 if dof_map.count <= np.iinfo(np.int32).max else np.int64
     # columns are free indices, and boundary dof k is numbered -2 - (its
@@ -210,7 +256,7 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     indptr = np.zeros(size + 1, dtype=index)
     np.cumsum(row_nnz, out=indptr[1:])
     matrix = sp.csr_matrix((values[keep], columns[keep], indptr), shape=(size, size))
-    return SparseSystem(matrix, rhs, dof_map, g_b, mesh)
+    return SparseSystem.from_matrix(matrix, rhs, dof_map, g_b, mesh)
 
 
 #: How an edge's row values are gathered from the rows of its two elements.

@@ -25,7 +25,7 @@ from .assembly import (
     assemble,
     boundary_averages,
 )
-from .errors import NonPositiveKappa
+from .kernels import require_kappa
 from .mesh import enumerate_dofs, uniform_mesh
 from .problems import _const, _const_pair, get_problem
 
@@ -41,8 +41,7 @@ class FdStencil:
 
 
 def stencil_weights(kappa: float) -> FdStencil:
-    if kappa <= 0:
-        raise NonPositiveKappa(f"kappa must be positive, got {kappa}")
+    require_kappa(kappa)
     return FdStencil(
         c1=kappa / 4.0 - 1.0,
         c2=kappa / 2.0 + 2.0,
@@ -104,7 +103,7 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g, qb_rule):
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_free, n_free),
     ).tocsr()
-    return SparseSystem(matrix, rhs, dm, g_b, mesh)
+    return SparseSystem.from_matrix(matrix, rhs, dm, g_b, mesh)
 
 
 def assemble_fd7(n, kappa, f, g, qb_rule="midpoint") -> SparseSystem:
@@ -150,7 +149,8 @@ def check_equivalence(n, kappa, problem: ProblemSpec | None = None,
     )
     fd = assemble_fd7(n, kappa, src.f, src.g, qb_rule=qb_rule)
 
-    diff = (swg.matrix - fd.matrix).tocoo()
+    # both systems live on uniform_mesh(n), so they share one stored order
+    diff = (swg.ordered - fd.ordered).tocoo()
     matrix_diff = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
     rhs_diff = float(np.max(np.abs(swg.rhs - fd.rhs))) if swg.rhs.size else 0.0
     return EquivalenceReport(matrix_diff=matrix_diff, rhs_diff=rhs_diff)

@@ -39,7 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeReaction, NonPositiveDiffusion, NonPositiveMeshsize
+from .errors import (
+    NegativeReaction,
+    NonFiniteData,
+    NonPositiveDiffusion,
+    NonPositiveKappa,
+    NonPositiveMeshsize,
+)
 from .mesh import ElementGeom
 
 #: Sign pattern of the stabilizer's rank-1 direction (left, right, bottom, top).
@@ -63,6 +69,19 @@ class ExtensionCoeffs:
         return self.gamma0 + self.gamma1 * (np.asarray(x) - cx) + self.gamma2 * (
             np.asarray(y) - cy
         )
+
+
+def require_finite(name, *samples):
+    """Raise :class:`NonFiniteData` naming ``name`` if a sample is NaN or infinite."""
+    if not all(np.isfinite(v).all() for v in samples):
+        raise NonFiniteData(f"{name} is NaN or infinite at a sample point")
+
+
+def require_kappa(kappa):
+    """Raise :class:`NonPositiveKappa` unless the stabilization parameter is
+    finite and positive."""
+    if not (np.isfinite(kappa) and kappa > 0):
+        raise NonPositiveKappa(f"kappa must be finite and positive, got {kappa}")
 
 
 def _gauss(geom: ElementGeom):
@@ -170,6 +189,7 @@ def diffusion_matrix(geom: ElementGeom, alpha):
     """
     _, qx, qy = _gauss(geom)
     a11, a22 = _at_points(alpha(qx, qy), qx.shape)
+    require_finite("alpha", a11, a22)
     if min(a11.min(), a22.min()) <= 0:
         raise NonPositiveDiffusion("diffusion tensor not positive at a quadrature point")
     return local_operator(geom, 0.0, 1.0, (a11, a22), (0.0, 0.0), 0.0)
@@ -178,7 +198,9 @@ def diffusion_matrix(geom: ElementGeom, alpha):
 def convection_matrix(geom: ElementGeom, beta):
     """Convection matrix; entry (i, j) integrates (beta . grad_w phi_j) s(phi_i)."""
     _, qx, qy = _gauss(geom)
-    return local_operator(geom, 0.0, 1.0, (0.0, 0.0), beta(qx, qy), 0.0)
+    b1, b2 = _at_points(beta(qx, qy), qx.shape)
+    require_finite("beta", b1, b2)
+    return local_operator(geom, 0.0, 1.0, (0.0, 0.0), (b1, b2), 0.0)
 
 
 def reaction_matrix(geom: ElementGeom, c_value):

@@ -10,13 +10,16 @@ from swgfem.analysis import kappa_condition, sign_inequality_value
 from swgfem.assembly import (
     QB_RULES,
     AssemblyConfig,
+    SparseSystem,
     assemble,
     boundary_averages,
     dump_matrix,
     edge_average,
     sample_coefficients,
 )
+from swgfem.cli import main as cli_main
 from swgfem.errors import NonFiniteData, NonPositiveDiffusion, NonPositiveKappa
+from swgfem.fd import stencil_weights
 from swgfem.kernels import (
     convection_matrix,
     diffusion_matrix,
@@ -108,6 +111,31 @@ class TestAssemblyConfig:
         for kappa in (0.0, -1.0):
             with pytest.raises(NonPositiveKappa):
                 AssemblyConfig(kappa=kappa)
+
+    KAPPA_ENTRIES = {
+        "AssemblyConfig": lambda kappa: AssemblyConfig(kappa=kappa),
+        "stencil_weights": stencil_weights,
+        "kappa_condition": lambda kappa: kappa_condition(uniform_mesh(4), make_custom(), kappa),
+        "sign_inequality_value": lambda kappa: sign_inequality_value(
+            element_geometry(uniform_mesh(4), 1, 1), kappa, 0.25, make_custom(),
+            np.array([0.3, -0.2, 0.5, -0.7])),
+        "swg run": lambda kappa: cli_main(
+            ["run", "--problem", "tc1", "--kappa", str(kappa), "--ns", "4"]),
+        "swg fd": lambda kappa: cli_main(
+            ["fd", "--problem", "fd1", "--kappa", str(kappa), "--n", "4"]),
+        "swg equiv": lambda kappa: cli_main(["equiv", "--n", "4", "--kappa", str(kappa)]),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", KAPPA_ENTRIES)
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_kappa_rejected(self, kappa, entry, capsys):
+        if entry.startswith("swg "):  # a usage error: exit 2, named on stderr
+            assert self.KAPPA_ENTRIES[entry](kappa) == 2
+            assert "kappa must be finite and positive" in capsys.readouterr().err
+            return
+        with pytest.raises(NonPositiveKappa, match="finite and positive"):
+            self.KAPPA_ENTRIES[entry](kappa)
 
     def test_bad_qb_rule(self):
         with pytest.raises(ValueError):
@@ -246,6 +274,17 @@ class TestSampleCoefficients:
         with pytest.raises(NonFiniteData, match=bad):
             self.CONSUMERS[consumer](uniform_mesh(4), problem)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kernel, bad", [(diffusion_matrix, "alpha"),
+                                             (convection_matrix, "beta")],
+                             ids=["diffusion_matrix", "convection_matrix"])
+    def test_bad_data_raises_in_single_block_kernels(self, kernel, bad):
+        # a NaN a11 for the diffusion block, an infinite b1 for convection
+        value = math.nan if bad == "alpha" else math.inf
+        pair = _const_pair(value, 1.0)
+        with pytest.raises(NonFiniteData, match=bad):
+            kernel(ElementGeom.standalone(0.25, 0.25, (0.5, 0.5)), pair)
+
 
 class TestDump:
     def test_coordinate_format_roundtrip(self, tmp_path):
@@ -323,7 +362,8 @@ class TestDumpBytes:
     def _with_data(system, data):
         matrix = sp.csr_matrix((data, system.matrix.indices, system.matrix.indptr),
                                shape=system.matrix.shape)
-        return dataclasses.replace(system, matrix=matrix)
+        return SparseSystem.from_matrix(matrix, system.rhs, system.dof_map,
+                                        system.boundary_values, system.mesh)
 
     @classmethod
     def _system(cls, case):

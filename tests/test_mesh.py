@@ -132,9 +132,23 @@ class TestEnumerateDofs:
         dm = enumerate_dofs(mesh)
         assert enumerate_dofs(mesh) is dm
         assert enumerate_dofs(uniform_mesh(4)) is not dm
-        for arr in (dm.is_vertical, dm.grid_i, dm.grid_j, dm.midpoints, dm.lengths,
-                    dm.is_boundary, dm.interior, dm.boundary, dm.free_index):
+        for arr in (dm.midpoints, dm.is_boundary, dm.interior, dm.boundary, dm.free_index):
             assert not arr.flags.writeable
+
+    def test_derived_arrays_match_edges(self):
+        # is_vertical, grid_i, grid_j and lengths are derived on each use
+        mesh = build_tensor_mesh([0, 0.3, 0.7, 1], [0, 0.5, 0.6, 1])
+        dm = enumerate_dofs(mesh)
+        for name in ("is_vertical", "grid_i", "grid_j", "lengths"):
+            assert getattr(dm, name).shape == (dm.count,)
+        for k in range(dm.count):
+            edge = dm.edge(k)
+            assert dm.is_vertical[k] == (edge.orientation == "vertical") == (k < dm.n_vertical)
+            assert (dm.grid_i[k], dm.grid_j[k]) == (edge.i, edge.j)
+            assert k == (dm.vertical_id(edge.i, edge.j) if dm.is_vertical[k]
+                         else dm.horizontal_id(edge.i, edge.j))
+            spacing = mesh.dy[edge.j] if dm.is_vertical[k] else mesh.dx[edge.i]
+            assert dm.lengths[k] == edge.length == spacing
 
     def test_midpoint_is_mean_of_endpoints(self):
         dm = enumerate_dofs(build_tensor_mesh([0, 0.4, 1], [0, 0.25, 1]))

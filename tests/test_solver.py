@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,23 +9,28 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import swgfem.assembly
 import swgfem.solver
 from swgfem.analysis import solve_problem
 from swgfem.assembly import AssemblyConfig, SparseSystem, assemble
 from swgfem.errors import NonFiniteData, OutOfMemory, SingularMatrix
-from swgfem.mesh import build_tensor_mesh, element_arrays, enumerate_dofs, uniform_mesh
+from swgfem.mesh import (
+    ND_LEAF_ELEMENTS,
+    build_tensor_mesh,
+    element_arrays,
+    enumerate_dofs,
+    nested_dissection,
+    uniform_mesh,
+)
 from swgfem.problems import get_problem, make_custom, mesh_for
 from swgfem.solver import (
     DIRECT_MEMORY_SHARE,
-    ND_LEAF_ELEMENTS,
     SUPERLU_PANEL,
     SUPERLU_RELAX,
     SolveConfig,
     check_memory,
-    nested_dissection,
     predicted_factor_bytes,
     solve,
-    system_ordering,
 )
 
 from oracles import nested_dissection_oracle
@@ -35,13 +42,8 @@ def identity_system(rhs):
     mesh = uniform_mesh(2)
     dm = enumerate_dofs(mesh)
     assert dm.interior.size == rhs.size
-    return SparseSystem(
-        matrix=sp.identity(rhs.size, format="csr"),
-        rhs=rhs,
-        dof_map=dm,
-        boundary_values=np.zeros(dm.boundary.size),
-        mesh=mesh,
-    )
+    return SparseSystem.from_matrix(
+        sp.identity(rhs.size, format="csr"), rhs, dm, np.zeros(dm.boundary.size), mesh)
 
 
 class TestSolve:
@@ -114,7 +116,8 @@ class TestSolve:
         mesh = uniform_mesh(2)
         dm = enumerate_dofs(mesh)
         singular = sp.csr_matrix((4, 4))
-        system = SparseSystem(singular, np.ones(4), dm, np.zeros(dm.boundary.size), mesh)
+        system = SparseSystem.from_matrix(
+            singular, np.ones(4), dm, np.zeros(dm.boundary.size), mesh)
         with pytest.raises(SingularMatrix):
             solve(system, SolveConfig(method="direct"))
 
@@ -138,7 +141,10 @@ class TestSolve:
         [(factored, kwargs)] = calls
         assert kwargs == {"permc_spec": "NATURAL", "relax": SUPERLU_RELAX,
                           "panel_size": SUPERLU_PANEL}
-        perm = system_ordering(system)
+        assert factored is system.ordered  # as stored, no copy
+        perm = system.order
+        np.testing.assert_array_equal(
+            perm, system.dof_map.free_index[nested_dissection(system.dof_map)])
         assert (factored != system.matrix[perm][:, perm]).nnz == 0
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 40])
@@ -147,7 +153,7 @@ class TestSolve:
         matrix = assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=4.0)).matrix
         perm = np.random.default_rng(n).permutation(matrix.shape[0])
         before = [a.copy() for a in (matrix.data, matrix.indices, matrix.indptr)]
-        got = swgfem.solver._permuted_csc(matrix, perm)
+        got = swgfem.assembly._permuted_csc(matrix, perm)
         want = matrix[perm][:, perm].tocsc()
         for a, b in zip((got.data, got.indices, got.indptr),
                         (want.data, want.indices, want.indptr)):
@@ -160,19 +166,21 @@ class TestSolve:
         assert 1 <= SUPERLU_RELAX <= SUPERLU_PANEL
 
     def test_auto_refuses_before_ordering_or_factoring(self, monkeypatch):
+        # the system is ordered once, at assembly; no solve orders it again
         orders = []
-        ordering = swgfem.solver.system_ordering
+        ordering = swgfem.assembly.nested_dissection
 
-        def spy(system):
-            orders.append(system)
-            return ordering(system)
+        def spy(dof_map):
+            orders.append(dof_map)
+            return ordering(dof_map)
 
         def no_lu(*args, **kwargs):
             raise AssertionError("auto factored a system past its budget")
 
+        monkeypatch.setattr(swgfem.assembly, "nested_dissection", spy)
         problem = get_problem("fd1")
         system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
-        monkeypatch.setattr(swgfem.solver, "system_ordering", spy)
+        assert orders == [system.dof_map]
         monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", 1e-12)
         splu = spla.splu
         monkeypatch.setattr(spla, "splu", no_lu)
@@ -180,11 +188,11 @@ class TestSolve:
             solve(system, SolveConfig())
         assert exc.value.dofs == system.matrix.shape[0]
         assert exc.value.predicted_bytes > exc.value.budget_bytes
-        assert orders == []
+        assert orders == [system.dof_map]
         # "direct" skips the check and factors the same system
         monkeypatch.setattr(spla, "splu", splu)
         sol = solve(system, SolveConfig(method="direct"))
-        assert orders == [system]
+        assert orders == [system.dof_map]
         assert sol.residual_norm <= 1e-12
 
     def test_releases_free_heap_before_large_factorizations(self, monkeypatch):
@@ -209,13 +217,41 @@ class TestSolve:
 @pytest.mark.parametrize("pid", ["tc1", "tc2", "tc3", "fd1", "fd2"],
                          ids=lambda pid: f"eliminate-{pid}")
 def test_inf_norm_is_largest_row_sum(pid):
-    """The backward-error scale equals scipy's infinity norm: every row of an
-    assembled system stores its diagonal, so no row is empty."""
+    """The backward-error scale is the largest absolute row sum of the stored
+    matrix, each row summed from 0 in storage order (columns ascending), and
+    agrees with scipy's infinity norm of the natural-order matrix to round-off."""
     problem = get_problem(pid)
     for n in (2, 3, 12, 40):
-        matrix = assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=4.0)).matrix
-        assert np.all(np.diff(matrix.indptr) > 0)
-        assert swgfem.solver._inf_norm(matrix) == spla.norm(matrix, np.inf)
+        system = assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=4.0))
+        assert np.all(np.diff(system.matrix.indptr) > 0)
+        ordered = system.ordered
+        sums = [0.0] * ordered.shape[0]
+        for row, value in zip(ordered.indices.tolist(), ordered.data.tolist()):
+            sums[row] += abs(value)
+        assert swgfem.solver._inf_norm(ordered) == max(sums)
+        assert max(sums) == pytest.approx(spla.norm(system.matrix, np.inf), rel=4e-16)
+
+
+class TestResidency:
+    def test_solve_builds_no_natural_matrix(self):
+        problem = get_problem("tc2")
+        system = assemble(mesh_for(problem, 16), problem, AssemblyConfig(kappa=4.0))
+        solve(system)
+        assert "matrix" not in vars(system)
+        assert not {"grid_i", "grid_j", "is_vertical", "lengths"} & set(vars(system.dof_map))
+        assert system.matrix is system.matrix  # derived on first access, then kept
+
+    def test_solved_triple_freed_by_reference_counting(self):
+        gc.collect()
+        gc.disable()
+        try:
+            mesh, system, sol = solve_problem(get_problem("fd1"), 8, 4.0)
+            assert system.matrix.shape == system.ordered.shape
+            alive = weakref.ref(mesh)
+            del mesh, system, sol
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 ND_MESHES = {
@@ -233,8 +269,7 @@ class TestNestedDissection:
     @pytest.mark.parametrize("name", ND_MESHES, ids=lambda name: f"{name}-eliminate")
     def test_permutation_of_free_dofs(self, name):
         system = assemble(ND_MESHES[name], make_custom(f=1.0), AssemblyConfig(kappa=4.0))
-        perm = system_ordering(system)
-        np.testing.assert_array_equal(np.sort(perm), np.arange(system.matrix.shape[0]))
+        np.testing.assert_array_equal(np.sort(system.order), np.arange(system.matrix.shape[0]))
 
     @settings(max_examples=40, deadline=None)
     @given(nx=st.integers(1, 14), ny=st.integers(1, 14))
