@@ -217,6 +217,7 @@ def kappa_condition(mesh: TensorMesh, problem: ProblemSpec, kappa: float,
     kernels.require_kappa(kappa)
     hx, hy, cx, cy, _ = element_arrays(mesh)
     h_eff = mesh.h if h is None else float(h)
+    kernels.require_meshsize(h_eff)
     area = hx * hy
 
     (a11, a22), (b1, b2), c = sample_coefficients(ElementGeom(hx, hy, (cx, cy)), problem)

@@ -8,9 +8,11 @@ values move to the right-hand side.
 
 The system is stored once, in the order the solver factors it: the CSC of
 P A P^T, for the natural-order operator A over the interior dofs and their
-nested-dissection order P (:func:`~swgfem.mesh.nested_dissection`).  A
-itself, as CSR, is derived from it on first use (``SparseSystem.matrix``)
-for the matrix dump and other readers of the natural order.
+nested-dissection order P (:func:`~swgfem.mesh.nested_dissection`).  Each
+edge is numbered by its place in that order before any row is filled, so
+the stored matrix is built from its entries in one step, with no permute.
+A itself, as CSR, is derived on first use (``SparseSystem.matrix``) for the
+matrix dump and other readers of the natural order.
 
 Boundary values are per-edge averages of g.  Two quadrature rules are
 available: ``midpoint`` (the default; reproduces midpoint-sampled
@@ -85,16 +87,6 @@ class AssemblyConfig:
             raise ValueError(f"qb_rule must be one of {QB_RULES}")
 
 
-def _permuted_csc(matrix, perm):
-    """P A P^T in CSC, the same arrays as ``matrix[perm][:, perm].tocsc()``;
-    the inverse permutation is freed on return."""
-    permuted = matrix[perm]
-    inverse = np.empty(perm.size, dtype=permuted.indices.dtype)  # no int64 index copy
-    inverse[perm] = np.arange(perm.size, dtype=inverse.dtype)
-    permuted.indices[...] = inverse[permuted.indices]
-    return permuted.tocsc()
-
-
 @dataclass(frozen=True)
 class SparseSystem:
     """Assembled sparse system over the interior edge dofs, stored once, in
@@ -105,35 +97,49 @@ class SparseSystem:
     order of its rows and columns (:func:`~swgfem.mesh.nested_dissection`):
     row k of ``ordered`` is row ``order[k]`` of A.  ``rhs`` is in the natural
     order, and ``boundary_values`` holds the imposed averages of g, aligned
-    with ``dof_map.boundary``.  :meth:`from_matrix` builds a system from A.
+    with ``mesh.dof_map.boundary``.
+    :func:`stored_system` builds a system from its entries.
     """
 
     ordered: sp.csc_matrix
     order: np.ndarray
     rhs: np.ndarray
-    dof_map: DofMap
     boundary_values: np.ndarray
     mesh: TensorMesh
 
-    @classmethod
-    def from_matrix(cls, matrix, rhs, dof_map, boundary_values, mesh) -> "SparseSystem":
-        """The system of the natural-order CSR ``matrix``, stored permuted."""
-        order = dof_map.free_index[nested_dissection(dof_map)]
-        return cls(_permuted_csc(matrix, order), order, rhs, dof_map, boundary_values, mesh)
-
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """A as CSR, derived on first access and kept: the arrays
-        :meth:`from_matrix` was given, when their indices were sorted and
-        unique in each row, as every assembler's are.
+        """A as CSR, derived on first access and kept: the entries of
+        ``ordered`` with rows and columns mapped through ``order``."""
+        entries, order = self.ordered.tocoo(), self.order
+        return sp.csr_matrix((entries.data, (order[entries.row], order[entries.col])),
+                             shape=entries.shape)
 
-        The CSC arrays of P A P^T are those of the CSR of its transpose, so
-        permuting that CSR back gives the CSC of A^T, whose arrays are the
-        CSR of A.
-        """
-        inverse = np.empty_like(self.order)
-        inverse[self.order] = np.arange(self.order.size)
-        return _permuted_csc(self.ordered.T, inverse).T
+
+def stored_numbering(dof_map: DofMap):
+    """``order`` and the number of each edge dof in the stored system.
+
+    Interior dof ``order[k]`` (a natural interior index) is numbered k, its
+    place in the nested-dissection order, and boundary dof k is numbered
+    -2 - (its place in ``dof_map.boundary``).
+    """
+    index = np.int32 if dof_map.count <= np.iinfo(np.int32).max else np.int64
+    ids = nested_dissection(dof_map)
+    number = np.empty(dof_map.count, dtype=index)
+    number[ids] = np.arange(ids.size, dtype=index)
+    number[dof_map.boundary] = -2 - np.arange(dof_map.boundary.size, dtype=index)
+    return dof_map.free_index[ids], number
+
+
+def stored_system(values, rows, columns, order, rhs, boundary_values, mesh) -> SparseSystem:
+    """The system whose stored matrix has ``values`` at (``rows``,
+    ``columns``), numbered as :func:`stored_numbering` numbers them, one
+    entry per pair.  Entries given in ascending row order come out of the
+    counting sort by column in canonical CSC order, and scipy sorts nothing.
+    """
+    size = order.size
+    ordered = sp.csc_matrix((values, (rows, columns)), shape=(size, size))
+    return SparseSystem(ordered, order, rhs, boundary_values, mesh)
 
 
 def _edge_averages(g, midpoints, lengths, vertical, rule: str) -> np.ndarray:
@@ -180,12 +186,9 @@ def sample_coefficients(geom: ElementGeom, problem: ProblemSpec):
     :class:`NonFiniteData` on a NaN or infinite sample; each caller applies
     its own sign policy.
     """
-    _, qx, qy = kernels._gauss(geom)
-    alpha = kernels._at_points(problem.alpha(qx, qy), qx.shape)
-    beta = kernels._at_points(problem.beta(qx, qy), qx.shape)
+    alpha, beta = kernels.sample_pairs(geom, alpha=problem.alpha, beta=problem.beta)
     c = np.asarray(problem.c(*geom.center), dtype=float)
-    for name, samples in (("alpha", alpha), ("beta", beta), ("c", (c,))):
-        kernels.require_finite(name, *samples)
+    kernels.require_finite("c", c)
     return alpha, beta, c
 
 
@@ -194,12 +197,12 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
 
     Each coefficient is evaluated once over all elements; the batched
     :func:`kernels.local_operator` and :func:`kernels.load_vector` give the
-    element blocks.  The CSR arrays are filled straight from the blocks in
-    the tensor mesh's 7-slot row template (:func:`_edge_rows`), over the
-    interior rows, with the boundary columns times g moved to the
-    right-hand side, and stored in nested-dissection order
-    (:meth:`SparseSystem.from_matrix`).  Every sum runs in a fixed order, so
-    assembly is bit-reproducible.
+    element blocks.  The rows are filled straight from the blocks in the
+    tensor mesh's 7-slot row template (:func:`_edge_rows`), with every edge
+    numbered as it is stored (:func:`stored_numbering`); the boundary
+    columns times g move to the right-hand side, and the rows, taken in
+    stored order, give the stored matrix (:func:`stored_system`).  Every
+    sum runs in a fixed order, so assembly is bit-reproducible.
     """
     dof_map = enumerate_dofs(mesh)
     hx, hy, cx, cy, conn = element_arrays(mesh)
@@ -235,28 +238,21 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     loads = kernels.load_vector(geom, problem.f, f_mid=f_mid[conn])
     kernels.require_finite("f", loads)
 
-    rhs = np.zeros(dof_map.count)
-    np.add.at(rhs, conn.ravel(), loads.ravel())
+    rhs = np.bincount(conn.ravel(), loads.ravel(), minlength=dof_map.count)
 
     g_b = boundary_averages(mesh, dof_map, problem.g, config.qb_rule)
     kernels.require_finite("g", g_b)
 
-    index = np.int32 if dof_map.count <= np.iinfo(np.int32).max else np.int64
-    # columns are free indices, and boundary dof k is numbered -2 - (its
-    # place in g_b)
-    number = dof_map.free_index.astype(index)
-    number[dof_map.boundary] = -2 - np.arange(dof_map.boundary.size, dtype=index)
+    order, number = stored_numbering(dof_map)
     values, columns = _edge_rows(local.reshape(mesh.ny, mesh.nx, 4, 4), number)
+    # each row's boundary slots, in slot (dof id) order, summed from +0
+    slots = np.flatnonzero(columns <= -2)
+    lift = values.ravel()[slots] * g_b[-2 - columns.ravel()[slots]]
+    rhs = rhs[dof_map.interior] - np.bincount(slots // 7, lift, minlength=order.size)
+    values, columns = (np.take(a, order, axis=0) for a in (values, columns))
     keep = columns >= 0
-    row_nnz = _per_row(keep)
-    # an interior row has all 7 slots, so it couples to the boundary
-    # exactly when it keeps fewer
-    rhs = rhs[dof_map.interior] - _boundary_lift(values, columns, row_nnz < 7, g_b)
-    size = row_nnz.size
-    indptr = np.zeros(size + 1, dtype=index)
-    np.cumsum(row_nnz, out=indptr[1:])
-    matrix = sp.csr_matrix((values[keep], columns[keep], indptr), shape=(size, size))
-    return SparseSystem.from_matrix(matrix, rhs, dof_map, g_b, mesh)
+    rows = np.repeat(np.arange(order.size, dtype=columns.dtype), 7)[keep.ravel()]
+    return stored_system(values[keep], rows, columns[keep], order, rhs, g_b, mesh)
 
 
 #: How an edge's row values are gathered from the rows of its two elements.
@@ -315,32 +311,6 @@ def _edge_rows(blocks, number):
             out_columns[..., slot] = grid[rows]
         start += size
     return values, columns
-
-
-def _per_row(mask):
-    """Number of set slots in each row of a (rows, 7) mask."""
-    count = mask[:, 0].astype(np.int64)
-    for slot in mask.T[1:]:
-        count += slot
-    return count
-
-
-def _boundary_lift(values, columns, coupled, g_b):
-    """Per row, the sum of value * g over the slots of boundary dofs.
-
-    A boundary column is numbered -2 - (its place in ``g_b``); ``coupled``
-    flags the rows that hold one.  Each sum runs in ascending column order
-    from +0, as the product of the boundary columns with ``g_b`` sums it.
-    """
-    lift = np.zeros(values.shape[0])
-    rows = np.flatnonzero(coupled)
-    cols = columns[rows]
-    terms = np.where(cols <= -2, values[rows] * g_b[np.maximum(-2 - cols, 0)], 0.0)
-    sums = np.zeros(rows.size)
-    for slot in terms.T:
-        sums += slot
-    lift[rows] = sums
-    return lift
 
 
 def _as_byte_rows(strings):

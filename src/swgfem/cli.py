@@ -150,10 +150,10 @@ def cmd_fd(args):
             print("--kappa is required for the 7-point scheme", file=sys.stderr)
             return 2
         kappa = args.kappa
-    ns = args.ns if args.ns else [args.n]
-    if ns == [None]:
-        print("pass --n or --ns", file=sys.stderr)
+    if (args.n is None) == (args.ns is None):
+        print("pass either --n or --ns, not both", file=sys.stderr)
         return 2
+    ns = args.ns or [args.n]
     solve_config = SolveConfig(method=args.solver)
 
     def fd_solver(prob, n):

@@ -16,7 +16,6 @@ identical when alpha = 1, beta = 0, c = 0.
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (
     AssemblyConfig,
@@ -24,6 +23,8 @@ from .assembly import (
     SparseSystem,
     assemble,
     boundary_averages,
+    stored_numbering,
+    stored_system,
 )
 from .kernels import require_kappa
 from .mesh import enumerate_dofs, uniform_mesh
@@ -57,8 +58,7 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g, qb_rule):
     dm = enumerate_dofs(mesh)
 
     g_b = boundary_averages(mesh, dm, g, qb_rule)
-    g_full = np.zeros(dm.count)
-    g_full[dm.boundary] = g_b
+    order, number = stored_numbering(dm)
 
     mods = dm.midpoints[dm.interior]
     rhs = rhs_scale * f(mods[:, 0], mods[:, 1]) + np.zeros(dm.interior.size)
@@ -66,15 +66,13 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g, qb_rule):
     rows, cols, data = [], [], []
 
     def add(row_ids, col_ids, weight):
-        """Append stencil legs; boundary columns move to the rhs."""
-        free_r = dm.free_index[row_ids]
-        bnd = dm.is_boundary[col_ids]
-        if np.any(bnd):
-            np.add.at(rhs, free_r[bnd], -weight * g_full[col_ids[bnd]])
-        keep = ~bnd
-        rows.append(free_r[keep])
-        cols.append(dm.free_index[col_ids[keep]])
-        data.append(np.full(int(keep.sum()), weight))
+        """Append stencil legs in stored numbering; boundary columns move to the rhs."""
+        col_numbers = number[col_ids]
+        bnd = col_numbers < 0
+        np.add.at(rhs, dm.free_index[row_ids[bnd]], -weight * g_b[-2 - col_numbers[bnd]])
+        rows.append(number[row_ids[~bnd]])
+        cols.append(col_numbers[~bnd])
+        data.append(np.full(rows[-1].size, weight))
 
     nv = dm.n_vertical
 
@@ -98,12 +96,8 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g, qb_rule):
     for di, dj in ((0, -1), (1, -1), (0, 0), (1, 0)):
         add(hid, (hj + dj) * (n + 1) + (hi + di), stencil.c4)
 
-    n_free = dm.interior.size
-    matrix = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_free, n_free),
-    ).tocsr()
-    return SparseSystem.from_matrix(matrix, rhs, dm, g_b, mesh)
+    return stored_system(np.concatenate(data), np.concatenate(rows), np.concatenate(cols),
+                         order, rhs, g_b, mesh)
 
 
 def assemble_fd7(n, kappa, f, g, qb_rule="midpoint") -> SparseSystem:

@@ -84,6 +84,12 @@ def require_kappa(kappa):
         raise NonPositiveKappa(f"kappa must be finite and positive, got {kappa}")
 
 
+def require_meshsize(h):
+    """Raise :class:`NonPositiveMeshsize` unless the meshsize is finite and positive."""
+    if not (np.isfinite(h) and h > 0):
+        raise NonPositiveMeshsize(f"meshsize must be finite and positive, got {h}")
+
+
 def _gauss(geom: ElementGeom):
     """Columns (hx, hy, cx, cy), each (..., 1), and Gauss coordinates (..., 4)."""
     hx, hy, cx, cy = cols = [
@@ -107,6 +113,18 @@ def _at_points(pair, shape):
     """A coefficient pair broadcast to one value per Gauss point."""
     pair = [np.asarray(a, dtype=float) for a in pair]
     return [a if a.shape == shape else np.broadcast_to(a, shape) for a in pair]
+
+
+def sample_pairs(geom: ElementGeom, **coefficients):
+    """Each pair-valued coefficient ``name=callable`` at the points of
+    :func:`gauss_points`, as two (..., 4) arrays, in the order given; checked
+    by :func:`require_finite` under its name."""
+    _, qx, qy = _gauss(geom)
+    pairs = []
+    for name, coefficient in coefficients.items():
+        pairs.append(_at_points(coefficient(qx, qy), qx.shape))
+        require_finite(name, *pairs[-1])
+    return pairs
 
 
 def gauss_points(geom: ElementGeom):
@@ -187,9 +205,7 @@ def diffusion_matrix(geom: ElementGeom, alpha):
     ``alpha(x, y)`` returns the diagonal pair (a11, a22); both components
     must be positive at every quadrature point.
     """
-    _, qx, qy = _gauss(geom)
-    a11, a22 = _at_points(alpha(qx, qy), qx.shape)
-    require_finite("alpha", a11, a22)
+    [(a11, a22)] = sample_pairs(geom, alpha=alpha)
     if min(a11.min(), a22.min()) <= 0:
         raise NonPositiveDiffusion("diffusion tensor not positive at a quadrature point")
     return local_operator(geom, 0.0, 1.0, (a11, a22), (0.0, 0.0), 0.0)
@@ -197,9 +213,7 @@ def diffusion_matrix(geom: ElementGeom, alpha):
 
 def convection_matrix(geom: ElementGeom, beta):
     """Convection matrix; entry (i, j) integrates (beta . grad_w phi_j) s(phi_i)."""
-    _, qx, qy = _gauss(geom)
-    b1, b2 = _at_points(beta(qx, qy), qx.shape)
-    require_finite("beta", b1, b2)
+    [(b1, b2)] = sample_pairs(geom, beta=beta)
     return local_operator(geom, 0.0, 1.0, (0.0, 0.0), (b1, b2), 0.0)
 
 
@@ -246,8 +260,7 @@ def local_operator(geom: ElementGeom, kappa, h_global, alpha_q, beta_q, c_value)
     zeros changes no bit.  The kernels of single blocks call this with the
     other coefficients, and kappa, set to zero.
     """
-    if h_global <= 0:
-        raise NonPositiveMeshsize(f"h_global must be positive, got {h_global}")
+    require_meshsize(h_global)
     hx, hy = np.asarray(geom.hx, dtype=float), np.asarray(geom.hy, dtype=float)
     w, rx, ry = 0.25 * (hx * hy), 1.0 / hx, 1.0 / hy
     diag = kappa * (hx * hy / (2.0 * h_global * (hx + hy)))

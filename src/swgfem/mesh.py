@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
+    NonFiniteData,
     NonMonotoneBreaks,
     TooFewPoints,
     ZeroSubdivisions,
@@ -60,6 +61,8 @@ class TensorMesh:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.size < 2:
                 raise TooFewPoints(f"{name} needs at least 2 points, got {arr.size}")
+            if not np.isfinite(arr).all():
+                raise NonFiniteData(f"{name} holds a NaN or infinite breakpoint")
             if not np.all(np.diff(arr) > 0):
                 raise NonMonotoneBreaks(f"{name} must be strictly increasing")
             object.__setattr__(self, name, _read_only(arr))

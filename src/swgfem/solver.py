@@ -116,7 +116,7 @@ def check_memory(dofs: int, memory_bytes: int | None = None) -> None:
 def _release_free_heap(dofs):
     """Hand the allocator's free heap pages back to the OS before a factorization.
 
-    Assembly leaves its temporaries, the natural-order matrix among them, as
+    Assembly leaves its temporaries, the 7-slot rows among them, as
     free heap, whose pages stay resident.  SuperLU's work arrays and its growing L and U
     storage reuse free blocks only when one is large enough and otherwise
     take fresh mappings, so those resident pages add to the factorization's
@@ -159,7 +159,7 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
     if config.method == "auto":
         check_memory(ordered.shape[0])
 
-    x = np.zeros(0)
+    y = np.zeros(0)
     residual = 0.0
     if ordered.shape[0]:
         rhs, y = _factor_and_solve(system)
@@ -174,11 +174,9 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
             raise SingularMatrix(
                 f"direct solve left normwise backward error {backward:.3e}"
             )
-        x = np.empty_like(y)
-        x[order] = y
 
-    dof_map = system.dof_map
+    dof_map = system.mesh.dof_map
     values = np.zeros(dof_map.count)
     values[dof_map.boundary] = system.boundary_values
-    values[dof_map.interior] = x
+    values[dof_map.interior[order]] = y
     return Solution(values=values, residual_norm=float(residual), iterations=0)

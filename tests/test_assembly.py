@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -19,7 +20,7 @@ from swgfem.assembly import (
 )
 from swgfem.cli import main as cli_main
 from swgfem.errors import NonFiniteData, NonPositiveDiffusion, NonPositiveKappa
-from swgfem.fd import stencil_weights
+from swgfem.fd import assemble_fd5, assemble_fd7, stencil_weights
 from swgfem.kernels import (
     convection_matrix,
     diffusion_matrix,
@@ -155,7 +156,7 @@ class TestAssemble:
         problem = make_custom(alpha0=1.0, f=0.0, g=0.0)
         n = 4
         system = assemble(uniform_mesh(n), problem, AssemblyConfig(kappa=kappa))
-        dm = system.dof_map
+        dm = system.mesh.dof_map
         # interior vertical edge away from the boundary
         gid = dm.vertical_id(2, 1)
         row = dm.free_index[gid]
@@ -362,8 +363,9 @@ class TestDumpBytes:
     def _with_data(system, data):
         matrix = sp.csr_matrix((data, system.matrix.indices, system.matrix.indptr),
                                shape=system.matrix.shape)
-        return SparseSystem.from_matrix(matrix, system.rhs, system.dof_map,
-                                        system.boundary_values, system.mesh)
+        order = system.order
+        return SparseSystem(matrix[order][:, order].tocsc(), order, system.rhs,
+                            system.boundary_values, system.mesh)
 
     @classmethod
     def _system(cls, case):
@@ -408,3 +410,92 @@ class TestDumpBytes:
         if case == "signed-zeros":
             assert text.splitlines()[0].endswith(" -0")
             assert text.splitlines()[1].endswith(" 0")
+
+
+#: Meshes of the golden systems: uniform n, and random breaks seeded as in ``oracle_mesh``.
+GOLDEN_MESHES = ("n1", "n8", "n17", "random5", "random6")
+GOLDEN_FD = tuple(f"{scheme}-n{n}" for scheme in ("fd5", "fd7") for n in (2, 8, 17))
+
+#: sha256 (first 16 hex digits) of every stored byte of the systems of a
+#: case (:func:`golden_digest`), recorded before the stored order was
+#: assembled directly, when it was made by permuting the natural-order CSR.
+GOLDEN_SYSTEMS = {
+    "tc1-n1": "3a3f0837e86bb1be",
+    "tc1-n8": "78fb1c27275e3082",
+    "tc1-n17": "17e832a0abd9c6ca",
+    "tc1-random5": "49eb3e2b4f01941e",
+    "tc1-random6": "7ba17c386a012623",
+    "tc2-n1": "be00d2d3d3711fa4",
+    "tc2-n8": "4065e4fe88442105",
+    "tc2-n17": "473689e4e7c58cd2",
+    "tc2-random5": "9458c454cc1ce534",
+    "tc2-random6": "7042101dcc4f1350",
+    "tc3-n1": "0d70e3da333cdbdf",
+    "tc3-n8": "a7978fc8c7568243",
+    "tc3-n17": "ef677cc2cd855f9b",
+    "tc3-random5": "96facbbd283191a9",
+    "tc3-random6": "c5862106f224905a",
+    "fd1-n1": "b232f970ab8fbdcb",
+    "fd1-n8": "58abda2c54827d4f",
+    "fd1-n17": "ee37c13b2ed784e3",
+    "fd1-random5": "18c9570e19891969",
+    "fd1-random6": "66475fd0a9f66808",
+    "fd2-n1": "fc009e240f9813f0",
+    "fd2-n8": "40732b23c6cf9857",
+    "fd2-n17": "e9e68f5dc924f718",
+    "fd2-random5": "0552414d0a5dbf2b",
+    "fd2-random6": "7f90c6e4dbe12fa0",
+    "fd5-n2": "bdfd519491840f47",
+    "fd5-n8": "ad895ec12b7fbc11",
+    "fd5-n17": "909eb333338afd66",
+    "fd7-n2": "546ae23ff2968c55",
+    "fd7-n8": "4c6975c3433143a5",
+    "fd7-n17": "37a3ad8858accfe0",
+}
+
+
+def golden_systems(case):
+    """The systems a case names: an SWG problem on a mesh at kappa 0.7, 4 and
+    20 with both ``qb`` rules, or a stencil scheme at size n with the f and g
+    of fd1 and fd2 (and those kappa for fd7), with both rules."""
+    pid, label = case.split("-", 1)
+    if pid in ("fd5", "fd7"):
+        n = int(label[1:])
+        for source, qb_rule in itertools.product(("fd1", "fd2"), QB_RULES):
+            f, g = get_problem(source).f, get_problem(source).g
+            if pid == "fd5":
+                yield assemble_fd5(n, f, g, qb_rule=qb_rule)
+                continue
+            for kappa in (0.7, 4.0, 20.0):
+                yield assemble_fd7(n, kappa, f, g, qb_rule=qb_rule)
+        return
+    problem = get_problem(pid)
+    mesh = oracle_mesh(problem, label)
+    for kappa, qb_rule in itertools.product((0.7, 4.0, 20.0), QB_RULES):
+        yield assemble(mesh, problem, AssemblyConfig(kappa=kappa, qb_rule=qb_rule))
+
+
+def golden_digest(systems, path):
+    """One digest over the shape, dtype and bytes of each stored array (the
+    CSC arrays of ``ordered``, ``order``, ``rhs``, ``boundary_values``), the
+    CSR arrays of the derived ``matrix`` and the ``dump_matrix`` file."""
+    digest = hashlib.sha256()
+    for system in systems:
+        ordered, matrix = system.ordered, system.matrix
+        for a in (ordered.data, ordered.indices, ordered.indptr, system.order, system.rhs,
+                  system.boundary_values, matrix.data, matrix.indices, matrix.indptr):
+            digest.update(f"{a.dtype.str}{a.shape}".encode())
+            digest.update(a.tobytes())
+        dump_matrix(system, path)
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+class TestGoldenSystems:
+    @pytest.mark.parametrize("case", [f"{pid}-{label}" for pid in PROBLEM_IDS
+                                      for label in GOLDEN_MESHES] + list(GOLDEN_FD))
+    def test_same_bytes(self, case, tmp_path):
+        assert golden_digest(golden_systems(case), tmp_path / "dump.txt") == GOLDEN_SYSTEMS[case]
+
+    def test_every_case_is_pinned(self):
+        assert len(GOLDEN_SYSTEMS) == len(PROBLEM_IDS) * len(GOLDEN_MESHES) + len(GOLDEN_FD)

@@ -170,6 +170,14 @@ class TestFdCommand:
         assert float(out.strip().splitlines()[2].split()[1]) == pytest.approx(
             3.47e-05, rel=0.05)
 
+    def test_n_and_ns_together_rejected(self, capsys):
+        # --n used to be dropped without a word, tabulating --ns only
+        code, out, err = run_cli(
+            capsys, "fd", "--scheme", "5", "--problem", "fd2", "--n", "8", "--ns", "16")
+        assert code == 2
+        assert out == ""
+        assert "pass either --n or --ns, not both" in err
+
     def test_rejects_convection_problem(self, capsys):
         code, _, err = run_cli(
             capsys, "fd", "--scheme", "7", "--kappa", "4", "--problem", "tc1",

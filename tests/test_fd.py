@@ -59,7 +59,7 @@ class TestFd7:
 
     def test_interior_row_five_point_at_kappa_four(self):
         system = assemble_fd7(4, 4.0, zero, zero)
-        dm = system.dof_map
+        dm = system.mesh.dof_map
         gid = dm.vertical_id(2, 1)
         row = dm.free_index[gid]
         mat = system.matrix.tocsr()
@@ -82,7 +82,7 @@ class TestFd7:
         f = lambda x, y: np.full_like(np.asarray(x, dtype=float), -2.0)
         system = assemble_fd7(8, 4.0, f, u)
         sol = solve(system)
-        dm = system.dof_map
+        dm = system.mesh.dof_map
         exact = u(dm.midpoints[:, 0], dm.midpoints[:, 1])
         assert np.max(np.abs(sol.values - exact)) <= 1e-12
 

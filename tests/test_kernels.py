@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from swgfem import kernels
+from swgfem.analysis import kappa_condition
 from swgfem.errors import (
     NegativeReaction,
     NonPositiveDiffusion,
@@ -169,6 +170,21 @@ class TestStabilizer:
     def test_nonpositive_meshsize(self):
         with pytest.raises(NonPositiveMeshsize):
             stabilizer_matrix(SQUARE, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf], ids=["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("entry", ["stabilizer_matrix", "local_operator", "kappa_condition"])
+    def test_meshsize_must_be_finite_and_positive(self, entry, h):
+        # 0 divided by zero, -1 and NaN gave all_ok=False or NaN blocks, and
+        # inf a zero stabilizer
+        call = {
+            "stabilizer_matrix": lambda: stabilizer_matrix(SQUARE, h),
+            "local_operator": lambda: local_operator(SQUARE, 4.0, h, (1.0, 1.0), (0.0, 0.0), 0.0),
+            "kappa_condition": lambda: kappa_condition(mesh_for(get_problem("fd1"), 4),
+                                                       get_problem("fd1"), 4.0, h=h),
+        }[entry]
+        with pytest.raises(NonPositiveMeshsize, match="finite and positive"):
+            call()
 
     def test_rank_one_form_matches_definition(self, rng):
         # closed form vs direct evaluation of the defect bilinear form

@@ -3,6 +3,7 @@ import pytest
 
 from swgfem.errors import (
     IndexOutOfRange,
+    NonFiniteData,
     NonMonotoneBreaks,
     TooFewPoints,
     ZeroSubdivisions,
@@ -39,6 +40,16 @@ class TestBuildTensorMesh:
     def test_duplicate_rejected(self):
         with pytest.raises(NonMonotoneBreaks):
             build_tensor_mesh([0, 0, 1], [0, 1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("axis", ["x_breaks", "y_breaks"])
+    def test_non_finite_rejected(self, axis, bad):
+        # inf used to give h = inf, and NaN a NonMonotoneBreaks
+        breaks = {"x_breaks": [0.0, 1.0], "y_breaks": [0.0, 1.0]}
+        breaks[axis] = [0.0, 1.0, bad]
+        with pytest.raises(NonFiniteData, match=axis):
+            build_tensor_mesh(**breaks)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swgfem.assembly
+import swgfem.fd
 import swgfem.solver
 from swgfem.analysis import solve_problem
-from swgfem.assembly import AssemblyConfig, SparseSystem, assemble
+from swgfem.assembly import AssemblyConfig, SparseSystem, assemble, stored_numbering
 from swgfem.errors import NonFiniteData, OutOfMemory, SingularMatrix
 from swgfem.mesh import (
     ND_LEAF_ELEMENTS,
@@ -38,19 +39,35 @@ from oracles import nested_dissection_oracle
 GIB = 2**30
 
 
+def assemble_tc1(n):
+    problem = get_problem("tc1")
+    return assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=4.0))
+
+
+def assemble_fd5(n):
+    problem = get_problem("fd2")
+    return swgfem.fd.assemble_fd5(n, problem.f, problem.g)
+
+
+def assemble_fd7(n):
+    problem = get_problem("fd2")
+    return swgfem.fd.assemble_fd7(n, 0.7, problem.f, problem.g)
+
+
 def identity_system(rhs):
     mesh = uniform_mesh(2)
     dm = enumerate_dofs(mesh)
     assert dm.interior.size == rhs.size
-    return SparseSystem.from_matrix(
-        sp.identity(rhs.size, format="csr"), rhs, dm, np.zeros(dm.boundary.size), mesh)
+    order, _ = stored_numbering(dm)
+    return SparseSystem(
+        sp.identity(rhs.size, format="csc"), order, rhs, np.zeros(dm.boundary.size), mesh)
 
 
 class TestSolve:
     def test_identity(self):
         rhs = np.array([1.0, -2.0, 3.0, 0.5])
         sol = solve(identity_system(rhs))
-        np.testing.assert_allclose(sol.values[identity_system(rhs).dof_map.interior], rhs)
+        np.testing.assert_allclose(sol.values[identity_system(rhs).mesh.dof_map.interior], rhs)
         assert sol.iterations == 0
         assert sol.residual_norm <= 1e-14
 
@@ -78,15 +95,15 @@ class TestSolve:
         system = assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=4.0))
         sol = solve(system)
         dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
-        sparse = sol.values[system.dof_map.interior]
+        sparse = sol.values[system.mesh.dof_map.interior]
         assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
-        np.testing.assert_array_equal(sol.values[system.dof_map.boundary],
+        np.testing.assert_array_equal(sol.values[system.mesh.dof_map.boundary],
                                       system.boundary_values)
 
     def test_posthoc_residual_contract(self):
         problem = get_problem("tc3")
         _, system, sol = solve_problem(problem, 8, 0.7)
-        r = system.matrix @ sol.values[system.dof_map.interior] - system.rhs
+        r = system.matrix @ sol.values[system.mesh.dof_map.interior] - system.rhs
         assert np.linalg.norm(r) / np.linalg.norm(system.rhs) <= 10 * 1e-12
 
     def test_residual_norms_run_without_blas(self, monkeypatch):
@@ -101,7 +118,7 @@ class TestSolve:
 
         monkeypatch.setattr(np.linalg, "norm", refuse)
         sol = solve(system)
-        r = system.matrix @ sol.values[system.dof_map.interior] - system.rhs
+        r = system.matrix @ sol.values[system.mesh.dof_map.interior] - system.rhs
         expected = math.sqrt(math.fsum(r * r) / math.fsum(system.rhs * system.rhs))
         assert sol.residual_norm == pytest.approx(expected, rel=1e-12)
 
@@ -115,9 +132,9 @@ class TestSolve:
     def test_singular_matrix(self):
         mesh = uniform_mesh(2)
         dm = enumerate_dofs(mesh)
-        singular = sp.csr_matrix((4, 4))
-        system = SparseSystem.from_matrix(
-            singular, np.ones(4), dm, np.zeros(dm.boundary.size), mesh)
+        order, _ = stored_numbering(dm)
+        system = SparseSystem(
+            sp.csc_matrix((4, 4)), order, np.ones(4), np.zeros(dm.boundary.size), mesh)
         with pytest.raises(SingularMatrix):
             solve(system, SolveConfig(method="direct"))
 
@@ -144,22 +161,23 @@ class TestSolve:
         assert factored is system.ordered  # as stored, no copy
         perm = system.order
         np.testing.assert_array_equal(
-            perm, system.dof_map.free_index[nested_dissection(system.dof_map)])
+            perm, system.mesh.dof_map.free_index[nested_dissection(system.mesh.dof_map)])
         assert (factored != system.matrix[perm][:, perm]).nnz == 0
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 16, 40])
-    def test_permuted_copy_matches_two_step_permute(self, n):
-        problem = get_problem("tc1")
-        matrix = assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=4.0)).matrix
-        perm = np.random.default_rng(n).permutation(matrix.shape[0])
-        before = [a.copy() for a in (matrix.data, matrix.indices, matrix.indptr)]
-        got = swgfem.assembly._permuted_csc(matrix, perm)
-        want = matrix[perm][:, perm].tocsc()
+    @pytest.mark.parametrize("build, n", [
+        *((assemble_tc1, n) for n in (1, 2, 5, 16, 40)),
+        *((build, n) for build in (assemble_fd5, assemble_fd7) for n in (2, 16)),
+    ], ids=["1", "2", "5", "16", "40", "fd5-2", "fd5-16", "fd7-2", "fd7-16"])
+    def test_permuted_copy_matches_two_step_permute(self, build, n):
+        """The stored matrix is the two-step permute of the natural-order one,
+        byte for byte with dtypes, as assembled straight into stored order."""
+        system = build(n)
+        order = system.order
+        want = system.matrix[order][:, order].tocsc()
+        got = system.ordered
         for a, b in zip((got.data, got.indices, got.indptr),
                         (want.data, want.indices, want.indptr)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        for a, b in zip(before, (matrix.data, matrix.indices, matrix.indptr)):
-            assert a.tobytes() == b.tobytes()  # the input is left as it was
 
     def test_supernode_relaxation_fits_the_panel(self):
         # a relaxed supernode wider than a panel has corrupted SuperLU's heap
@@ -180,7 +198,7 @@ class TestSolve:
         monkeypatch.setattr(swgfem.assembly, "nested_dissection", spy)
         problem = get_problem("fd1")
         system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
-        assert orders == [system.dof_map]
+        assert orders == [system.mesh.dof_map]
         monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", 1e-12)
         splu = spla.splu
         monkeypatch.setattr(spla, "splu", no_lu)
@@ -188,11 +206,11 @@ class TestSolve:
             solve(system, SolveConfig())
         assert exc.value.dofs == system.matrix.shape[0]
         assert exc.value.predicted_bytes > exc.value.budget_bytes
-        assert orders == [system.dof_map]
+        assert orders == [system.mesh.dof_map]
         # "direct" skips the check and factors the same system
         monkeypatch.setattr(spla, "splu", splu)
         sol = solve(system, SolveConfig(method="direct"))
-        assert orders == [system.dof_map]
+        assert orders == [system.mesh.dof_map]
         assert sol.residual_norm <= 1e-12
 
     def test_releases_free_heap_before_large_factorizations(self, monkeypatch):
@@ -238,7 +256,7 @@ class TestResidency:
         system = assemble(mesh_for(problem, 16), problem, AssemblyConfig(kappa=4.0))
         solve(system)
         assert "matrix" not in vars(system)
-        assert not {"grid_i", "grid_j", "is_vertical", "lengths"} & set(vars(system.dof_map))
+        assert not {"grid_i", "grid_j", "is_vertical", "lengths"} & set(vars(system.mesh.dof_map))
         assert system.matrix is system.matrix  # derived on first access, then kept
 
     def test_solved_triple_freed_by_reference_counting(self):
@@ -277,7 +295,7 @@ class TestNestedDissection:
         mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
         problem = make_custom(beta=(1.0, -0.5), c=1.0, f=1.0)
         system = assemble(mesh, problem, AssemblyConfig(kappa=4.0))
-        dm = system.dof_map
+        dm = system.mesh.dof_map
         order = nested_dissection(dm)
         if nx * ny <= ND_LEAF_ELEMENTS:
             np.testing.assert_array_equal(order, dm.interior)
