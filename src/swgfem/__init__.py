@@ -29,7 +29,6 @@ from .assembly import (
     SparseSystem,
     assemble,
     dump_matrix,
-    edge_average,
 )
 from .fd import (
     EquivalenceReport,
@@ -53,7 +52,6 @@ from .kernels import (
 )
 from .mesh import (
     DofMap,
-    EdgeDof,
     ElementGeom,
     TensorMesh,
     build_tensor_mesh,

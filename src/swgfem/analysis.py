@@ -51,8 +51,8 @@ class DmpReport:
 class KappaConditionReport:
     """Per-element slacks of the stabilization-parameter condition.
 
-    With eta = kappa*|T| / (2h(hx+hy)) and rhs_bound = C0*|beta|_inf*h +
-    C1*|c|_inf*h^2, the three slacks are eta - rhs_bound,
+    With eta = kappa*|T| / (2h(hx+hy)) and rhs_bound = |beta|_inf*h +
+    |c|_inf*h^2, the three slacks are eta - rhs_bound,
     alpha_min*hy/hx - eta - rhs_bound and alpha_min*hx/hy - eta - rhs_bound;
     the aspect test requires sigma = hx/hy in [0.5, 2].
     """
@@ -205,7 +205,6 @@ def sign_inequality_value(geom: ElementGeom, kappa, h_global, problem: ProblemSp
 
 
 def kappa_condition(mesh: TensorMesh, problem: ProblemSpec, kappa: float,
-                    C0: float = 1.0, C1: float = 1.0,
                     h: float | None = None) -> KappaConditionReport:
     """Evaluate the per-element stabilization condition and aspect test.
 
@@ -225,7 +224,7 @@ def kappa_condition(mesh: TensorMesh, problem: ProblemSpec, kappa: float,
     beta_inf = max(float(np.abs(b1).max()), float(np.abs(b2).max()))
     c_inf = float(np.abs(c).max())
 
-    rhs_bound = C0 * beta_inf * h_eff + C1 * c_inf * h_eff * h_eff
+    rhs_bound = beta_inf * h_eff + c_inf * h_eff * h_eff
     eta = kappa * area / (2.0 * h_eff * (hx + hy))
     slack1 = eta - rhs_bound
     slack2 = alpha_min * hy / hx - eta - rhs_bound

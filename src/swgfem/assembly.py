@@ -31,7 +31,6 @@ from . import kernels
 from .errors import NonPositiveDiffusion
 from .mesh import (
     DofMap,
-    EdgeDof,
     ElementGeom,
     TensorMesh,
     element_arrays,
@@ -110,8 +109,10 @@ class SparseSystem:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """A as CSR, derived on first access and kept: the entries of
-        ``ordered`` with rows and columns mapped through ``order``."""
-        entries, order = self.ordered.tocoo(), self.order
+        ``ordered`` with rows and columns mapped through ``order``, taken in
+        the index dtype of ``ordered`` so that scipy converts no index."""
+        entries = self.ordered.tocoo()
+        order = self.order.astype(self.ordered.indices.dtype)
         return sp.csr_matrix((entries.data, (order[entries.row], order[entries.col])),
                              shape=entries.shape)
 
@@ -142,40 +143,25 @@ def stored_system(values, rows, columns, order, rhs, boundary_values, mesh) -> S
     return SparseSystem(ordered, order, rhs, boundary_values, mesh)
 
 
-def _edge_averages(g, midpoints, lengths, vertical, rule: str) -> np.ndarray:
-    """Averages of ``g`` over edges given by midpoint (k, 2), length and orientation.
+def boundary_averages(dof_map: DofMap, g, rule: str) -> np.ndarray:
+    """Averages of g over all boundary edges, aligned with dof_map.boundary.
 
     ``simpson`` uses the 3-point rule (exact for cubics along the edge);
     ``midpoint`` samples g at the edge midpoint.
     """
-    mx, my = midpoints[:, 0], midpoints[:, 1]
+    b = dof_map.boundary
+    mx, my = dof_map.midpoints[b, 0], dof_map.midpoints[b, 1]
     if rule == "midpoint":
         return g(mx, my) + np.zeros(mx.size)
     if rule != "simpson":
         raise ValueError(f"rule must be one of {QB_RULES}")
-    half = 0.5 * lengths
+    half, vertical = 0.5 * dof_map.lengths[b], dof_map.is_vertical[b]
     x0 = np.where(vertical, mx, mx - half)
     x1 = np.where(vertical, mx, mx + half)
     y0 = np.where(vertical, my - half, my)
     y1 = np.where(vertical, my + half, my)
     vals = (g(x0, y0) + 4.0 * g(mx, my) + g(x1, y1)) / 6.0
     return vals + np.zeros(mx.size)
-
-
-def edge_average(g, edge: EdgeDof, rule: str = "simpson") -> float:
-    """Approximate average of ``g`` over one edge (see :func:`_edge_averages`)."""
-    return float(_edge_averages(
-        g, np.array([edge.midpoint]), np.array([edge.length]),
-        np.array([edge.orientation == "vertical"]), rule,
-    )[0])
-
-
-def boundary_averages(mesh: TensorMesh, dof_map: DofMap, g, rule: str) -> np.ndarray:
-    """Averages of g over all boundary edges, aligned with dof_map.boundary."""
-    b = dof_map.boundary
-    return _edge_averages(
-        g, dof_map.midpoints[b], dof_map.lengths[b], dof_map.is_vertical[b], rule
-    )
 
 
 def sample_coefficients(geom: ElementGeom, problem: ProblemSpec):
@@ -240,7 +226,7 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
 
     rhs = np.bincount(conn.ravel(), loads.ravel(), minlength=dof_map.count)
 
-    g_b = boundary_averages(mesh, dof_map, problem.g, config.qb_rule)
+    g_b = boundary_averages(dof_map, problem.g, config.qb_rule)
     kernels.require_finite("g", g_b)
 
     order, number = stored_numbering(dof_map)

@@ -57,7 +57,7 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g, qb_rule):
     mesh = uniform_mesh(n)
     dm = enumerate_dofs(mesh)
 
-    g_b = boundary_averages(mesh, dm, g, qb_rule)
+    g_b = boundary_averages(dm, g, qb_rule)
     order, number = stored_numbering(dm)
 
     mods = dm.midpoints[dm.interior]

@@ -75,10 +75,6 @@ class TensorMesh:
     def ny(self) -> int:
         return self.y_breaks.size - 1
 
-    @property
-    def n_elements(self) -> int:
-        return self.nx * self.ny
-
     @cached_property
     def dx(self) -> np.ndarray:
         return _read_only(np.diff(self.x_breaks))
@@ -123,18 +119,17 @@ class TensorMesh:
 class ElementGeom:
     """Geometry of one rectangular element, or of a batch of them.
 
-    ``edges`` holds the four global edge-dof ids in the fixed ordering
-    e1=left, e2=right, e3=bottom, e4=top; it is None for standalone
-    geometries created outside a mesh.  ``hx``, ``hy`` and both entries of
-    ``center`` may be equal-shape arrays (see :func:`element_arrays`); the
-    geometry then describes that batch of elements, and
-    :meth:`edge_midpoints` and :meth:`edge_lengths` add a trailing edge axis.
+    Edge quantities follow the fixed local ordering e1=left, e2=right,
+    e3=bottom, e4=top; :func:`element_arrays` gives the global edge-dof ids
+    in that order.  ``hx``, ``hy`` and both entries of ``center`` may be
+    equal-shape arrays (see :func:`element_arrays`); the geometry then
+    describes that batch of elements, and :meth:`edge_midpoints` and
+    :meth:`edge_lengths` add a trailing edge axis.
     """
 
     hx: float
     hy: float
     center: tuple
-    edges: tuple | None = None
 
     @property
     def area(self) -> float:
@@ -163,41 +158,18 @@ class ElementGeom:
         return np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
 
-@dataclass(frozen=True)
-class EdgeDof:
-    """One edge midpoint unknown."""
-
-    orientation: str  # "vertical" | "horizontal"
-    i: int
-    j: int
-    midpoint: tuple
-    length: float
-    is_boundary: bool
-
-    def endpoints(self) -> tuple:
-        x, y = self.midpoint
-        if self.orientation == "vertical":
-            return ((x, y - 0.5 * self.length), (x, y + 0.5 * self.length))
-        return ((x - 0.5 * self.length, y), (x + 0.5 * self.length, y))
-
-    def half_index_label(self) -> str:
-        """Label in half-index notation, e.g. ``u[3, 1+1/2]``."""
-        if self.orientation == "vertical":
-            return f"u[{self.i}, {self.j}+1/2]"
-        return f"u[{self.i}+1/2, {self.j}]"
-
-
 class DofMap:
     """Bijection between edge dofs and contiguous indices [0, count).
 
-    Vertical edges come first (id = j*(nx+1) + i), then horizontal edges
-    (id = n_vertical + j*nx + i).  ``interior`` and ``boundary`` partition
-    the index range; ``free_index`` maps a global id to its position in
-    ``interior`` (or -1 for boundary dofs).  Only ``midpoints``,
-    ``is_boundary``, ``interior``, ``boundary`` and ``free_index`` are
-    stored; ``is_vertical``, ``grid_i``, ``grid_j`` and ``lengths`` are
-    derived from the counts and the mesh spacing on each use.  The map
-    keeps the spacing arrays, not the mesh, which caches the map.
+    Vertical edge (i, j) has id j*(nx+1) + i, and horizontal edge (i, j) id
+    n_vertical + j*nx + i.  The map is read only through its arrays, each
+    indexed by dof id.  ``interior`` and ``boundary`` partition the index
+    range; ``free_index`` maps a global id to its position in ``interior``
+    (or -1 for boundary dofs).  Only ``midpoints``, ``is_boundary``,
+    ``interior``, ``boundary`` and ``free_index`` are stored; ``is_vertical``
+    and ``lengths`` are derived from the counts and the mesh spacing on each
+    use.  The map keeps the spacing arrays, not the mesh, which caches the
+    map.
     """
 
     def __init__(self, mesh: TensorMesh):
@@ -234,44 +206,8 @@ class DofMap:
         return np.arange(self.count) < self.n_vertical
 
     @property
-    def grid_i(self) -> np.ndarray:
-        nx, ny = self.nx, self.ny
-        return np.concatenate([np.tile(np.arange(nx + 1), ny), np.tile(np.arange(nx), ny + 1)])
-
-    @property
-    def grid_j(self) -> np.ndarray:
-        nx, ny = self.nx, self.ny
-        return np.concatenate([np.repeat(np.arange(ny), nx + 1), np.repeat(np.arange(ny + 1), nx)])
-
-    @property
     def lengths(self) -> np.ndarray:
         return np.concatenate([np.repeat(self._dy, self.nx + 1), np.tile(self._dx, self.ny + 1)])
-
-    def vertical_id(self, i, j) -> int:
-        return j * (self.nx + 1) + i
-
-    def horizontal_id(self, i, j) -> int:
-        return self.n_vertical + j * self.nx + i
-
-    def edge(self, k: int) -> EdgeDof:
-        """Materialize edge dof ``k`` as an :class:`EdgeDof`."""
-        if not 0 <= k < self.count:
-            raise IndexOutOfRange(f"dof {k} outside [0, {self.count})")
-        vertical = k < self.n_vertical
-        if vertical:
-            j, i = divmod(int(k), self.nx + 1)
-            length = self._dy[j]
-        else:
-            j, i = divmod(int(k) - self.n_vertical, self.nx)
-            length = self._dx[i]
-        return EdgeDof(
-            orientation="vertical" if vertical else "horizontal",
-            i=i,
-            j=j,
-            midpoint=(float(self.midpoints[k, 0]), float(self.midpoints[k, 1])),
-            length=float(length),
-            is_boundary=bool(self.is_boundary[k]),
-        )
 
 
 #: Regions of at most this many elements keep the natural dof order.  At
@@ -337,7 +273,7 @@ def uniform_mesh(n: int) -> TensorMesh:
 
 
 def element_geometry(mesh: TensorMesh, i: int, j: int) -> ElementGeom:
-    """Geometry of element (i, j) with edge ids (left, right, bottom, top)."""
+    """Geometry of element (i, j): row j*nx + i of :func:`element_arrays`."""
     if not (0 <= i < mesh.nx and 0 <= j < mesh.ny):
         raise IndexOutOfRange(
             f"element ({i}, {j}) outside ({mesh.nx}, {mesh.ny}) grid"
@@ -346,14 +282,7 @@ def element_geometry(mesh: TensorMesh, i: int, j: int) -> ElementGeom:
     hx = float(xb[i + 1] - xb[i])
     hy = float(yb[j + 1] - yb[j])
     center = (float(0.5 * (xb[i] + xb[i + 1])), float(0.5 * (yb[j] + yb[j + 1])))
-    dm_nv = (mesh.nx + 1) * mesh.ny
-    edges = (
-        j * (mesh.nx + 1) + i,          # left
-        j * (mesh.nx + 1) + i + 1,      # right
-        dm_nv + j * mesh.nx + i,        # bottom
-        dm_nv + (j + 1) * mesh.nx + i,  # top
-    )
-    return ElementGeom(hx=hx, hy=hy, center=center, edges=edges)
+    return ElementGeom(hx=hx, hy=hy, center=center)
 
 
 def enumerate_dofs(mesh: TensorMesh) -> DofMap:
@@ -365,7 +294,7 @@ def element_arrays(mesh: TensorMesh):
     """Vectorized element geometry: (hx, hy, cx, cy, conn) over all elements.
 
     Elements are flattened row-major (k = j*nx + i).  ``conn`` has shape
-    (n_elements, 4) holding the global edge ids (left, right, bottom, top).
+    (nx*ny, 4) holding the global edge ids (left, right, bottom, top).
     """
     nx, ny = mesh.nx, mesh.ny
     xb, yb = mesh.x_breaks, mesh.y_breaks

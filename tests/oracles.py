@@ -176,7 +176,7 @@ def block_sum_operator(geom, kappa, h_global, alpha_q, beta_q, c_value):
 def scatter_assemble(mesh, problem, config):
     """The global system by COO scatter of the element blocks.
 
-    Sums the (n_elements, 4, 4) blocks of :func:`swgfem.kernels.local_operator`
+    Sums the (nx*ny, 4, 4) blocks of :func:`swgfem.kernels.local_operator`
     into a full CSR matrix over all edge dofs, then slices out the interior
     rows and columns and moves the boundary columns times g to the
     right-hand side.  Returns (matrix, rhs, boundary_values).
@@ -209,7 +209,7 @@ def scatter_assemble(mesh, problem, config):
     ).tocsr()
     rhs = np.zeros(count)
     np.add.at(rhs, conn.ravel(), loads.ravel())
-    g_b = boundary_averages(mesh, dof_map, problem.g, config.qb_rule)
+    g_b = boundary_averages(dof_map, problem.g, config.qb_rule)
 
     interior, boundary = dof_map.interior, dof_map.boundary
     interior_rows = full[interior]

@@ -149,7 +149,7 @@ def test_criterion_7_sign_inequality():
         kappa = 0.5 * (rhs_bound + (min(sigma, 1 / sigma) - rhs_bound)) / mu
         mesh = sw.build_tensor_mesh([0.3 - hx / 2, 0.3 + hx / 2],
                                     [0.4 - hy / 2, 0.4 + hy / 2])
-        assert sw.kappa_condition(mesh, problem, kappa, C0=1.0, C1=1.0).all_ok
+        assert sw.kappa_condition(mesh, problem, kappa).all_ok
         for _ in range(1000):
             v = rng.normal(size=4) * rng.choice([0.1, 1.0, 10.0])
             worst = min(worst, sw.sign_inequality_value(geom, kappa, h, problem, v))

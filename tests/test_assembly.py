@@ -15,7 +15,6 @@ from swgfem.assembly import (
     assemble,
     boundary_averages,
     dump_matrix,
-    edge_average,
     sample_coefficients,
 )
 from swgfem.cli import main as cli_main
@@ -45,6 +44,7 @@ def reference_assemble(mesh, problem, kappa):
     """Element-by-element assembly through the scalar kernels (full system,
     no boundary treatment); oracle for the vectorized path."""
     dm = enumerate_dofs(mesh)
+    nx, nv = mesh.nx, dm.n_vertical
     A = np.zeros((dm.count, dm.count))
     rhs = np.zeros(dm.count)
     for i in range(mesh.nx):
@@ -57,7 +57,9 @@ def reference_assemble(mesh, problem, kappa):
                 + convection_matrix(geom, problem.beta)
                 + reaction_matrix(geom, cval)
             )
-            idx = np.array(geom.edges)
+            # edge ids (left, right, bottom, top)
+            idx = np.array([j * (nx + 1) + i, j * (nx + 1) + i + 1,
+                            nv + j * nx + i, nv + (j + 1) * nx + i])
             A[np.ix_(idx, idx)] += loc
             rhs[idx] += load_vector(geom, problem.f)
     return A, rhs, dm
@@ -77,34 +79,30 @@ def alpha_vanishing_on(mesh, i, j):
 class TestEdgeAverage:
     def test_constant(self):
         dm = enumerate_dofs(uniform_mesh(2))
-        edge = dm.edge(dm.boundary[0])
         g = lambda x, y: np.full_like(np.asarray(x, float), 4.5)
-        assert edge_average(g, edge) == pytest.approx(4.5)
-        assert edge_average(g, edge, rule="midpoint") == pytest.approx(4.5)
+        for rule in QB_RULES:
+            np.testing.assert_allclose(boundary_averages(dm, g, rule), 4.5)
 
     def test_linear_gives_midpoint_value(self):
         dm = enumerate_dofs(uniform_mesh(4))
-        edge = dm.edge(dm.vertical_id(0, 2))
         g = lambda x, y: 2.0 * np.asarray(y, float) - 1.0
-        assert edge_average(g, edge) == pytest.approx(g(*edge.midpoint))
+        mid = dm.midpoints[dm.boundary]
+        np.testing.assert_allclose(boundary_averages(dm, g, "simpson"),
+                                   g(mid[:, 0], mid[:, 1]), rtol=1e-14, atol=1e-15)
 
     def test_quadratic_simpson_exact(self):
-        # x^2 on the bottom edge of the 1x1 mesh: average = 1/3
+        # x^2 on the 1x1 mesh (left, right, bottom, top): 0 and 1 on the
+        # vertical edges, average 1/3 on the horizontal ones
         dm = enumerate_dofs(uniform_mesh(1))
-        edge = dm.edge(dm.horizontal_id(0, 0))
         g = lambda x, y: np.asarray(x, float) ** 2
-        assert edge_average(g, edge, rule="simpson") == pytest.approx(1 / 3)
-        assert edge_average(g, edge, rule="midpoint") == pytest.approx(1 / 4)
+        np.testing.assert_array_equal(dm.boundary, np.arange(4))
+        np.testing.assert_allclose(boundary_averages(dm, g, "simpson"), [0, 1, 1 / 3, 1 / 3])
+        np.testing.assert_allclose(boundary_averages(dm, g, "midpoint"), [0, 1, 1 / 4, 1 / 4])
 
-    def test_vectorized_matches_scalar(self):
-        mesh = mesh_for(get_problem("fd2"), 4)
-        dm = enumerate_dofs(mesh)
-        g = get_problem("fd2").g
-        for rule in ("midpoint", "simpson"):
-            vals = boundary_averages(mesh, dm, g, rule)
-            for pos, k in enumerate(dm.boundary):
-                assert vals[pos] == pytest.approx(
-                    edge_average(g, dm.edge(k), rule=rule), rel=1e-14)
+    def test_unknown_rule_rejected(self):
+        dm = enumerate_dofs(uniform_mesh(2))
+        with pytest.raises(ValueError, match="rule must be one of"):
+            boundary_averages(dm, lambda x, y: x + y, "trapezoid")
 
 
 class TestAssemblyConfig:
@@ -157,8 +155,8 @@ class TestAssemble:
         n = 4
         system = assemble(uniform_mesh(n), problem, AssemblyConfig(kappa=kappa))
         dm = system.mesh.dof_map
-        # interior vertical edge away from the boundary
-        gid = dm.vertical_id(2, 1)
+        # interior vertical edge (2, 1), away from the boundary
+        gid = 1 * (n + 1) + 2
         row = dm.free_index[gid]
         mat = system.matrix.tocsr()
         cols = mat.indices[mat.indptr[row]:mat.indptr[row + 1]]
@@ -166,10 +164,10 @@ class TestAssemble:
         assert cols.size == 7
         entries = {int(c): v for c, v in zip(cols, vals)}
         assert entries[row] == pytest.approx(kappa / 2 + 2)
-        for neighbor in (dm.vertical_id(1, 1), dm.vertical_id(3, 1)):
+        for neighbor in (gid - 1, gid + 1):  # vertical edges (1, 1) and (3, 1)
             assert entries[dm.free_index[neighbor]] == pytest.approx(kappa / 4 - 1)
         for hi, hj in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            assert entries[dm.free_index[dm.horizontal_id(hi, hj)]] == pytest.approx(
+            assert entries[dm.free_index[dm.n_vertical + hj * n + hi]] == pytest.approx(
                 -kappa / 4)
 
     def test_row_support_bounded(self):

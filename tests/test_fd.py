@@ -58,16 +58,17 @@ class TestFd7:
         np.testing.assert_allclose(sol.values, 1.0, rtol=1e-12)
 
     def test_interior_row_five_point_at_kappa_four(self):
-        system = assemble_fd7(4, 4.0, zero, zero)
+        n = 4
+        system = assemble_fd7(n, 4.0, zero, zero)
         dm = system.mesh.dof_map
-        gid = dm.vertical_id(2, 1)
+        gid = 1 * (n + 1) + 2  # vertical edge (2, 1)
         row = dm.free_index[gid]
         mat = system.matrix.tocsr()
         cols = mat.indices[mat.indptr[row]:mat.indptr[row + 1]]
         vals = {int(c): v for c, v in zip(
             cols, mat.data[mat.indptr[row]:mat.indptr[row + 1]])}
         assert vals[row] == pytest.approx(4.0)
-        flank = [dm.free_index[dm.horizontal_id(i, j)]
+        flank = [dm.free_index[dm.n_vertical + j * n + i]
                  for i, j in ((1, 1), (1, 2), (2, 1), (2, 2))]
         for c in flank:
             assert vals[c] == pytest.approx(-1.0)

@@ -21,7 +21,7 @@ class TestBuildTensorMesh:
     def test_single_cell(self):
         mesh = build_tensor_mesh([0, 1], [0, 1])
         dm = enumerate_dofs(mesh)
-        assert mesh.n_elements == 1
+        assert (mesh.nx, mesh.ny) == (1, 1)
         assert dm.count == 4
         assert dm.interior.size == 0
         assert np.all(dm.is_boundary)
@@ -29,7 +29,7 @@ class TestBuildTensorMesh:
     def test_two_by_two_counts(self):
         mesh = build_tensor_mesh([0, 0.5, 1], [0, 0.5, 1])
         dm = enumerate_dofs(mesh)
-        assert mesh.n_elements == 4
+        assert (mesh.nx, mesh.ny) == (2, 2)
         assert dm.count == 12
         assert dm.interior.size == 4
 
@@ -109,6 +109,17 @@ class TestElementGeometry:
                     geom.edge_lengths(), [geom.hy, geom.hy, geom.hx, geom.hx]
                 )
 
+    def test_matches_element_arrays(self, rng):
+        # the sign checks read element_geometry and assembly element_arrays
+        mesh = build_tensor_mesh(np.cumsum(rng.uniform(0.1, 1, 5)),
+                                 np.cumsum(rng.uniform(0.1, 1, 4)))
+        hx, hy, cx, cy, _ = element_arrays(mesh)
+        for j in range(mesh.ny):
+            for i in range(mesh.nx):
+                geom, k = element_geometry(mesh, i, j), j * mesh.nx + i
+                assert (geom.hx, geom.hy) == (hx[k], hy[k])
+                assert geom.center == (cx[k], cy[k])
+
     def test_out_of_range(self):
         mesh = uniform_mesh(2)
         with pytest.raises(IndexOutOfRange):
@@ -147,32 +158,44 @@ class TestEnumerateDofs:
             assert not arr.flags.writeable
 
     def test_derived_arrays_match_edges(self):
-        # is_vertical, grid_i, grid_j and lengths are derived on each use
+        # is_vertical and lengths are derived on each use; vertical edge
+        # (i, j) has id j*(nx+1) + i, horizontal edge (i, j) nv + j*nx + i
         mesh = build_tensor_mesh([0, 0.3, 0.7, 1], [0, 0.5, 0.6, 1])
         dm = enumerate_dofs(mesh)
-        for name in ("is_vertical", "grid_i", "grid_j", "lengths"):
+        nx, ny, nv = mesh.nx, mesh.ny, dm.n_vertical
+        xb, yb = mesh.x_breaks, mesh.y_breaks
+        for name in ("is_vertical", "lengths"):
             assert getattr(dm, name).shape == (dm.count,)
-        for k in range(dm.count):
-            edge = dm.edge(k)
-            assert dm.is_vertical[k] == (edge.orientation == "vertical") == (k < dm.n_vertical)
-            assert (dm.grid_i[k], dm.grid_j[k]) == (edge.i, edge.j)
-            assert k == (dm.vertical_id(edge.i, edge.j) if dm.is_vertical[k]
-                         else dm.horizontal_id(edge.i, edge.j))
-            spacing = mesh.dy[edge.j] if dm.is_vertical[k] else mesh.dx[edge.i]
-            assert dm.lengths[k] == edge.length == spacing
+        for j in range(ny):
+            for i in range(nx + 1):
+                k = j * (nx + 1) + i
+                assert dm.is_vertical[k]
+                assert dm.lengths[k] == mesh.dy[j]
+                assert tuple(dm.midpoints[k]) == (xb[i], 0.5 * (yb[j] + yb[j + 1]))
+        for j in range(ny + 1):
+            for i in range(nx):
+                k = nv + j * nx + i
+                assert not dm.is_vertical[k]
+                assert dm.lengths[k] == mesh.dx[i]
+                assert tuple(dm.midpoints[k]) == (0.5 * (xb[i] + xb[i + 1]), yb[j])
 
     def test_midpoint_is_mean_of_endpoints(self):
-        dm = enumerate_dofs(build_tensor_mesh([0, 0.4, 1], [0, 0.25, 1]))
-        for k in range(dm.count):
-            edge = dm.edge(k)
-            (x0, y0), (x1, y1) = edge.endpoints()
-            assert edge.midpoint[0] == pytest.approx(0.5 * (x0 + x1))
-            assert edge.midpoint[1] == pytest.approx(0.5 * (y0 + y1))
-
-    def test_half_index_labels(self):
-        dm = enumerate_dofs(uniform_mesh(2))
-        assert dm.edge(dm.vertical_id(1, 0)).half_index_label() == "u[1, 0+1/2]"
-        assert dm.edge(dm.horizontal_id(0, 1)).half_index_label() == "u[0+1/2, 1]"
+        # edge k runs from midpoints[k] - step to midpoints[k] + step, step
+        # being half its length along it; those are the grid vertices at its ends
+        mesh = build_tensor_mesh([0, 0.4, 1], [0, 0.25, 1])
+        dm = enumerate_dofs(mesh)
+        nx, ny = mesh.nx, mesh.ny
+        xb, yb = mesh.x_breaks, mesh.y_breaks
+        ends = np.array([((xb[i], yb[j]), (xb[i], yb[j + 1]))
+                         for j in range(ny) for i in range(nx + 1)]
+                        + [((xb[i], yb[j]), (xb[i + 1], yb[j]))
+                           for j in range(ny + 1) for i in range(nx)])
+        half = 0.5 * dm.lengths
+        step = np.stack([np.where(dm.is_vertical, 0.0, half),
+                         np.where(dm.is_vertical, half, 0.0)], axis=1)
+        np.testing.assert_allclose(dm.midpoints - step, ends[:, 0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dm.midpoints + step, ends[:, 1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dm.midpoints, ends.mean(axis=1), rtol=0, atol=1e-15)
 
 
 class TestMeshInvariants:

@@ -256,7 +256,7 @@ class TestResidency:
         system = assemble(mesh_for(problem, 16), problem, AssemblyConfig(kappa=4.0))
         solve(system)
         assert "matrix" not in vars(system)
-        assert not {"grid_i", "grid_j", "is_vertical", "lengths"} & set(vars(system.mesh.dof_map))
+        assert not {"is_vertical", "lengths"} & set(vars(system.mesh.dof_map))
         assert system.matrix is system.matrix  # derived on first access, then kept
 
     def test_solved_triple_freed_by_reference_counting(self):
@@ -300,11 +300,14 @@ class TestNestedDissection:
         if nx * ny <= ND_LEAF_ELEMENTS:
             np.testing.assert_array_equal(order, dm.interior)
             return
-        # the longer side (x on a tie) is split at its middle grid line
+        # the longer side (x on a tie) is split at its middle grid line;
+        # vertical edge (i, j) has id j*(nx+1) + i, horizontal edge (i, j) nv + j*nx + i
+        k = np.arange(dm.count) - np.where(dm.is_vertical, 0, dm.n_vertical)
+        row = np.where(dm.is_vertical, nx + 1, nx)
         if nx >= ny:
-            line, pos, on_line = nx // 2, dm.grid_i, dm.is_vertical
+            line, pos, on_line = nx // 2, k % row, dm.is_vertical
         else:
-            line, pos, on_line = ny // 2, dm.grid_j, ~dm.is_vertical
+            line, pos, on_line = ny // 2, k // row, ~dm.is_vertical
         separator = on_line & (pos == line)
         first = ~separator & (pos < line)
         second = ~separator & ~first
