@@ -17,7 +17,6 @@ from .analysis import (
     discrete_h1_error,
     discrete_l2_error,
     dmp_check,
-    f_nonpositive,
     kappa_condition,
     sign_inequality_value,
     solve_problem,

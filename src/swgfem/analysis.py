@@ -14,7 +14,7 @@ import numpy as np
 from . import kernels
 from .assembly import AssemblyConfig, ProblemSpec, assemble, sample_coefficients
 from .errors import NegativeReaction, NonPositiveDiffusion, NonUniformMesh
-from .mesh import ElementGeom, TensorMesh, element_arrays, enumerate_dofs
+from .mesh import _UNIFORM_RTOL, ElementGeom, TensorMesh, element_arrays, enumerate_dofs
 from .problems import mesh_for
 from .solver import Solution, solve
 
@@ -54,7 +54,7 @@ class KappaConditionReport:
     With eta = kappa*|T| / (2h(hx+hy)) and rhs_bound = |beta|_inf*h +
     |c|_inf*h^2, the three slacks are eta - rhs_bound,
     alpha_min*hy/hx - eta - rhs_bound and alpha_min*hx/hy - eta - rhs_bound;
-    the aspect test requires sigma = hx/hy in [0.5, 2].
+    the aspect test requires sigma = hx/hy in [0.5, 2] to a relative _UNIFORM_RTOL.
     """
 
     eta: np.ndarray
@@ -116,13 +116,11 @@ def _rate(prev_err, err, prev_n, n):
     return math.log(prev_err / err) / math.log(n / prev_n)
 
 
-def convergence_table(problem: ProblemSpec, kappa: float, ns, *,
-                      qb_rule="midpoint", solve_config=None,
-                      solver_fn=None) -> list:
+def convergence_table(problem: ProblemSpec, ns, solve_at) -> list:
     """One solve per resolution; rates from successive error ratios.
 
-    ``solver_fn(problem, n)`` may replace the weak Galerkin pipeline (the
-    finite-difference path uses this); it must return (mesh, solution).
+    ``solve_at(n)`` solves ``problem`` at h = 1/n and returns (mesh, solution);
+    its errors are taken before the next resolution is solved.
     """
     ns = list(ns)
     if any(n < 2 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -130,18 +128,14 @@ def convergence_table(problem: ProblemSpec, kappa: float, ns, *,
     if problem.exact is None or problem.exact_grad is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
 
-    def run(n):
-        if solver_fn is not None:
-            mesh, sol = solver_fn(problem, n)
-        else:
-            mesh, _, sol = solve_problem(
-                problem, n, kappa, qb_rule=qb_rule, solve_config=solve_config)
+    def errors_at(n):
+        mesh, sol = solve_at(n)
         return (
             discrete_l2_error(sol, mesh, problem.exact),
             discrete_h1_error(sol, mesh, problem.exact_grad),
         )
 
-    errors = [run(n) for n in ns]
+    errors = [errors_at(n) for n in ns]
     rows = []
     prev = (None, None, None)
     for n, (l2, h1) in zip(ns, errors):
@@ -230,7 +224,7 @@ def kappa_condition(mesh: TensorMesh, problem: ProblemSpec, kappa: float,
     slack2 = alpha_min * hy / hx - eta - rhs_bound
     slack3 = alpha_min * hx / hy - eta - rhs_bound
     sigma = hx / hy
-    aspect_ok = (sigma >= 0.5) & (sigma <= 2.0)
+    aspect_ok = (sigma >= 0.5 * (1 - _UNIFORM_RTOL)) & (sigma <= 2.0 * (1 + _UNIFORM_RTOL))
     all_ok = bool(
         np.all(slack1 >= 0)
         and np.all(slack2 >= 0)
@@ -242,11 +236,3 @@ def kappa_condition(mesh: TensorMesh, problem: ProblemSpec, kappa: float,
         aspect_ok=aspect_ok, all_ok=all_ok,
     )
 
-
-def f_nonpositive(problem: ProblemSpec, mesh: TensorMesh) -> bool:
-    """True when f <= 0 at every midpoint and element center the load uses."""
-    dm = enumerate_dofs(mesh)
-    hx, hy, cx, cy, _ = element_arrays(mesh)
-    f_mid = np.asarray(problem.f(dm.midpoints[:, 0], dm.midpoints[:, 1]))
-    f_cen = np.asarray(problem.f(cx, cy))
-    return bool(np.all(f_mid <= 0) and np.all(f_cen <= 0))

@@ -14,7 +14,7 @@ from . import analysis, fd
 from .assembly import AssemblyConfig, assemble, dump_matrix
 from .errors import OutOfMemory, SingularMatrix
 from .mesh import build_tensor_mesh
-from .problems import PROBLEM_IDS, get_problem, make_custom
+from .problems import PROBLEM_IDS, get_problem, make_custom, mesh_for
 from .solver import SolveConfig, solve
 
 EQUIV_TOL = 1e-13
@@ -111,18 +111,15 @@ def cmd_run(args):
         print("--dump-matrix requires a single resolution", file=sys.stderr)
         return 2
     solve_config = SolveConfig(method=args.solver)
-    solved = []
 
-    def solve_and_keep(prob, n):
+    def solve_at(n):
         mesh, system, sol = analysis.solve_problem(
-            prob, n, args.kappa, qb_rule=args.qb, solve_config=solve_config)
-        if args.dump_matrix:
-            solved.append(system)
+            problem, n, args.kappa, qb_rule=args.qb, solve_config=solve_config)
+        if args.dump_matrix:  # the one system the table solves
+            dump_matrix(system, args.dump_matrix)
         return mesh, sol
 
-    rows = analysis.convergence_table(problem, args.kappa, args.ns, solver_fn=solve_and_keep)
-    if args.dump_matrix:  # the system the table just solved
-        dump_matrix(solved[0], args.dump_matrix)
+    rows = analysis.convergence_table(problem, args.ns, solve_at)
     header = "# problem=%s kappa=%g bc=eliminate qb=%s" % (
         problem.name, args.kappa, args.qb)
     _emit(_render_rows(rows, header, args.format == "csv"), args.out)
@@ -156,14 +153,14 @@ def cmd_fd(args):
     ns = args.ns or [args.n]
     solve_config = SolveConfig(method=args.solver)
 
-    def fd_solver(prob, n):
+    def solve_at(n):
         if args.scheme == 5:
-            system = fd.assemble_fd5(n, prob.f, prob.g, qb_rule=args.qb)
+            system = fd.assemble_fd5(n, problem.f, problem.g, qb_rule=args.qb)
         else:
-            system = fd.assemble_fd7(n, kappa, prob.f, prob.g, qb_rule=args.qb)
+            system = fd.assemble_fd7(n, kappa, problem.f, problem.g, qb_rule=args.qb)
         return system.mesh, solve(system, solve_config)
 
-    rows = analysis.convergence_table(problem, kappa, ns, solver_fn=fd_solver)
+    rows = analysis.convergence_table(problem, ns, solve_at)
     header = "# problem=%s scheme=%d-point kappa=%g qb=%s" % (
         problem.name, args.scheme, kappa, args.qb)
     _emit(_render_rows(rows, header, args.format == "csv"), args.out)
@@ -191,8 +188,6 @@ def _render_dmp(entries, header, csv):
 def cmd_dmp(args):
     problem = _resolve_problem(args)
     c_nonneg = not problem.c_is_zero
-    solve_config = SolveConfig(method=args.solver)
-    entries = []
     if args.x_breaks or args.y_breaks:
         if args.ns:
             print("pass either --ns or explicit breaks, not both", file=sys.stderr)
@@ -206,18 +201,19 @@ def cmd_dmp(args):
             print(f"mesh bounds {mesh.bounds} do not match problem domain "
                   f"{problem.domain}", file=sys.stderr)
             return 2
-        system = assemble(mesh, problem, AssemblyConfig(kappa=args.kappa, qb_rule=args.qb))
-        sol = solve(system, solve_config)
-        label = max(mesh.nx, mesh.ny)
-        entries.append((label, analysis.dmp_check(sol, mesh, c_nonneg)))
+        meshes = [(max(mesh.nx, mesh.ny), mesh)]
     else:
         if not args.ns:
             print("pass --ns or explicit breaks", file=sys.stderr)
             return 2
-        for n in args.ns:
-            mesh, _, sol = analysis.solve_problem(
-                problem, n, args.kappa, qb_rule=args.qb, solve_config=solve_config)
-            entries.append((n, analysis.dmp_check(sol, mesh, c_nonneg)))
+        meshes = ((n, mesh_for(problem, n)) for n in args.ns)
+    solve_config = SolveConfig(method=args.solver)
+
+    def check(mesh):  # the system dies on return, before the next one is assembled
+        system = assemble(mesh, problem, AssemblyConfig(kappa=args.kappa, qb_rule=args.qb))
+        return analysis.dmp_check(solve(system, solve_config), mesh, c_nonneg)
+
+    entries = [(label, check(mesh)) for label, mesh in meshes]
     rule = "max(boundary, 0)" if c_nonneg else "boundary"
     header = "# problem=%s kappa=%g bound=%s" % (problem.name, args.kappa, rule)
     _emit(_render_dmp(entries, header, args.format == "csv"), args.out)

@@ -124,8 +124,7 @@ class EquivalenceReport:
     rhs_diff: float
 
 
-def check_equivalence(n, kappa, problem: ProblemSpec | None = None,
-                      qb_rule="midpoint") -> EquivalenceReport:
+def check_equivalence(n, kappa, problem: ProblemSpec | None = None) -> EquivalenceReport:
     """Max entrywise difference between the weak Galerkin and 7-point systems.
 
     The comparison forces alpha = 1, beta = 0, c = 0 and takes f, g from
@@ -139,9 +138,9 @@ def check_equivalence(n, kappa, problem: ProblemSpec | None = None,
     swg = assemble(
         uniform_mesh(n),
         pure,
-        AssemblyConfig(kappa=kappa, qb_rule=qb_rule),
+        AssemblyConfig(kappa=kappa),
     )
-    fd = assemble_fd7(n, kappa, src.f, src.g, qb_rule=qb_rule)
+    fd = assemble_fd7(n, kappa, src.f, src.g)
 
     # both systems live on uniform_mesh(n), so they share one stored order
     diff = (swg.ordered - fd.ordered).tocoo()

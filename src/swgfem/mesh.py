@@ -140,10 +140,6 @@ class ElementGeom:
         """Aspect ratio hx/hy."""
         return self.hx / self.hy
 
-    @classmethod
-    def standalone(cls, hx, hy, center=(0.0, 0.0)):
-        return cls(float(hx), float(hy), (float(center[0]), float(center[1])))
-
     def edge_midpoints(self) -> np.ndarray:
         """Midpoints of (left, right, bottom, top) edges, shape (..., 4, 2)."""
         cx, cy = self.center

@@ -90,10 +90,10 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class Solution:
-    """Edge-midpoint values (boundary dofs carry their imposed averages)."""
+    """Edge-midpoint values (boundary dofs carry their imposed averages) of a
+    solve whose backward error passed ``DIRECT_BACKWARD_TOL``."""
 
     values: np.ndarray
-    residual_norm: float
     iterations: int  # always 0: no solve iterates
 
 
@@ -120,7 +120,7 @@ def _release_free_heap(dofs):
     free heap, whose pages stay resident.  SuperLU's work arrays and its growing L and U
     storage reuse free blocks only when one is large enough and otherwise
     take fresh mappings, so those resident pages add to the factorization's
-    peak.  Released, the peak RSS of a standalone fd1 n=340 solve fell from
+    peak.  Released, the peak RSS of an fd1 n=340 solve on its own fell from
     296 to 273 MiB in 3 of 3 runs.  The placement of each allocation also
     depends on how earlier allocations fragmented the heap, which differs
     between runs of the same code; the release makes both placements cost
@@ -153,21 +153,19 @@ def _factor_and_solve(system):
 
 
 def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
-    """Solve ``system`` and merge boundary values into a full edge vector."""
+    """Solve ``system``, check its normwise backward error (SingularMatrix past
+    ``DIRECT_BACKWARD_TOL``) and merge boundary values into a full edge vector."""
     config = config or SolveConfig()
     ordered, order = system.ordered, system.order
     if config.method == "auto":
         check_memory(ordered.shape[0])
 
     y = np.zeros(0)
-    residual = 0.0
     if ordered.shape[0]:
         rhs, y = _factor_and_solve(system)
         r = ordered @ y - rhs
-        # summed in numpy, not by BLAS ddot, whose threads spin on past the call
-        rhs_norm, res = (math.sqrt(np.add.reduce(v * v)) for v in (rhs, r))
-        residual = res / rhs_norm if rhs_norm > 0 else res
-        # |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf); 0 when b = Ax = 0
+        # |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf); 0 when b = Ax = 0.  No
+        # BLAS ddot: its threads spin on past the call and slow the next factor
         scale = _inf_norm(ordered) * np.abs(y).max() + np.abs(rhs).max()
         backward = np.abs(r).max() / scale if scale > 0 else 0.0
         if backward > DIRECT_BACKWARD_TOL:
@@ -179,4 +177,4 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
     values = np.zeros(dof_map.count)
     values[dof_map.boundary] = system.boundary_values
     values[dof_map.interior[order]] = y
-    return Solution(values=values, residual_norm=float(residual), iterations=0)
+    return Solution(values=values, iterations=0)

@@ -80,8 +80,8 @@ def random_geom(rng, lo=1e-3, hi=1.0):
 
     hx = rng.uniform(lo, hi)
     hy = rng.uniform(lo, hi)
-    center = rng.uniform(-1.0, 1.0, size=2)
-    return ElementGeom.standalone(hx, hy, center)
+    cx, cy = rng.uniform(-1.0, 1.0, size=2)
+    return ElementGeom(hx, hy, (cx, cy))
 
 
 def nested_dissection_oracle(nx, ny, leaf):

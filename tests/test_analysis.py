@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,14 @@ from swgfem.analysis import (
 from swgfem.errors import NegativeReaction, NonPositiveDiffusion, NonUniformMesh
 from swgfem.mesh import ElementGeom, enumerate_dofs, uniform_mesh
 from swgfem.problems import get_problem, make_custom, mesh_for
+
+
+def solving(problem, kappa):
+    """The weak Galerkin solve at resolution n, as ``swg run`` passes it."""
+    def solve_at(n):
+        mesh, _, sol = solve_problem(problem, n, kappa)
+        return mesh, sol
+    return solve_at
 
 
 class TestNorms:
@@ -66,13 +75,15 @@ class TestNorms:
 
 class TestConvergenceTable:
     def test_rates_near_two(self):
-        rows = convergence_table(get_problem("fd1"), 0.7, (8, 16, 32))
+        problem = get_problem("fd1")
+        rows = convergence_table(problem, (8, 16, 32), solving(problem, 0.7))
         assert rows[0].l2_rate is None and rows[0].h1_rate is None
         assert rows[1].l2_rate == pytest.approx(2.0, abs=0.3)
         assert rows[2].l2_rate == pytest.approx(2.0, abs=0.15)
 
     def test_exact_solution_rates_not_applicable(self):
-        rows = convergence_table(get_problem("tc1"), 4.0, (8, 16))
+        problem = get_problem("tc1")
+        rows = convergence_table(problem, (8, 16), solving(problem, 4.0))
         assert all(r.l2_error <= 1e-12 for r in rows)
         assert rows[1].l2_rate is None
         assert rows[1].h1_rate is None
@@ -87,14 +98,33 @@ class TestConvergenceTable:
         assert _rate(4.1e-12, 1e-9, 128, 256) == pytest.approx(math.log2(4.1e-12 / 1e-9))
 
     def test_bad_resolutions(self):
+        problem = get_problem("fd1")
         with pytest.raises(ValueError):
-            convergence_table(get_problem("fd1"), 4.0, (8, 4))
+            convergence_table(problem, (8, 4), solving(problem, 4.0))
         with pytest.raises(ValueError):
-            convergence_table(get_problem("fd1"), 4.0, (1, 2))
+            convergence_table(problem, (1, 2), solving(problem, 4.0))
 
     def test_requires_exact_solution(self):
+        problem = make_custom()
         with pytest.raises(ValueError):
-            convergence_table(make_custom(), 4.0, (4, 8))
+            convergence_table(problem, (4, 8), solving(problem, 4.0))
+
+    def test_each_solve_dies_before_the_next(self):
+        # the table keeps only errors: when solve_at(n_k+1) is entered, the
+        # mesh and solution that solve_at(n_k) returned are gone
+        problem = get_problem("fd1")
+        solve_at = solving(problem, 0.7)
+        returned, alive = [], []
+
+        def tracked(n):
+            alive.append([ref() is not None for ref in returned])
+            mesh, sol = solve_at(n)
+            returned.extend((weakref.ref(mesh), weakref.ref(sol)))
+            return mesh, sol
+
+        rows = convergence_table(problem, (4, 8, 16), tracked)
+        assert [r.n for r in rows] == [4, 8, 16]
+        assert alive == [[], [False] * 2, [False] * 4]
 
 
 class TestDmpCheck:
@@ -191,6 +221,14 @@ class TestKappaCondition:
         # sigma = 3: aspect test fails regardless of kappa
         assert not kappa_condition(stretched, problem, 0.1).all_ok
 
+    @pytest.mark.parametrize("nx, ny", [(12, 6), (6, 12)])
+    def test_aspect_at_the_limit_passes_despite_round_off(self, nx, ny):
+        # on some elements of the 12x6 mesh hx/hy reads 0.49999999999999933
+        mesh = m.build_tensor_mesh(np.linspace(0, 1, nx + 1), np.linspace(0, 1, ny + 1))
+        report = kappa_condition(mesh, make_custom(), 2.0)
+        assert min(report.slack1.min(), report.slack2.min(), report.slack3.min()) > 0
+        assert report.aspect_ok.all() and report.all_ok
+
     def test_sigma_two_with_harmonic_meshsize(self):
         # with h = 2|T|/(hx+hy) the admissible range is kappa <= 4 min(sigma, 1/sigma)
         problem = make_custom()
@@ -209,20 +247,20 @@ class TestKappaCondition:
 
 class TestSignInequality:
     def test_single_signed_vectors_vanish(self, rng):
-        geom = ElementGeom.standalone(0.01, 0.01)
+        geom = ElementGeom(0.01, 0.01, (0.0, 0.0))
         problem = make_custom()
         for v in ([1.0, 2.0, 0.5, 3.0], [-1.0, -0.1, -2.0, -0.5]):
             assert sign_inequality_value(geom, 1.0, 0.01, problem, v) == pytest.approx(0.0)
 
     def test_square_alternating_nonnegative(self):
-        geom = ElementGeom.standalone(1.0, 1.0)
+        geom = ElementGeom(1.0, 1.0, (0.0, 0.0))
         problem = make_custom()
         val = sign_inequality_value(geom, 1.0, 1.0, problem, [1.0, -1.0, 1.0, -1.0])
         assert val >= -1e-13
 
     def test_sign_pattern_enumeration(self):
         # all 81 vectors with entries in {-1, 0, 1} on an admissible square
-        geom = ElementGeom.standalone(0.5, 0.5)
+        geom = ElementGeom(0.5, 0.5, (0.0, 0.0))
         problem = make_custom()
         vals = []
         for a in (-1, 0, 1):
@@ -234,7 +272,7 @@ class TestSignInequality:
         assert min(vals) >= -1e-13
 
     def test_rejects_nonpositive_diffusion_and_negative_reaction(self):
-        geom = ElementGeom.standalone(0.5, 0.5, (0.25, 0.25))
+        geom = ElementGeom(0.5, 0.5, (0.25, 0.25))
         v = [1.0, -1.0, 0.5, -0.5]
         base = make_custom()
         for a22 in (0.0, -1.0):
@@ -251,7 +289,7 @@ class TestSignInequality:
             hy = 0.01
             hx = sigma * hy
             h = max(hx, hy)
-            geom = ElementGeom.standalone(hx, hy, (0.25, 0.75))
+            geom = ElementGeom(hx, hy, (0.25, 0.75))
             rhs_bound = 0.5 * h + 2.0 * h * h
             mu = hx * hy / (2 * h * (hx + hy))
             kappa = 0.5 * (rhs_bound + min(sigma, 1 / sigma) - rhs_bound) / mu

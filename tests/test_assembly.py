@@ -282,7 +282,7 @@ class TestSampleCoefficients:
         value = math.nan if bad == "alpha" else math.inf
         pair = _const_pair(value, 1.0)
         with pytest.raises(NonFiniteData, match=bad):
-            kernel(ElementGeom.standalone(0.25, 0.25, (0.5, 0.5)), pair)
+            kernel(ElementGeom(0.25, 0.25, (0.5, 0.5)), pair)
 
 
 class TestDump:

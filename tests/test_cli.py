@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -229,6 +230,32 @@ class TestDmp:
             capsys, "dmp", "--problem", "fd1", "--kappa", "0.7",
             "--x-breaks", "0,0.3,0.6,1", "--y-breaks", "0,0.4,0.8,1")
         assert code == 0
+
+    @pytest.mark.parametrize("pid", ["fd2", "tc1"])
+    def test_explicit_breaks_match_ns(self, tmp_path, capsys, pid):
+        # breaks k/8 build the mesh --ns 8 builds, and both take one solve path
+        breaks = ",".join(str(k / 8) for k in range(9))
+        args = ("dmp", "--problem", pid, "--kappa", "0.7", "--format", "csv", "--out")
+        explicit, by_n = tmp_path / "breaks.csv", tmp_path / "ns.csv"
+        code = main([*args, str(explicit), "--x-breaks", breaks, "--y-breaks", breaks])
+        assert main([*args, str(by_n), "--ns", "8"]) == code
+        assert explicit.read_bytes() == by_n.read_bytes()
+
+    def test_each_system_dies_before_the_next_assembly(self, monkeypatch, capsys):
+        systems, alive = [], []
+
+        def tracking_assemble(mesh, problem, config):
+            alive.append([ref() is not None for ref in systems])
+            system = swgfem.assembly.assemble(mesh, problem, config)
+            systems.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(swgfem.analysis, "assemble", tracking_assemble)
+        monkeypatch.setattr(swgfem.cli, "assemble", tracking_assemble)
+        code, _, _ = run_cli(
+            capsys, "dmp", "--problem", "fd2", "--kappa", "0.7", "--ns", "4,8,16")
+        assert code == 0
+        assert alive == [[], [False], [False, False]]
 
     def test_breaks_domain_mismatch(self, capsys):
         code, _, err = run_cli(

@@ -36,8 +36,8 @@ from oracles import (
     weak_gradient_oracle,
 )
 
-SQUARE = ElementGeom.standalone(1.0, 1.0, (0.5, 0.5))
-WIDE = ElementGeom.standalone(2.0, 1.0, (1.0, 0.5))
+SQUARE = ElementGeom(1.0, 1.0, (0.5, 0.5))
+WIDE = ElementGeom(2.0, 1.0, (1.0, 0.5))
 
 
 def const2(v1, v2):

@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from swgfem.analysis import f_nonpositive
 from swgfem.errors import UnknownProblem, ZeroSubdivisions
+from swgfem.mesh import element_arrays, enumerate_dofs
 from swgfem.problems import PROBLEM_IDS, _const, _const_pair, get_problem, make_custom, mesh_for
 
 STEP = 1e-5
@@ -69,8 +69,13 @@ class TestRegistry:
 
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
     def test_f_nonpositive_at_load_samples(self, pid):
+        # f <= 0 at every edge midpoint and element centre the load samples
         problem = get_problem(pid)
-        assert f_nonpositive(problem, mesh_for(problem, 16))
+        mesh = mesh_for(problem, 16)
+        mid = enumerate_dofs(mesh).midpoints
+        _, _, cx, cy, _ = element_arrays(mesh)
+        assert np.all(np.asarray(problem.f(mid[:, 0], mid[:, 1])) <= 0)
+        assert np.all(np.asarray(problem.f(cx, cy)) <= 0)
 
     def test_g_matches_exact_trace(self):
         for pid in PROBLEM_IDS:

@@ -54,6 +54,13 @@ def assemble_fd7(n):
     return swgfem.fd.assemble_fd7(n, 0.7, problem.f, problem.g)
 
 
+def relative_residual(system, sol):
+    """|b - Ax|_2 / |b|_2 over the interior dofs, in the natural order,
+    summed by math.fsum (no BLAS)."""
+    r = system.matrix @ sol.values[system.mesh.dof_map.interior] - system.rhs
+    return math.sqrt(math.fsum(r * r) / math.fsum(system.rhs * system.rhs))
+
+
 def identity_system(rhs):
     mesh = uniform_mesh(2)
     dm = enumerate_dofs(mesh)
@@ -66,10 +73,11 @@ def identity_system(rhs):
 class TestSolve:
     def test_identity(self):
         rhs = np.array([1.0, -2.0, 3.0, 0.5])
-        sol = solve(identity_system(rhs))
-        np.testing.assert_allclose(sol.values[identity_system(rhs).mesh.dof_map.interior], rhs)
+        system = identity_system(rhs)
+        sol = solve(system)
+        np.testing.assert_allclose(sol.values[system.mesh.dof_map.interior], rhs)
         assert sol.iterations == 0
-        assert sol.residual_norm <= 1e-14
+        assert relative_residual(system, sol) <= 1e-14
 
     def test_single_cell_returns_boundary_values(self):
         problem = make_custom(f=-1.0, g=2.5)
@@ -83,7 +91,7 @@ class TestSolve:
         mesh, system, sol = solve_problem(problem, 8, 4.0)
         dm = enumerate_dofs(mesh)
         exact_mid = problem.exact(dm.midpoints[:, 0], dm.midpoints[:, 1])
-        assert sol.residual_norm <= 1e-12
+        assert relative_residual(system, sol) <= 1e-12
         assert np.max(np.abs(sol.values - exact_mid)) <= 1e-12
 
     # the "eliminate" in the case ids names the Dirichlet treatment assembled
@@ -108,26 +116,27 @@ class TestSolve:
 
     def test_residual_norms_run_without_blas(self, monkeypatch):
         # numpy.linalg.norm takes BLAS ddot, whose worker thread spins on after
-        # the call above about 10,000 entries and slows the next factorization
+        # the call above about 10,000 entries and slows the next factorization;
+        # the backward-error check of solve must take neither it nor ddot
         problem = get_problem("fd1")
         system = assemble(mesh_for(problem, 72), problem, AssemblyConfig(kappa=4.0))
         assert system.matrix.shape[0] >= 10_001
 
         def refuse(*args, **kwargs):
-            raise AssertionError("numpy.linalg.norm called")
+            raise AssertionError("a BLAS norm or dot product called")
 
         monkeypatch.setattr(np.linalg, "norm", refuse)
+        for name in ("dot", "vdot", "inner"):
+            monkeypatch.setattr(np, name, refuse)
         sol = solve(system)
-        r = system.matrix @ sol.values[system.mesh.dof_map.interior] - system.rhs
-        expected = math.sqrt(math.fsum(r * r) / math.fsum(system.rhs * system.rhs))
-        assert sol.residual_norm == pytest.approx(expected, rel=1e-12)
+        assert relative_residual(system, sol) <= 1e-12
 
     def test_direct_judged_by_backward_error(self):
-        # the relative residual (6.5e-14) is above a 1e-14 bar, but the
+        # the relative residual (5.3e-14) is above a 1e-14 bar, but the
         # normwise backward error is a few eps, so the solve is accepted
-        _, _, sol = solve_problem(get_problem("fd1"), 32, 4.0,
-                                  solve_config=SolveConfig(method="direct"))
-        assert sol.residual_norm > 1e-14
+        _, system, sol = solve_problem(get_problem("fd1"), 32, 4.0,
+                                       solve_config=SolveConfig(method="direct"))
+        assert relative_residual(system, sol) > 1e-14
 
     def test_singular_matrix(self):
         mesh = uniform_mesh(2)
@@ -211,7 +220,7 @@ class TestSolve:
         monkeypatch.setattr(spla, "splu", splu)
         sol = solve(system, SolveConfig(method="direct"))
         assert orders == [system.mesh.dof_map]
-        assert sol.residual_norm <= 1e-12
+        assert relative_residual(system, sol) <= 1e-12
 
     def test_releases_free_heap_before_large_factorizations(self, monkeypatch):
         trims = []
