@@ -38,7 +38,6 @@ from .fd import (
     stencil_weights,
 )
 from .kernels import (
-    ExtensionCoeffs,
     basis_extensions,
     convection_matrix,
     diffusion_matrix,

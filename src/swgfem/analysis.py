@@ -65,29 +65,24 @@ class KappaConditionReport:
     all_ok: bool
 
 
-def _values_of(solution):
-    return solution.values if isinstance(solution, Solution) else np.asarray(solution)
-
-
 def _uniform_h(mesh: TensorMesh) -> float:
     if not mesh.is_uniform:
         raise NonUniformMesh("discrete norms are defined on uniform square meshes")
     return float(mesh.dx[0])
 
 
-def discrete_l2_error(solution, mesh: TensorMesh, u_exact) -> float:
+def discrete_l2_error(solution: Solution, mesh: TensorMesh, u_exact) -> float:
     """h * sqrt(sum over all edge midpoints of |u_b - u|^2)."""
     h = _uniform_h(mesh)
     dm = enumerate_dofs(mesh)
-    vals = _values_of(solution)
-    diff = vals - np.asarray(u_exact(dm.midpoints[:, 0], dm.midpoints[:, 1]))
+    diff = solution.values - np.asarray(u_exact(dm.midpoints[:, 0], dm.midpoints[:, 1]))
     return float(h * np.sqrt(np.sum(diff * diff)))
 
 
-def discrete_h1_error(solution, mesh: TensorMesh, grad_exact) -> float:
+def discrete_h1_error(solution: Solution, mesh: TensorMesh, grad_exact) -> float:
     """h * sqrt(sum over elements of squared difference-quotient errors)."""
     h = _uniform_h(mesh)
-    vals = _values_of(solution)
+    vals = solution.values
     hx, hy, cx, cy, conn = element_arrays(mesh)
     gx_exact, gy_exact = grad_exact(cx, cy)
     qx = (vals[conn[:, 1]] - vals[conn[:, 0]]) / hx - np.asarray(gx_exact)
@@ -152,14 +147,14 @@ def convergence_table(problem: ProblemSpec, ns, solve_at) -> list:
     return rows
 
 
-def dmp_check(solution, mesh: TensorMesh, c_nonneg: bool) -> DmpReport:
+def dmp_check(solution: Solution, mesh: TensorMesh, c_nonneg: bool) -> DmpReport:
     """Compare the interior midpoint maximum against the boundary bound.
 
     The bound is the boundary maximum, clipped at zero when the reaction
     coefficient is nonnegative rather than identically zero.
     """
     dm = enumerate_dofs(mesh)
-    vals = _values_of(solution)
+    vals = solution.values
     interior_max = float(np.max(vals[dm.interior])) if dm.interior.size else -np.inf
     boundary_max = float(np.max(vals[dm.boundary]))
     clipped = max(boundary_max, 0.0)

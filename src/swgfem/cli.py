@@ -2,12 +2,14 @@
 finite-difference schemes.
 
 Exit codes: 0 success, 1 numerical or verification failure (including a
-solve refused because its factor would not fit in memory), 2 usage error.
+solve refused because its factor would not fit in memory), 2 usage error
+or an output path that cannot be written (checked before any solve).
 Output is deterministic: re-running a command with identical flags writes
 byte-identical files.
 """
 
 import argparse
+import os
 import sys
 
 from . import analysis, fd
@@ -293,12 +295,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in filter(None, (args.out, getattr(args, "dump_matrix", None))):
+            if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+                raise OSError(0, "directory missing or not writable", path)
         return args.fn(args)
     except _SOLVE_ERRORS as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
     except _USAGE_ERRORS as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -13,13 +13,12 @@ the weak Galerkin path, to which the 7-point matrix is algebraically
 identical when alpha = 1, beta = 0, c = 0.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import (
     AssemblyConfig,
-    ProblemSpec,
     SparseSystem,
     assemble,
     boundary_averages,
@@ -28,7 +27,7 @@ from .assembly import (
 )
 from .kernels import require_kappa
 from .mesh import enumerate_dofs, uniform_mesh
-from .problems import _const, _const_pair, get_problem
+from .problems import get_problem
 
 
 @dataclass(frozen=True)
@@ -124,23 +123,17 @@ class EquivalenceReport:
     rhs_diff: float
 
 
-def check_equivalence(n, kappa, problem: ProblemSpec | None = None) -> EquivalenceReport:
+def check_equivalence(n, kappa) -> EquivalenceReport:
     """Max entrywise difference between the weak Galerkin and 7-point systems.
 
-    The comparison forces alpha = 1, beta = 0, c = 0 and takes f, g from
-    ``problem`` (default fd2).  Matrices agree exactly; right-hand sides
-    differ only by the O(h^4) gap between the product quadrature of the
-    load and the pointwise midpoint sampling.
+    Both take f and g from fd2, whose alpha = 1, beta = 0 and c = 0 make the
+    two schemes comparable.  Matrices agree exactly; right-hand sides differ
+    only by the O(h^4) gap between the product quadrature of the load and
+    the pointwise midpoint sampling.
     """
-    src = problem if problem is not None else get_problem("fd2")
-    pure = replace(
-        src, alpha=_const_pair(1.0, 1.0), beta=_const_pair(0.0, 0.0), c=_const(0.0))
-    swg = assemble(
-        uniform_mesh(n),
-        pure,
-        AssemblyConfig(kappa=kappa),
-    )
-    fd = assemble_fd7(n, kappa, src.f, src.g)
+    problem = get_problem("fd2")
+    swg = assemble(uniform_mesh(n), problem, AssemblyConfig(kappa=kappa))
+    fd = assemble_fd7(n, kappa, problem.f, problem.g)
 
     # both systems live on uniform_mesh(n), so they share one stored order
     diff = (swg.ordered - fd.ordered).tocoo()

@@ -35,8 +35,6 @@ Gauss points runs as (p0 + p2) + (p1 + p3): the order in which numpy's
 ``tests/oracles.py::block_sum_operator`` keeps, so the bytes stay the same.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -48,27 +46,9 @@ from .errors import (
 )
 from .mesh import ElementGeom
 
-#: Sign pattern of the stabilizer's rank-1 direction (left, right, bottom, top).
-STAB_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-
 _GAUSS_OFFSET = 1.0 / np.sqrt(3.0)
 _GAUSS_SX = np.array([-1.0, 1.0, -1.0, 1.0]) * _GAUSS_OFFSET
 _GAUSS_SY = np.array([-1.0, -1.0, 1.0, 1.0]) * _GAUSS_OFFSET
-
-
-@dataclass(frozen=True)
-class ExtensionCoeffs:
-    """Coefficients of a linear extension about the element center."""
-
-    gamma0: float
-    gamma1: float
-    gamma2: float
-
-    def evaluate(self, geom: ElementGeom, x, y):
-        cx, cy = geom.center
-        return self.gamma0 + self.gamma1 * (np.asarray(x) - cx) + self.gamma2 * (
-            np.asarray(y) - cy
-        )
 
 
 def require_finite(name, *samples):
@@ -134,20 +114,19 @@ def gauss_points(geom: ElementGeom):
 
 
 def weak_gradient(geom: ElementGeom, v):
-    """Constant weak gradient of the edge-value vector ``v``."""
-    v = np.asarray(v, dtype=float)
-    return (v[..., 1] - v[..., 0]) / geom.hx, (v[..., 3] - v[..., 2]) / geom.hy
+    """Constant weak gradient of the edge-value vector ``v``: (gamma1, gamma2)."""
+    return extension_coeffs(geom, v)[1:]
 
 
-def extension_coeffs(geom: ElementGeom, v) -> ExtensionCoeffs:
-    """Linear extension of ``v``; reproduces midpoint-sampled linears exactly."""
+def extension_coeffs(geom: ElementGeom, v):
+    """(gamma0, gamma1, gamma2) of the linear extension of ``v`` about the
+    element center; reproduces midpoint-sampled linears exactly."""
     v = np.asarray(v, dtype=float)
     denom = 2.0 * (geom.hx + geom.hy)
-    return ExtensionCoeffs(
-        gamma0=(geom.hy * (v[..., 0] + v[..., 1]) + geom.hx * (v[..., 2] + v[..., 3]))
-        / denom,
-        gamma1=(v[..., 1] - v[..., 0]) / geom.hx,
-        gamma2=(v[..., 3] - v[..., 2]) / geom.hy,
+    return (
+        (geom.hy * (v[..., 0] + v[..., 1]) + geom.hx * (v[..., 2] + v[..., 3])) / denom,
+        (v[..., 1] - v[..., 0]) / geom.hx,
+        (v[..., 3] - v[..., 2]) / geom.hy,
     )
 
 
@@ -163,15 +142,8 @@ def midpoint_defects(geom: ElementGeom, v):
 
 
 def basis_extensions(geom: ElementGeom):
-    """Linear extensions of the four edge indicator functions."""
-    g_v = geom.hy / (2.0 * (geom.hx + geom.hy))
-    g_h = geom.hx / (2.0 * (geom.hx + geom.hy))
-    return (
-        ExtensionCoeffs(g_v, -1.0 / geom.hx, 0.0),
-        ExtensionCoeffs(g_v, +1.0 / geom.hx, 0.0),
-        ExtensionCoeffs(g_h, 0.0, -1.0 / geom.hy),
-        ExtensionCoeffs(g_h, 0.0, +1.0 / geom.hy),
-    )
+    """:func:`extension_coeffs` of the four edge indicator functions."""
+    return tuple(extension_coeffs(geom, e) for e in np.eye(4))
 
 
 #: Entry (i, j) of kappa*S + A as an index into (-kappa*mu, kappa*mu + X,
@@ -224,18 +196,14 @@ def reaction_matrix(geom: ElementGeom, c_value):
     return local_operator(geom, 0.0, 1.0, (0.0, 0.0), (0.0, 0.0), c_value)
 
 
-def load_vector(geom: ElementGeom, f, f_mid=None):
+def load_vector(geom: ElementGeom, f, f_mid):
     """Quadrature load (f, s(phi_i)) with midpoint/Simpson product accuracy.
 
     entry_i = |T|/6 * f(M_i) + |T|/(6(1+sigma)) * w_i * f(center), where
     sigma = hx/hy and w = (2-sigma, 2-sigma, 2*sigma-1, 2*sigma-1).  For
-    constant f the entries sum to |T| exactly.  ``f_mid`` may hold f at the
-    four edge midpoints, shape (..., 4), instead of sampling f at
-    ``geom.edge_midpoints()``.
+    constant f the entries sum to |T| exactly.  ``f_mid`` holds f at the
+    four edge midpoints M_i, shape (..., 4); ``f`` is sampled at the center.
     """
-    if f_mid is None:
-        mids = geom.edge_midpoints()
-        f_mid = f(mids[..., 0], mids[..., 1])
     area = np.asarray(geom.area, dtype=float)
     sigma = np.asarray(geom.sigma, dtype=float)
     fm = np.broadcast_to(np.asarray(f_mid, dtype=float), sigma.shape + (4,))

@@ -123,8 +123,7 @@ class ElementGeom:
     e3=bottom, e4=top; :func:`element_arrays` gives the global edge-dof ids
     in that order.  ``hx``, ``hy`` and both entries of ``center`` may be
     equal-shape arrays (see :func:`element_arrays`); the geometry then
-    describes that batch of elements, and :meth:`edge_midpoints` and
-    :meth:`edge_lengths` add a trailing edge axis.
+    describes that batch of elements.
     """
 
     hx: float
@@ -139,19 +138,6 @@ class ElementGeom:
     def sigma(self) -> float:
         """Aspect ratio hx/hy."""
         return self.hx / self.hy
-
-    def edge_midpoints(self) -> np.ndarray:
-        """Midpoints of (left, right, bottom, top) edges, shape (..., 4, 2)."""
-        cx, cy = self.center
-        x = np.stack([cx - 0.5 * self.hx, cx + 0.5 * self.hx, cx, cx], axis=-1)
-        y = np.stack([cy, cy, cy - 0.5 * self.hy, cy + 0.5 * self.hy], axis=-1)
-        return np.stack([x, y], axis=-1)
-
-    def edge_lengths(self) -> np.ndarray:
-        return np.stack([self.hy, self.hy, self.hx, self.hx], axis=-1)
-
-    def edge_normals(self) -> np.ndarray:
-        return np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
 
 class DofMap:

@@ -1,30 +1,60 @@
 """Independent reference computations used to freeze expected test values.
 
 These deliberately avoid the closed forms used by the implementation:
-the weak gradient is evaluated from the boundary-sum definition, the
-linear extension by solving its defining 3x3 moment system, the
-stabilizer from its bilinear-form definition, and element integrals by a
-high-order Gauss rule.
+the edge geometry is computed here, the weak gradient is evaluated from
+the boundary-sum definition, the linear extension by solving its defining
+3x3 moment system, the stabilizer from its bilinear-form definition, and
+element integrals by a high-order Gauss rule.
 """
 
 import numpy as np
+
+#: Outward unit normals of the (left, right, bottom, top) edges.
+EDGE_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+
+
+def edge_midpoints(hx, hy, center):
+    """Midpoints of the (left, right, bottom, top) edges, shape (..., 4, 2)."""
+    cx, cy = center
+    x = np.stack([cx - 0.5 * hx, cx + 0.5 * hx, cx, cx], axis=-1)
+    y = np.stack([cy, cy, cy - 0.5 * hy, cy + 0.5 * hy], axis=-1)
+    return np.stack([x, y], axis=-1)
+
+
+def edge_lengths(hx, hy):
+    """Lengths of the (left, right, bottom, top) edges, shape (..., 4)."""
+    return np.stack([hy, hy, hx, hx], axis=-1)
+
+
+def extension_value(geom, coeffs, x, y):
+    """The linear extension with coefficients (gamma0, gamma1, gamma2) at (x, y)."""
+    g0, g1, g2 = coeffs
+    cx, cy = geom.center
+    return g0 + g1 * (np.asarray(x) - cx) + g2 * (np.asarray(y) - cy)
+
+
+def midpoint_load(geom, f):
+    """:func:`swgfem.kernels.load_vector` with f sampled at the edge midpoints."""
+    from swgfem.kernels import load_vector
+
+    mids = edge_midpoints(geom.hx, geom.hy, geom.center)
+    return load_vector(geom, f, f(mids[..., 0], mids[..., 1]))
 
 
 def weak_gradient_oracle(geom, v):
     """(1/|T|) * sum_i v_i |e_i| n_i over the four edges."""
     v = np.asarray(v, dtype=float)
-    lengths = geom.edge_lengths()
-    normals = geom.edge_normals()
-    return (v[:, None] * lengths[:, None] * normals).sum(axis=0) / geom.area
+    lengths = edge_lengths(geom.hx, geom.hy)
+    return (v[:, None] * lengths[:, None] * EDGE_NORMALS).sum(axis=0) / geom.area
 
 
 def extension_oracle(geom, v):
     """Solve the moment system sum_i (s(M_i) - v_i) phi(M_i) |e_i| = 0
     for phi in {1, x - xT, y - yT}; returns (gamma0, gamma1, gamma2)."""
     v = np.asarray(v, dtype=float)
-    mids = geom.edge_midpoints()
+    mids = edge_midpoints(geom.hx, geom.hy, geom.center)
     cx, cy = geom.center
-    lengths = geom.edge_lengths()
+    lengths = edge_lengths(geom.hx, geom.hy)
     # phi_k(M_i), rows k = test polynomial, cols i = edge
     phi = np.stack(
         [np.ones(4), mids[:, 0] - cx, mids[:, 1] - cy]
@@ -36,18 +66,17 @@ def extension_oracle(geom, v):
 
 
 def extension_eval_oracle(geom, v, x, y):
-    g0, g1, g2 = extension_oracle(geom, v)
-    return g0 + g1 * (np.asarray(x) - geom.center[0]) + g2 * (np.asarray(y) - geom.center[1])
+    return extension_value(geom, extension_oracle(geom, v), x, y)
 
 
 def stabilizer_apply_oracle(geom, h_global, u, v):
     """h^-1 sum_i (s(u)(M_i) - u_i)(s(v)(M_i) - v_i) |e_i| from definitions."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    mids = geom.edge_midpoints()
+    mids = edge_midpoints(geom.hx, geom.hy, geom.center)
     du = extension_eval_oracle(geom, u, mids[:, 0], mids[:, 1]) - u
     dv = extension_eval_oracle(geom, v, mids[:, 0], mids[:, 1]) - v
-    return float((du * dv * geom.edge_lengths()).sum() / h_global)
+    return float((du * dv * edge_lengths(geom.hx, geom.hy)).sum() / h_global)
 
 
 def gauss_legendre_2d(geom, order=5):
@@ -215,6 +244,23 @@ def scatter_assemble(mesh, problem, config):
     interior_rows = full[interior]
     a_ii = interior_rows[:, interior].tocsr()
     return a_ii, rhs[interior] - interior_rows[:, boundary] @ g_b, g_b
+
+
+def equivalence_gaps(n, kappa, problem):
+    """(matrix, rhs) max differences between the weak Galerkin and 7-point
+    systems of a pure unit-diffusion ``problem`` on the uniform n x n mesh,
+    formed as :func:`swgfem.fd.check_equivalence` forms them for fd2."""
+    from swgfem.assembly import AssemblyConfig, assemble
+    from swgfem.fd import assemble_fd7
+    from swgfem.mesh import uniform_mesh
+
+    assert problem.pure_unit_diffusion, problem.name
+    swg = assemble(uniform_mesh(n), problem, AssemblyConfig(kappa=kappa))
+    fd = assemble_fd7(n, kappa, problem.f, problem.g)
+    diff = (swg.ordered - fd.ordered).tocoo()
+    matrix_diff = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+    rhs_diff = float(np.max(np.abs(swg.rhs - fd.rhs))) if swg.rhs.size else 0.0
+    return matrix_diff, rhs_diff
 
 
 def dump_matrix_oracle(matrix, path):

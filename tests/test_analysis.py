@@ -20,6 +20,7 @@ from swgfem.analysis import (
 from swgfem.errors import NegativeReaction, NonPositiveDiffusion, NonUniformMesh
 from swgfem.mesh import ElementGeom, enumerate_dofs, uniform_mesh
 from swgfem.problems import get_problem, make_custom, mesh_for
+from swgfem.solver import Solution
 
 
 def solving(problem, kappa):
@@ -36,7 +37,7 @@ class TestNorms:
         mesh = mesh_for(problem, 8)
         dm = enumerate_dofs(mesh)
         vals = problem.exact(dm.midpoints[:, 0], dm.midpoints[:, 1])
-        assert discrete_l2_error(vals, mesh, problem.exact) == 0.0
+        assert discrete_l2_error(Solution(values=vals, iterations=0), mesh, problem.exact) == 0.0
 
     def test_h1_zero_for_linear(self):
         mesh = uniform_mesh(8)
@@ -45,7 +46,7 @@ class TestNorms:
         grad = lambda x, y: (np.full_like(np.asarray(x, float), 2.0),
                              np.full_like(np.asarray(x, float), -3.0))
         vals = u(dm.midpoints[:, 0], dm.midpoints[:, 1])
-        assert discrete_h1_error(vals, mesh, grad) <= 1e-14
+        assert discrete_h1_error(Solution(values=vals, iterations=0), mesh, grad) <= 1e-14
 
     def test_l2_table_values(self):
         # kappa = 0.7 and kappa = 20 rows at n = 8 / n = 16 (frozen from runs,
@@ -67,10 +68,11 @@ class TestNorms:
 
     def test_nonuniform_rejected(self):
         mesh = m.build_tensor_mesh([0, 0.4, 1], [0, 0.5, 1])
+        zero = Solution(values=np.zeros(12), iterations=0)
         with pytest.raises(NonUniformMesh):
-            discrete_l2_error(np.zeros(12), mesh, lambda x, y: x)
+            discrete_l2_error(zero, mesh, lambda x, y: x)
         with pytest.raises(NonUniformMesh):
-            discrete_h1_error(np.zeros(12), mesh, lambda x, y: (x, y))
+            discrete_h1_error(zero, mesh, lambda x, y: (x, y))
 
 
 class TestConvergenceTable:
@@ -131,8 +133,8 @@ class TestDmpCheck:
     def test_constant_solution_margin_zero(self):
         mesh = uniform_mesh(4)
         dm = enumerate_dofs(mesh)
-        vals = np.full(dm.count, 2.0)
-        rep = dmp_check(vals, mesh, c_nonneg=False)
+        rep = dmp_check(Solution(values=np.full(dm.count, 2.0), iterations=0), mesh,
+                        c_nonneg=False)
         assert rep.satisfied
         assert rep.margin == pytest.approx(0.0, abs=1e-14)
         assert rep.interior_max == rep.boundary_max == 2.0
@@ -168,7 +170,7 @@ class TestDmpCheck:
         dm = enumerate_dofs(mesh)
         vals = np.zeros(dm.count)
         vals[dm.interior[0]] = 1.0
-        assert not dmp_check(vals, mesh, c_nonneg=False).satisfied
+        assert not dmp_check(Solution(values=vals, iterations=0), mesh, c_nonneg=False).satisfied
 
     @pytest.mark.parametrize("pid", ["fd1", "tc2"])
     @pytest.mark.parametrize("n", [16, 64])

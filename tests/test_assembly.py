@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swgfem.analysis import kappa_condition, sign_inequality_value
 from swgfem.assembly import (
@@ -23,7 +25,6 @@ from swgfem.fd import assemble_fd5, assemble_fd7, stencil_weights
 from swgfem.kernels import (
     convection_matrix,
     diffusion_matrix,
-    load_vector,
     reaction_matrix,
     stabilizer_matrix,
 )
@@ -37,7 +38,7 @@ from swgfem.mesh import (
 )
 from swgfem.problems import PROBLEM_IDS, _const, _const_pair, get_problem, make_custom, mesh_for
 
-from oracles import dump_matrix_oracle, scatter_assemble
+from oracles import dump_matrix_oracle, midpoint_load, scatter_assemble
 
 
 def reference_assemble(mesh, problem, kappa):
@@ -61,7 +62,7 @@ def reference_assemble(mesh, problem, kappa):
             idx = np.array([j * (nx + 1) + i, j * (nx + 1) + i + 1,
                             nv + j * nx + i, nv + (j + 1) * nx + i])
             A[np.ix_(idx, idx)] += loc
-            rhs[idx] += load_vector(geom, problem.f)
+            rhs[idx] += midpoint_load(geom, problem.f)
     return A, rhs, dm
 
 
@@ -333,27 +334,51 @@ def assert_same_bytes(name, got, want):
     assert got.tobytes() == want.tobytes(), name
 
 
+def assert_matches_scatter(mesh, problem, config):
+    """The stencil-built CSR arrays, rhs and boundary values equal those of
+    the COO scatter of the same element blocks, byte for byte."""
+    system = assemble(mesh, problem, config)
+    matrix, rhs, g_b = scatter_assemble(mesh, problem, config)
+    assert system.matrix.shape == matrix.shape, config
+    for name, got, want in (
+        ("data", system.matrix.data, matrix.data),
+        ("indices", system.matrix.indices, matrix.indices),
+        ("indptr", system.matrix.indptr, matrix.indptr),
+        ("rhs", system.rhs, rhs),
+        ("boundary_values", system.boundary_values, g_b),
+    ):
+        assert_same_bytes(f"{name} {config}", got, want)
+
+
+def scaled_breaks(widths, lo, hi):
+    """Breaks from lo to hi whose cells have the given relative widths."""
+    ends = np.cumsum(widths)
+    return lo + (hi - lo) * np.concatenate([[0.0], ends / ends[-1]])
+
+
 class TestScatterOracle:
     @pytest.mark.parametrize("label", ORACLE_MESHES)
     @pytest.mark.parametrize("pid", list(ORACLE_PROBLEMS))
     def test_stencil_matches_scatter_bytes(self, pid, label):
-        """The stencil-built CSR arrays, rhs and boundary values equal those of
-        the COO scatter of the same element blocks, byte for byte."""
         problem = ORACLE_PROBLEMS[pid]
         mesh = oracle_mesh(problem, label)
         for kappa, qb_rule in itertools.product((0.7, 4.0), QB_RULES):
-            config = AssemblyConfig(kappa=kappa, qb_rule=qb_rule)
-            system = assemble(mesh, problem, config)
-            matrix, rhs, g_b = scatter_assemble(mesh, problem, config)
-            assert system.matrix.shape == matrix.shape, config
-            for name, got, want in (
-                ("data", system.matrix.data, matrix.data),
-                ("indices", system.matrix.indices, matrix.indices),
-                ("indptr", system.matrix.indptr, matrix.indptr),
-                ("rhs", system.rhs, rhs),
-                ("boundary_values", system.boundary_values, g_b),
-            ):
-                assert_same_bytes(f"{name} {config}", got, want)
+            assert_matches_scatter(mesh, problem, AssemblyConfig(kappa=kappa, qb_rule=qb_rule))
+
+    @settings(max_examples=100)
+    @given(pid=st.sampled_from(list(ORACLE_PROBLEMS)), kappa=st.sampled_from([0.7, 4.0, 20.0]),
+           qb_rule=st.sampled_from(QB_RULES),
+           x_widths=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=12),
+           y_widths=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=12))
+    @example(pid="tc2", kappa=20.0, qb_rule="simpson", x_widths=[1.0],
+             y_widths=[0.3, 0.7, 0.5, 0.2, 1.0])
+    @example(pid="custom-c-positive", kappa=0.7, qb_rule="midpoint",
+             x_widths=[0.5, 0.25, 1.0, 0.4, 0.9, 0.2, 0.6], y_widths=[1.0])
+    def test_random_breaks_match_scatter_bytes(self, pid, kappa, qb_rule, x_widths, y_widths):
+        problem = ORACLE_PROBLEMS[pid]
+        x0, x1, y0, y1 = problem.domain
+        mesh = build_tensor_mesh(scaled_breaks(x_widths, x0, x1), scaled_breaks(y_widths, y0, y1))
+        assert_matches_scatter(mesh, problem, AssemblyConfig(kappa=kappa, qb_rule=qb_rule))
 
 
 class TestDumpBytes:

@@ -8,6 +8,7 @@ import pytest
 
 import swgfem.analysis
 import swgfem.cli
+import swgfem.fd
 import swgfem.solver
 from swgfem.assembly import AssemblyConfig, assemble, dump_matrix
 from swgfem.cli import main
@@ -153,6 +154,45 @@ class TestSolveFlags:
         assert "%d bytes" % swgfem.solver.predicted_factor_bytes(dofs) in err
         assert "%d bytes" % (share * memory) in err
         assert not out.exists()
+
+
+class TestOutputPaths:
+    COMMANDS = {
+        "run": ("run", "--problem", "tc1", "--kappa", "4", "--ns", "8", "--out"),
+        "fd": ("fd", "--problem", "fd1", "--kappa", "4", "--n", "8", "--out"),
+        "dmp": ("dmp", "--problem", "fd2", "--kappa", "4", "--ns", "8", "--out"),
+        "equiv": ("equiv", "--n", "8", "--kappa", "4", "--out"),
+        "dump-matrix": ("run", "--problem", "tc1", "--kappa", "4", "--ns", "8", "--dump-matrix"),
+    }
+
+    @staticmethod
+    def record_solves(monkeypatch):
+        """Wrap every solve the commands run, and equiv's comparison, to record each call."""
+        calls = []
+        for module, name in ((swgfem.cli, "solve"), (swgfem.analysis, "solve"),
+                             (swgfem.fd, "check_equivalence")):
+            def recorded(*args, _name=name, _fn=getattr(module, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_directory_exit_2_before_solving(self, tmp_path, monkeypatch, capsys,
+                                                     command):
+        calls = self.record_solves(monkeypatch)
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *self.COMMANDS[command], str(path))
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"cannot write {path}: directory missing or not writable\n"
+
+    @pytest.mark.parametrize("command", ["run", "dump-matrix"])
+    def test_write_error_exit_2(self, tmp_path, monkeypatch, capsys, command):
+        # a directory passes the check, and opening it for writing fails after the solve
+        calls = self.record_solves(monkeypatch)
+        code, _, err = run_cli(capsys, *self.COMMANDS[command], str(tmp_path))
+        assert (code, calls) == (2, ["solve"])
+        assert err == f"cannot write {tmp_path}: Is a directory\n"
 
 
 class TestFdCommand:

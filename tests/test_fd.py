@@ -12,6 +12,8 @@ from swgfem.fd import (
 from swgfem.problems import get_problem
 from swgfem.solver import solve
 
+from oracles import equivalence_gaps
+
 
 def zero(x, y):
     return np.zeros_like(np.asarray(x, dtype=float))
@@ -129,8 +131,16 @@ class TestEquivalence:
         for n in (4, 8, 16):
             mesh_pts = np.linspace(0, 1, 4 * n + 1)
             f_inf = float(np.max(np.abs(problem.f(*np.meshgrid(mesh_pts, mesh_pts)))))
-            report = check_equivalence(n, 4.0, problem=problem)
-            assert report.rhs_diff <= 10.0 * (1.0 / n) ** 4 * f_inf
+            _, rhs_diff = equivalence_gaps(n, 4.0, problem)
+            assert rhs_diff <= 10.0 * (1.0 / n) ** 4 * f_inf
+
+
+    @pytest.mark.parametrize("n, kappa", [(2, 0.7), (8, 4.0), (16, 20.0)])
+    def test_gaps_helper_reports_check_equivalence(self, n, kappa):
+        # the test helper forms fd2's gaps exactly as the library does
+        report = check_equivalence(n, kappa)
+        assert equivalence_gaps(n, kappa, get_problem("fd2")) == (
+            report.matrix_diff, report.rhs_diff)
 
 
 class TestFdConvergence:

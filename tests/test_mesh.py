@@ -16,6 +16,8 @@ from swgfem.mesh import (
     uniform_mesh,
 )
 
+from oracles import edge_lengths, edge_midpoints
+
 
 class TestBuildTensorMesh:
     def test_single_cell(self):
@@ -99,15 +101,16 @@ class TestElementGeometry:
         mesh = build_tensor_mesh([0, 1], [0, 4])
         assert element_geometry(mesh, 0, 0).sigma == pytest.approx(0.25)
 
-    def test_edge_lengths_match_sides(self, rng):
+    def test_dof_map_edges_match_element_edges(self, rng):
+        # the edges assembly reads from the DofMap are those that the test
+        # oracles compute from each element's sides and center
         mesh = build_tensor_mesh(np.cumsum(rng.uniform(0.1, 1, 4)) - 0.05,
                                  np.cumsum(rng.uniform(0.1, 1, 5)) - 0.05)
-        for i in range(mesh.nx):
-            for j in range(mesh.ny):
-                geom = element_geometry(mesh, i, j)
-                np.testing.assert_allclose(
-                    geom.edge_lengths(), [geom.hy, geom.hy, geom.hx, geom.hx]
-                )
+        hx, hy, cx, cy, conn = element_arrays(mesh)
+        dm = enumerate_dofs(mesh)
+        np.testing.assert_allclose(dm.midpoints[conn], edge_midpoints(hx, hy, (cx, cy)),
+                                   rtol=1e-15, atol=1e-15)
+        np.testing.assert_array_equal(dm.lengths[conn], edge_lengths(hx, hy))
 
     def test_matches_element_arrays(self, rng):
         # the sign checks read element_geometry and assembly element_arrays

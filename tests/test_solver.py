@@ -298,7 +298,7 @@ class TestNestedDissection:
         system = assemble(ND_MESHES[name], make_custom(f=1.0), AssemblyConfig(kappa=4.0))
         np.testing.assert_array_equal(np.sort(system.order), np.arange(system.matrix.shape[0]))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(nx=st.integers(1, 14), ny=st.integers(1, 14))
     def test_top_split_separates_halves(self, nx, ny):
         mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
@@ -336,7 +336,7 @@ class TestNestedDissection:
         coupling = system.matrix[free[first & interior]][:, free[second & interior]]
         assert not np.any(coupling.toarray())
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(nx=st.integers(1, 24), ny=st.integers(1, 24))
     @example(nx=1, ny=40)
     @example(nx=40, ny=1)
@@ -359,7 +359,7 @@ class TestNestedDissection:
             np.testing.assert_array_equal(nested_dissection(dm),
                                           expected[~dm.is_boundary[expected]])
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(nx=st.integers(1, 40), ny=st.integers(1, 40))
     @example(nx=1, ny=1)
     @example(nx=1, ny=40)
