@@ -1,8 +1,8 @@
 """Global system assembly over edge midpoints with Dirichlet data.
 
 The equation attached to an interior edge is the sum of the local-operator
-rows contributed by its (at most two) adjacent elements, so every row
-couples at most 7 unknowns.  Dirichlet data enters by elimination: the
+rows contributed by its two adjacent elements, so every row couples at
+most 7 unknowns.  Dirichlet data enters by elimination: the
 boundary unknowns take the imposed values, and their columns times those
 values move to the right-hand side.
 
@@ -122,13 +122,13 @@ def stored_numbering(dof_map: DofMap):
 
     Interior dof ``order[k]`` (a natural interior index) is numbered k, its
     place in the nested-dissection order, and boundary dof k is numbered
-    -2 - (its place in ``dof_map.boundary``).
+    ``~k`` (= -1 - k), for k its place in ``dof_map.boundary``.
     """
     index = np.int32 if dof_map.count <= np.iinfo(np.int32).max else np.int64
     ids = nested_dissection(dof_map)
     number = np.empty(dof_map.count, dtype=index)
     number[ids] = np.arange(ids.size, dtype=index)
-    number[dof_map.boundary] = -2 - np.arange(dof_map.boundary.size, dtype=index)
+    number[dof_map.boundary] = ~np.arange(dof_map.boundary.size, dtype=index)
     return dof_map.free_index[ids], number
 
 
@@ -183,12 +183,12 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
 
     Each coefficient is evaluated once over all elements; the batched
     :func:`kernels.local_operator` and :func:`kernels.load_vector` give the
-    element blocks.  The rows are filled straight from the blocks in the
-    tensor mesh's 7-slot row template (:func:`_edge_rows`), with every edge
-    numbered as it is stored (:func:`stored_numbering`); the boundary
-    columns times g move to the right-hand side, and the rows, taken in
-    stored order, give the stored matrix (:func:`stored_system`).  Every
-    sum runs in a fixed order, so assembly is bit-reproducible.
+    element blocks.  Each interior edge's row is gathered from its two
+    elements' blocks and ``conn`` numbers (:func:`_edge_rows`, numbered as
+    stored by :func:`stored_numbering`); the boundary columns times g move
+    to the right-hand side, and the rows, taken in stored order, give the
+    stored matrix (:func:`stored_system`).  Every sum runs in a fixed order,
+    so assembly is bit-reproducible.
     """
     dof_map = enumerate_dofs(mesh)
     hx, hy, cx, cy, conn = element_arrays(mesh)
@@ -230,10 +230,11 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     kernels.require_finite("g", g_b)
 
     order, number = stored_numbering(dof_map)
-    values, columns = _edge_rows(local.reshape(mesh.ny, mesh.nx, 4, 4), number)
+    values, columns = _edge_rows(local.reshape(mesh.ny, mesh.nx, 4, 4),
+                                 number[conn].reshape(mesh.ny, mesh.nx, 4))
     # each row's boundary slots, in slot (dof id) order, summed from +0
-    slots = np.flatnonzero(columns <= -2)
-    lift = values.ravel()[slots] * g_b[-2 - columns.ravel()[slots]]
+    slots = np.flatnonzero(columns < 0)
+    lift = values.ravel()[slots] * g_b[~columns.ravel()[slots]]
     rhs = rhs[dof_map.interior] - np.bincount(slots // 7, lift, minlength=order.size)
     values, columns = (np.take(a, order, axis=0) for a in (values, columns))
     keep = columns >= 0
@@ -241,61 +242,46 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     return stored_system(values[keep], rows, columns[keep], order, rhs, g_b, mesh)
 
 
-#: How an edge's row values are gathered from the rows of its two elements.
-#: Vertical edge v(i, j) is the right edge of element (i-1, j) and the left
-#: edge of (i, j); horizontal edge h(i, j) is the top of (i, j-1) and the
-#: bottom of (i, j).  Per orientation: each element as (the local row of the
-#: edge, where the element grid sits on the edge grid), then which of the 8
-#: gathered entries (the first element's row, then the second's; local
-#: columns left, right, bottom, top) fills each of the 7 slots.
-_VERTICAL = ((1, np.s_[:, 1:]), (0, np.s_[:, :-1]), (0, 1, 5, 2, 6, 3, 7))
-_HORIZONTAL = ((3, np.s_[1:, :]), (2, np.s_[:-1, :]), (0, 1, 4, 5, 2, 3, 7))
+#: How an edge's row is gathered from the rows of its two elements.  Vertical
+#: edge v(i, j) is the right edge of element (i-1, j) and the left edge of
+#: (i, j); horizontal edge h(i, j) is the top of (i, j-1) and the bottom of
+#: (i, j).  Per orientation: the local row of the edge in the first element
+#: and in the second, then which of the 8 gathered entries (the first
+#: element's row, then the second's; local columns left, right, bottom, top)
+#: fills each of the 7 slots.
+_VERTICAL = (1, 0, (0, 1, 5, 2, 6, 3, 7))
+_HORIZONTAL = (3, 2, (0, 1, 4, 5, 2, 3, 7))
 
 
-def _edge_rows(blocks, number):
+def _edge_rows(blocks, numbers):
     """Edge matrix rows in the tensor mesh's 7-slot template: (values, columns).
 
-    A vertical edge's row holds v(i-1, j), itself, v(i+1, j) and the four
-    horizontal edges of its two elements; a horizontal edge's row holds the
-    same pattern turned 90 degrees.  Slots run in ascending dof id, and the
-    diagonal is the sum of the two elements' entries.  ``blocks`` holds the
-    (ny, nx, 4, 4) element blocks and ``number`` the column number of each
-    edge dof.  Rows are the interior edges in dof order, shape (rows, 7).
-    A slot of an element beyond the mesh holds value 0 and column -1.
+    Every interior edge has two elements, and its row is gathered from both:
+    the edge's row of each element's block, and each element's column
+    numbers.  A vertical edge's row holds v(i-1, j), itself, v(i+1, j) and
+    the four horizontal edges of its two elements; a horizontal edge's row
+    holds the same pattern turned 90 degrees.  Slots run in ascending dof
+    id, and the diagonal is the sum of the two elements' entries.
+    ``blocks`` holds the (ny, nx, 4, 4) element blocks and ``numbers`` the
+    (ny, nx, 4) column numbers of each element's edges, ``number[conn]``.
+    Rows are the interior edges in dof order, shape (rows, 7).
     """
     ny, nx = blocks.shape[:2]
-    nv = (nx + 1) * ny
-    vn, hn = number[:nv].reshape(ny, nx + 1), number[nv:].reshape(ny + 1, nx)
-    # the number grids padded with -1 across x and across y
-    vx, hx = (np.full((g.shape[0], g.shape[1] + 2), -1, dtype=g.dtype) for g in (vn, hn))
-    vy, hy = (np.full((g.shape[0] + 2, g.shape[1]), -1, dtype=g.dtype) for g in (vn, hn))
-    vx[:, 1:-1], hx[:, 1:-1], vy[1:-1], hy[1:-1] = vn, hn, vn, hn
-    # per orientation: the edges, the rows kept, how values are gathered, and
-    # the columns of slots 0-6: v(i-1, j), v(i, j), v(i+1, j), h(i-1, j),
-    # h(i, j), h(i-1, j+1), h(i, j+1) for vertical edge v(i, j), and v(i, j-1),
-    # v(i+1, j-1), v(i, j), v(i+1, j), h(i, j-1), h(i, j), h(i, j+1) for h(i, j)
-    grids = (
-        (vn, np.s_[:, 1:nx], _VERTICAL,
-         (vx[:, :-2], vx[:, 1:-1], vx[:, 2:], hx[:-1, :-1], hx[:-1, 1:], hx[1:, :-1], hx[1:, 1:])),
-        (hn, np.s_[1:ny, :], _HORIZONTAL,
-         (vy[:-1, :-1], vy[:-1, 1:], vy[1:, :-1], vy[1:, 1:], hy[:-2], hy[1:-1], hy[2:])),
-    )
-    sizes = [own[rows].size for own, rows, _, _ in grids]
-    values = np.empty((sum(sizes), 7))
-    columns = np.empty((sum(sizes), 7), dtype=number.dtype)
+    values = np.empty((ny * (nx - 1) + (ny - 1) * nx, 7))
+    columns = np.empty(values.shape, dtype=numbers.dtype)
     start = 0
-    for size, (own, rows, (first, second, slots), slot_columns) in zip(sizes, grids):
-        pairs = np.zeros(own.shape + (8,))
-        for half, (local_row, place) in ((np.s_[:4], first), (np.s_[4:], second)):
-            pairs[place + (half,)] = blocks[:, :, local_row]
-        pairs[..., first[0]] += pairs[..., 4 + second[0]]  # the diagonal
-        shape = own[rows].shape + (7,)
-        np.take(pairs[rows], slots, axis=-1, mode="clip",
-                out=values[start:start + size].reshape(shape))
-        out_columns = columns[start:start + size].reshape(shape)
-        for slot, grid in enumerate(slot_columns):
-            out_columns[..., slot] = grid[rows]
-        start += size
+    for (first_row, second_row, slots), first, second in (
+            (_VERTICAL, np.s_[:, :-1], np.s_[:, 1:]), (_HORIZONTAL, np.s_[:-1, :], np.s_[1:, :])):
+        pair = np.concatenate([blocks[first + (first_row,)], blocks[second + (second_row,)]],
+                              axis=-1)
+        pair[..., first_row] += pair[..., 4 + second_row]  # the diagonal
+        pair_numbers = np.concatenate([numbers[first], numbers[second]], axis=-1)
+        shape = pair.shape[:2] + (7,)
+        stop = start + shape[0] * shape[1]
+        # under the default mode="raise", np.take fills a buffer and copies it to out
+        for gathered, out in ((pair, values), (pair_numbers, columns)):
+            np.take(gathered, slots, axis=-1, mode="clip", out=out[start:stop].reshape(shape))
+        start = stop
     return values, columns
 
 

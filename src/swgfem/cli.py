@@ -105,10 +105,6 @@ def _render_rows(rows, header, csv):
 
 def cmd_run(args):
     problem = _resolve_problem(args)
-    if problem.exact is None:
-        print(f"problem {problem.name!r} has no exact solution; "
-              "convergence table unavailable", file=sys.stderr)
-        return 2
     if args.dump_matrix and len(args.ns) != 1:
         print("--dump-matrix requires a single resolution", file=sys.stderr)
         return 2
@@ -134,9 +130,6 @@ def cmd_fd(args):
         print(f"problem {problem.name!r} is not pure unit diffusion; "
               "the finite-difference schemes require alpha=1, beta=0, c=0",
               file=sys.stderr)
-        return 2
-    if problem.exact is None:
-        print(f"problem {problem.name!r} has no exact solution", file=sys.stderr)
         return 2
     if args.scheme == 5:
         if args.kappa is not None and args.kappa != 4.0:

@@ -68,7 +68,7 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g, qb_rule):
         """Append stencil legs in stored numbering; boundary columns move to the rhs."""
         col_numbers = number[col_ids]
         bnd = col_numbers < 0
-        np.add.at(rhs, dm.free_index[row_ids[bnd]], -weight * g_b[-2 - col_numbers[bnd]])
+        np.add.at(rhs, dm.free_index[row_ids[bnd]], -weight * g_b[~col_numbers[bnd]])
         rows.append(number[row_ids[~bnd]])
         cols.append(col_numbers[~bnd])
         data.append(np.full(rows[-1].size, weight))

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import swgfem.mesh as m
 from swgfem.analysis import (
@@ -17,10 +19,11 @@ from swgfem.analysis import (
     solve_problem,
     split_pos_neg,
 )
+from swgfem.assembly import AssemblyConfig, assemble
 from swgfem.errors import NegativeReaction, NonPositiveDiffusion, NonUniformMesh
-from swgfem.mesh import ElementGeom, enumerate_dofs, uniform_mesh
+from swgfem.mesh import ElementGeom, element_geometry, enumerate_dofs, uniform_mesh
 from swgfem.problems import get_problem, make_custom, mesh_for
-from swgfem.solver import Solution
+from swgfem.solver import Solution, solve
 
 
 def solving(problem, kappa):
@@ -301,3 +304,59 @@ class TestSignInequality:
             vals = [sign_inequality_value(geom, kappa, h, problem, rng.normal(size=4))
                     for _ in range(200)]
             assert min(vals) >= -1e-13
+
+
+def condition_window(mesh, problem):
+    """The kappas ``kappa_condition`` accepts on ``mesh``, as (lo, hi).
+
+    eta and the three slacks are affine in kappa (slack1 grows with eta,
+    slack2 and slack3 shrink with it), so their reading at kappa = 1 gives
+    both ends.
+    """
+    at_one = kappa_condition(mesh, problem, 1.0)
+    eta = at_one.eta
+    lo = np.max((eta - at_one.slack1) / eta)
+    hi = np.min((np.minimum(at_one.slack2, at_one.slack3) + eta) / eta)
+    return lo, hi
+
+
+def breaks(widths, lo, hi):
+    """Breaks from lo to hi whose cells have the given relative widths."""
+    return lo + (hi - lo) * np.concatenate([[0.0], np.cumsum(widths) / np.sum(widths)])
+
+
+#: Problems with f <= 0 and c >= 0, for which the paper's condition implies the DMP.
+SOURCE_FREE_PROBLEMS = st.one_of(
+    st.sampled_from(["fd1", "fd2", "tc1", "tc3"]).map(get_problem),
+    st.builds(make_custom, alpha0=st.floats(0.5, 2.0),
+              beta=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+              c=st.floats(0.0, 4.0), f=st.floats(-2.0, 0.0), g=st.floats(-1.0, 1.0)),
+)
+
+
+class TestPaperConditionImpliesDmp:
+    @settings(max_examples=100)
+    @given(problem=SOURCE_FREE_PROBLEMS,
+           x_widths=st.lists(st.floats(1.0, 1.5), min_size=2, max_size=14),
+           y_widths=st.lists(st.floats(1.0, 1.5), min_size=2, max_size=14),
+           where=st.floats(0.001, 0.999),
+           v=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    # tc1 and tc3 open a window only on near-uniform meshes of many cells
+    @example(problem=get_problem("tc3"), x_widths=[1.0, 1.2] * 7, y_widths=[1.0] * 14,
+             where=0.5, v=[1.0, -1.0, 0.5, -0.25])
+    @example(problem=get_problem("tc1"), x_widths=[1.0, 1.5, 1.2] * 3, y_widths=[1.0, 1.4] * 4,
+             where=0.999, v=[-0.5, 1.0, 1.0, -1.0])
+    def test_condition_implies_dmp_and_sign_inequality(self, problem, x_widths, y_widths,
+                                                       where, v):
+        x0, x1, y0, y1 = problem.domain
+        mesh = m.build_tensor_mesh(breaks(x_widths, x0, x1), breaks(y_widths, y0, y1))
+        assume(kappa_condition(mesh, problem, 1.0).aspect_ok.all())
+        lo, hi = condition_window(mesh, problem)
+        assume(lo < hi)
+        kappa = lo + where * (hi - lo)
+        assert kappa_condition(mesh, problem, kappa).all_ok
+        system = assemble(mesh, problem, AssemblyConfig(kappa=kappa))
+        assert dmp_check(solve(system), mesh, not problem.c_is_zero).satisfied
+        for i, j in ((0, 0), (mesh.nx - 1, mesh.ny - 1)):
+            geom = element_geometry(mesh, i, j)
+            assert sign_inequality_value(geom, kappa, mesh.h, problem, np.array(v)) >= -1e-12

@@ -14,10 +14,12 @@ from swgfem.assembly import (
     QB_RULES,
     AssemblyConfig,
     SparseSystem,
+    _edge_rows,
     assemble,
     boundary_averages,
     dump_matrix,
     sample_coefficients,
+    stored_numbering,
 )
 from swgfem.cli import main as cli_main
 from swgfem.errors import NonFiniteData, NonPositiveDiffusion, NonPositiveKappa
@@ -228,6 +230,35 @@ class TestAssemble:
         )
         with pytest.raises(NonPositiveDiffusion):
             assemble(uniform_mesh(4), bad, AssemblyConfig(kappa=1.0))
+
+
+class TestEdgeRows:
+    MESHES = {"5x4": ([0, 0.1, 0.35, 0.5, 0.8, 1], [0, 0.3, 0.4, 0.9, 1]),
+              "1x3": ([0, 1], [0, 0.2, 0.7, 1]), "4x1": ([0, 0.25, 0.3, 0.6, 1], [0, 1])}
+
+    @pytest.mark.parametrize("label", MESHES)
+    def test_numbers_boundary_edge_k_as_inverted_k(self, label):
+        dm = enumerate_dofs(build_tensor_mesh(*self.MESHES[label]))
+        order, number = stored_numbering(dm)
+        assert np.array_equal(number[dm.boundary], ~np.arange(dm.boundary.size))
+        assert np.array_equal(number[dm.interior[order]], np.arange(order.size))
+
+    @pytest.mark.parametrize("label", MESHES)
+    def test_columns_are_the_edges_of_the_rows_two_elements(self, label, rng):
+        mesh = build_tensor_mesh(*self.MESHES[label])
+        dm, conn = enumerate_dofs(mesh), element_arrays(mesh)[4]
+        order, number = stored_numbering(dm)
+        blocks = rng.normal(size=(mesh.ny, mesh.nx, 4, 4))
+        _, columns = _edge_rows(blocks, number[conn].reshape(mesh.ny, mesh.nx, 4))
+        assert columns.shape == (dm.interior.size, 7)
+        # every column decodes to an edge: an interior one by its place in
+        # order, a boundary one by ~k
+        edges = np.where(columns >= 0, dm.interior[order][np.maximum(columns, 0)],
+                         dm.boundary[~np.minimum(columns, -1)])
+        for edge, row in zip(dm.interior, edges):
+            elements = conn[(conn == edge).any(axis=1)]
+            assert elements.shape[0] == 2
+            assert np.array_equal(row, np.unique(elements))  # ascending dof id
 
 
 class TestSampleCoefficients:

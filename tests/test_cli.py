@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import weakref
@@ -48,10 +49,13 @@ class TestRun:
         assert code == 2
         assert "unknown problem" in err
 
-    def test_custom_problem_has_no_table(self, capsys):
+    def test_custom_problem_has_no_table(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(swgfem.analysis, "solve_problem",
+                            lambda *args, **kwargs: calls.append(args))
         code, _, err = run_cli(
             capsys, "run", "--problem", "custom", "--kappa", "1", "--ns", "4")
-        assert code == 2
+        assert (code, calls) == (2, [])
         assert "no exact solution" in err
 
     def test_byte_identical_outputs(self, tmp_path, capsys):
@@ -361,3 +365,51 @@ class TestListProblems:
         _, out1, _ = run_cli(capsys, "list-problems")
         _, out2, _ = run_cli(capsys, "list-problems")
         assert out1 == out2
+
+
+#: First 16 hex digits of the sha256 of each file a small command writes:
+#: its ``--out`` file, then its ``--dump-matrix`` file where it has one.
+#: Recorded at c556b29; a change that moves any output byte fails here.
+GOLDEN_OUTPUTS = {
+    ("run", "--problem", "tc1", "--kappa", "0.7", "--ns", "4,8"):
+        ("34ea673f4544c9e5",),
+    ("run", "--problem", "tc2", "--kappa", "4", "--ns", "4,8", "--format", "csv"):
+        ("9394ccc495c790d3",),
+    ("run", "--problem", "tc3", "--kappa", "4", "--ns", "8", "--qb", "simpson",
+     "--format", "csv"):
+        ("f2af5b559dc04d40",),
+    ("run", "--problem", "fd2", "--kappa", "4", "--ns", "8", "--dump-matrix"):
+        ("c828c0349ae158b0", "fe99029424736461"),
+    ("run", "--problem", "tc2", "--kappa", "0.7", "--ns", "6", "--format", "csv",
+     "--dump-matrix"):
+        ("3b0175b402519fca", "2e8d66676e3999a3"),
+    ("fd", "--problem", "fd1", "--scheme", "5", "--ns", "4,8"):
+        ("50c16a5177832b3d",),
+    ("fd", "--problem", "fd2", "--scheme", "7", "--kappa", "0.7", "--ns", "4,8",
+     "--format", "csv"):
+        ("fa00dbf0e530fb8d",),
+    ("dmp", "--problem", "tc3", "--kappa", "4", "--ns", "4,8", "--format", "csv"):
+        ("5e30a63fe13f72df",),
+    ("dmp", "--problem", "custom", "--kappa", "2", "--c", "1", "--beta", "0.3,-0.2",
+     "--f", "-1", "--g", "0.5", "--ns", "4,6", "--format", "csv"):
+        ("e0b73b8f68179ce9",),
+    ("dmp", "--problem", "fd2", "--kappa", "3", "--x-breaks", "0,0.2,0.45,0.7,1",
+     "--y-breaks", "0,0.3,0.5,0.8,1", "--format", "csv"):
+        ("a1d0bd6c2a060969",),
+    ("equiv", "--n", "16", "--kappa", "0.7"):
+        ("62bd32000e05d4c6",),
+    ("list-problems",):
+        ("acbb49db2213a274",),
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("argv", GOLDEN_OUTPUTS, ids=" ".join)
+    def test_same_bytes(self, argv, tmp_path, capsys):
+        paths = [tmp_path / "out.txt"]
+        if argv[-1] == "--dump-matrix":
+            paths.append(tmp_path / "dump.txt")
+        command = (*argv, *map(str, paths[1:]), "--out", str(paths[0]))
+        assert run_cli(capsys, *command)[0] == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in paths)
+        assert digests == GOLDEN_OUTPUTS[argv]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swgfem.analysis import discrete_h1_error, discrete_l2_error
+from swgfem.cli import EQUIV_TOL
 from swgfem.errors import NonPositiveKappa
 from swgfem.fd import (
     assemble_fd5,
@@ -124,6 +127,11 @@ class TestEquivalence:
     def test_matrix_identity(self, n, kappa):
         report = check_equivalence(n, kappa)
         assert report.matrix_diff <= 1e-13
+
+    @settings(max_examples=100)
+    @given(n=st.integers(2, 48), kappa=st.floats(0.1, 20.0))
+    def test_matrix_identity_for_random_n(self, n, kappa):
+        assert check_equivalence(n, kappa).matrix_diff <= EQUIV_TOL
 
     @pytest.mark.parametrize("pid", ["fd1", "fd2"])
     def test_rhs_within_quadrature_gap(self, pid):
