@@ -90,14 +90,13 @@ def discrete_h1_error(solution: Solution, mesh: TensorMesh, grad_exact) -> float
     return float(h * np.sqrt(np.sum(qx * qx) + np.sum(qy * qy)))
 
 
-def solve_problem(problem: ProblemSpec, n: int, kappa: float, *,
-                  qb_rule="midpoint", solve_config=None):
+def solve_problem(problem: ProblemSpec, n: int, kappa: float, *, solve_config=None):
     """Assemble and solve ``problem`` at resolution n (h = 1/n).
 
     Returns (mesh, system, solution).
     """
     mesh = mesh_for(problem, n)
-    system = assemble(mesh, problem, AssemblyConfig(kappa=kappa, qb_rule=qb_rule))
+    system = assemble(mesh, problem, AssemblyConfig(kappa=kappa))
     return mesh, system, solve(system, solve_config)
 
 

@@ -14,9 +14,8 @@ the stored matrix is built from its entries in one step, with no permute.
 A itself, as CSR, is derived on first use (``SparseSystem.matrix``) for the
 matrix dump and other readers of the natural order.
 
-Boundary values are per-edge averages of g.  Two quadrature rules are
-available: ``midpoint`` (the default; reproduces midpoint-sampled
-quadratics exactly at kappa = 4) and the more accurate ``simpson``.
+Boundary values are g at the boundary edge midpoints, the sampling that
+reproduces midpoint-sampled quadratics exactly at kappa = 4.
 """
 
 import warnings
@@ -37,8 +36,6 @@ from .mesh import (
     enumerate_dofs,
     nested_dissection,
 )
-
-QB_RULES = ("midpoint", "simpson")
 
 #: Rows whose lines :func:`dump_matrix` lays out and writes at a time.  A
 #: chunk of 8192 rows (at most 57,344 lines) takes a few MB, so the dump
@@ -75,15 +72,12 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class AssemblyConfig:
-    """Stabilization parameter and the averaging rule of the Dirichlet data."""
+    """Stabilization parameter of the assembled scheme."""
 
     kappa: float
-    qb_rule: str = "midpoint"
 
     def __post_init__(self):
         kernels.require_kappa(self.kappa)
-        if self.qb_rule not in QB_RULES:
-            raise ValueError(f"qb_rule must be one of {QB_RULES}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ class SparseSystem:
     interior dofs in their natural order and ``order`` the nested-dissection
     order of its rows and columns (:func:`~swgfem.mesh.nested_dissection`):
     row k of ``ordered`` is row ``order[k]`` of A.  ``rhs`` is in the natural
-    order, and ``boundary_values`` holds the imposed averages of g, aligned
+    order, and ``boundary_values`` holds the imposed values of g, aligned
     with ``mesh.dof_map.boundary``.
     :func:`stored_system` builds a system from its entries.
     """
@@ -143,25 +137,10 @@ def stored_system(values, rows, columns, order, rhs, boundary_values, mesh) -> S
     return SparseSystem(ordered, order, rhs, boundary_values, mesh)
 
 
-def boundary_averages(dof_map: DofMap, g, rule: str) -> np.ndarray:
-    """Averages of g over all boundary edges, aligned with dof_map.boundary.
-
-    ``simpson`` uses the 3-point rule (exact for cubics along the edge);
-    ``midpoint`` samples g at the edge midpoint.
-    """
+def boundary_averages(dof_map: DofMap, g) -> np.ndarray:
+    """g at the midpoints of all boundary edges, aligned with dof_map.boundary."""
     b = dof_map.boundary
-    mx, my = dof_map.midpoints[b, 0], dof_map.midpoints[b, 1]
-    if rule == "midpoint":
-        return g(mx, my) + np.zeros(mx.size)
-    if rule != "simpson":
-        raise ValueError(f"rule must be one of {QB_RULES}")
-    half, vertical = 0.5 * dof_map.lengths[b], dof_map.is_vertical[b]
-    x0 = np.where(vertical, mx, mx - half)
-    x1 = np.where(vertical, mx, mx + half)
-    y0 = np.where(vertical, my - half, my)
-    y1 = np.where(vertical, my + half, my)
-    vals = (g(x0, y0) + 4.0 * g(mx, my) + g(x1, y1)) / 6.0
-    return vals + np.zeros(mx.size)
+    return g(dof_map.midpoints[b, 0], dof_map.midpoints[b, 1]) + np.zeros(b.size)
 
 
 def sample_coefficients(geom: ElementGeom, problem: ProblemSpec):
@@ -226,7 +205,7 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
 
     rhs = np.bincount(conn.ravel(), loads.ravel(), minlength=dof_map.count)
 
-    g_b = boundary_averages(dof_map, problem.g, config.qb_rule)
+    g_b = boundary_averages(dof_map, problem.g)
     kernels.require_finite("g", g_b)
 
     order, number = stored_numbering(dof_map)
@@ -246,9 +225,9 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
 #: edge v(i, j) is the right edge of element (i-1, j) and the left edge of
 #: (i, j); horizontal edge h(i, j) is the top of (i, j-1) and the bottom of
 #: (i, j).  Per orientation: the local row of the edge in the first element
-#: and in the second, then which of the 8 gathered entries (the first
-#: element's row, then the second's; local columns left, right, bottom, top)
-#: fills each of the 7 slots.
+#: and in the second, then the entry e that fills each of the 7 slots: local
+#: column e % 4 (left, right, bottom, top) of the first element's row for
+#: e < 4, of the second's otherwise.
 _VERTICAL = (1, 0, (0, 1, 5, 2, 6, 3, 7))
 _HORIZONTAL = (3, 2, (0, 1, 4, 5, 2, 3, 7))
 
@@ -272,15 +251,15 @@ def _edge_rows(blocks, numbers):
     start = 0
     for (first_row, second_row, slots), first, second in (
             (_VERTICAL, np.s_[:, :-1], np.s_[:, 1:]), (_HORIZONTAL, np.s_[:-1, :], np.s_[1:, :])):
-        pair = np.concatenate([blocks[first + (first_row,)], blocks[second + (second_row,)]],
-                              axis=-1)
-        pair[..., first_row] += pair[..., 4 + second_row]  # the diagonal
-        pair_numbers = np.concatenate([numbers[first], numbers[second]], axis=-1)
-        shape = pair.shape[:2] + (7,)
+        rows = (blocks[first + (first_row,)], blocks[second + (second_row,)])
+        row_numbers = (numbers[first], numbers[second])
+        shape = rows[0].shape[:2] + (7,)
         stop = start + shape[0] * shape[1]
-        # under the default mode="raise", np.take fills a buffer and copies it to out
-        for gathered, out in ((pair, values), (pair_numbers, columns)):
-            np.take(gathered, slots, axis=-1, mode="clip", out=out[start:stop].reshape(shape))
+        value, column = values[start:stop].reshape(shape), columns[start:stop].reshape(shape)
+        for slot, e in enumerate(slots):
+            value[..., slot] = rows[e // 4][..., e % 4]
+            column[..., slot] = row_numbers[e // 4][..., e % 4]
+        value[..., slots.index(first_row)] += rows[1][..., second_row]  # the diagonal
         start = stop
     return values, columns
 

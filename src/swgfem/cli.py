@@ -9,6 +9,7 @@ byte-identical files.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -59,8 +60,6 @@ def _add_common(p, need_kappa=True):
                    help="stabilization parameter")
     p.add_argument("--solver", choices=("direct", "auto"), default="auto",
                    help="auto refuses systems whose factor would not fit in memory")
-    p.add_argument("--qb", choices=("midpoint", "simpson"), default="midpoint",
-                   help="per-edge averaging rule for Dirichlet data")
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
@@ -112,14 +111,14 @@ def cmd_run(args):
 
     def solve_at(n):
         mesh, system, sol = analysis.solve_problem(
-            problem, n, args.kappa, qb_rule=args.qb, solve_config=solve_config)
+            problem, n, args.kappa, solve_config=solve_config)
         if args.dump_matrix:  # the one system the table solves
             dump_matrix(system, args.dump_matrix)
         return mesh, sol
 
     rows = analysis.convergence_table(problem, args.ns, solve_at)
-    header = "# problem=%s kappa=%g bc=eliminate qb=%s" % (
-        problem.name, args.kappa, args.qb)
+    header = "# problem=%s kappa=%g bc=eliminate qb=midpoint" % (
+        problem.name, args.kappa)
     _emit(_render_rows(rows, header, args.format == "csv"), args.out)
     return 0
 
@@ -142,22 +141,18 @@ def cmd_fd(args):
             print("--kappa is required for the 7-point scheme", file=sys.stderr)
             return 2
         kappa = args.kappa
-    if (args.n is None) == (args.ns is None):
-        print("pass either --n or --ns, not both", file=sys.stderr)
-        return 2
-    ns = args.ns or [args.n]
     solve_config = SolveConfig(method=args.solver)
 
     def solve_at(n):
         if args.scheme == 5:
-            system = fd.assemble_fd5(n, problem.f, problem.g, qb_rule=args.qb)
+            system = fd.assemble_fd5(n, problem.f, problem.g)
         else:
-            system = fd.assemble_fd7(n, kappa, problem.f, problem.g, qb_rule=args.qb)
+            system = fd.assemble_fd7(n, kappa, problem.f, problem.g)
         return system.mesh, solve(system, solve_config)
 
-    rows = analysis.convergence_table(problem, ns, solve_at)
-    header = "# problem=%s scheme=%d-point kappa=%g qb=%s" % (
-        problem.name, args.scheme, kappa, args.qb)
+    rows = analysis.convergence_table(problem, args.ns, solve_at)
+    header = "# problem=%s scheme=%d-point kappa=%g qb=midpoint" % (
+        problem.name, args.scheme, kappa)
     _emit(_render_rows(rows, header, args.format == "csv"), args.out)
     return 0
 
@@ -205,7 +200,7 @@ def cmd_dmp(args):
     solve_config = SolveConfig(method=args.solver)
 
     def check(mesh):  # the system dies on return, before the next one is assembled
-        system = assemble(mesh, problem, AssemblyConfig(kappa=args.kappa, qb_rule=args.qb))
+        system = assemble(mesh, problem, AssemblyConfig(kappa=args.kappa))
         return analysis.dmp_check(solve(system, solve_config), mesh, c_nonneg)
 
     entries = [(label, check(mesh)) for label, mesh in meshes]
@@ -242,8 +237,10 @@ def build_parser():
         description="Simplified weak Galerkin experiments on rectangular meshes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching, so that a removed flag (fd --n) is not taken for a longer one (--ns)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_run = sub.add_parser("run", help="convergence table for one problem")
+    p_run = add_parser("run", help="convergence table for one problem")
     _add_common(p_run)
     p_run.add_argument("--ns", type=_parse_ns, required=True,
                        help="comma-separated resolutions, e.g. 8,16,32,64")
@@ -251,14 +248,13 @@ def build_parser():
                        help="write the assembled matrix in coordinate format")
     p_run.set_defaults(fn=cmd_run)
 
-    p_fd = sub.add_parser("fd", help="finite-difference scheme table")
+    p_fd = add_parser("fd", help="finite-difference scheme table")
     _add_common(p_fd, need_kappa=False)
     p_fd.add_argument("--scheme", type=int, choices=(5, 7), default=7)
-    p_fd.add_argument("--n", type=int, default=None)
-    p_fd.add_argument("--ns", type=_parse_ns, default=None)
+    p_fd.add_argument("--ns", type=_parse_ns, required=True)
     p_fd.set_defaults(fn=cmd_fd)
 
-    p_dmp = sub.add_parser("dmp", help="discrete maximum principle report")
+    p_dmp = add_parser("dmp", help="discrete maximum principle report")
     _add_common(p_dmp)
     # constants for --problem custom, which only dmp accepts
     p_dmp.add_argument("--alpha0", type=float, default=1.0)
@@ -271,13 +267,13 @@ def build_parser():
     p_dmp.add_argument("--y-breaks", type=_parse_breaks, default=None)
     p_dmp.set_defaults(fn=cmd_dmp)
 
-    p_eq = sub.add_parser("equiv", help="weak Galerkin vs 7-point identity check")
+    p_eq = add_parser("equiv", help="weak Galerkin vs 7-point identity check")
     p_eq.add_argument("--n", type=int, required=True)
     p_eq.add_argument("--kappa", type=float, required=True)
     p_eq.add_argument("--out", default=None)
     p_eq.set_defaults(fn=cmd_equiv)
 
-    p_ls = sub.add_parser("list-problems", help="print the problem registry")
+    p_ls = add_parser("list-problems", help="print the problem registry")
     p_ls.add_argument("--out", default=None)
     p_ls.set_defaults(fn=cmd_list_problems)
 

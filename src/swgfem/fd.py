@@ -50,13 +50,13 @@ def stencil_weights(kappa: float) -> FdStencil:
     )
 
 
-def _assemble_stencil(n, stencil, rhs_scale, f, g, qb_rule):
+def _assemble_stencil(n, stencil, rhs_scale, f, g):
     """Shared assembler: one row per interior edge midpoint, boundary
     values eliminated into the right-hand side."""
     mesh = uniform_mesh(n)
     dm = enumerate_dofs(mesh)
 
-    g_b = boundary_averages(dm, g, qb_rule)
+    g_b = boundary_averages(dm, g)
     order, number = stored_numbering(dm)
 
     mods = dm.midpoints[dm.interior]
@@ -99,22 +99,22 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g, qb_rule):
                          order, rhs, g_b, mesh)
 
 
-def assemble_fd7(n, kappa, f, g, qb_rule="midpoint") -> SparseSystem:
+def assemble_fd7(n, kappa, f, g) -> SparseSystem:
     """7-point scheme with stabilization parameter kappa; rhs (h^2/2) f."""
     if n < 2:
         raise ValueError(f"need n >= 2 for interior unknowns, got {n}")
     stencil = stencil_weights(kappa)
     h = 1.0 / n
-    return _assemble_stencil(n, stencil, 0.5 * h * h, f, g, qb_rule)
+    return _assemble_stencil(n, stencil, 0.5 * h * h, f, g)
 
 
-def assemble_fd5(n, f, g, qb_rule="midpoint") -> SparseSystem:
+def assemble_fd5(n, f, g) -> SparseSystem:
     """5-point scheme: the kappa = 4 rows divided by h^2, rhs f/2."""
     if n < 2:
         raise ValueError(f"need n >= 2 for interior unknowns, got {n}")
     h = 1.0 / n
     scaled = FdStencil(c1=0.0, c2=4.0 / (h * h), c3=0.0, c4=-1.0 / (h * h))
-    return _assemble_stencil(n, scaled, 0.5, f, g, qb_rule)
+    return _assemble_stencil(n, scaled, 0.5, f, g)
 
 
 @dataclass(frozen=True)

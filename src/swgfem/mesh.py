@@ -147,11 +147,9 @@ class DofMap:
     n_vertical + j*nx + i.  The map is read only through its arrays, each
     indexed by dof id.  ``interior`` and ``boundary`` partition the index
     range; ``free_index`` maps a global id to its position in ``interior``
-    (or -1 for boundary dofs).  Only ``midpoints``, ``is_boundary``,
-    ``interior``, ``boundary`` and ``free_index`` are stored; ``is_vertical``
-    and ``lengths`` are derived from the counts and the mesh spacing on each
-    use.  The map keeps the spacing arrays, not the mesh, which caches the
-    map.
+    (or -1 for boundary dofs).  The map stores ``midpoints``,
+    ``is_boundary``, ``interior``, ``boundary`` and ``free_index``, and not
+    the mesh, which caches the map.
     """
 
     def __init__(self, mesh: TensorMesh):
@@ -161,7 +159,6 @@ class DofMap:
         self.n_vertical = (nx + 1) * ny
         self.n_horizontal = nx * (ny + 1)
         self.count = self.n_vertical + self.n_horizontal
-        self._dx, self._dy = mesh.dx, mesh.dy
 
         xm = 0.5 * (xb[:-1] + xb[1:])
         ym = 0.5 * (yb[:-1] + yb[1:])
@@ -182,14 +179,6 @@ class DofMap:
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 _read_only(arr)
-
-    @property
-    def is_vertical(self) -> np.ndarray:
-        return np.arange(self.count) < self.n_vertical
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.concatenate([np.repeat(self._dy, self.nx + 1), np.tile(self._dx, self.ny + 1)])
 
 
 #: Regions of at most this many elements keep the natural dof order.  At

@@ -238,7 +238,7 @@ def scatter_assemble(mesh, problem, config):
     ).tocsr()
     rhs = np.zeros(count)
     np.add.at(rhs, conn.ravel(), loads.ravel())
-    g_b = boundary_averages(dof_map, problem.g, config.qb_rule)
+    g_b = boundary_averages(dof_map, problem.g)
 
     interior, boundary = dof_map.interior, dof_map.boundary
     interior_rows = full[interior]

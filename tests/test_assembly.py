@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import itertools
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from swgfem.analysis import kappa_condition, sign_inequality_value
 from swgfem.assembly import (
-    QB_RULES,
     AssemblyConfig,
     SparseSystem,
     _edge_rows,
@@ -83,29 +81,22 @@ class TestEdgeAverage:
     def test_constant(self):
         dm = enumerate_dofs(uniform_mesh(2))
         g = lambda x, y: np.full_like(np.asarray(x, float), 4.5)
-        for rule in QB_RULES:
-            np.testing.assert_allclose(boundary_averages(dm, g, rule), 4.5)
+        np.testing.assert_allclose(boundary_averages(dm, g), 4.5)
 
     def test_linear_gives_midpoint_value(self):
         dm = enumerate_dofs(uniform_mesh(4))
         g = lambda x, y: 2.0 * np.asarray(y, float) - 1.0
         mid = dm.midpoints[dm.boundary]
-        np.testing.assert_allclose(boundary_averages(dm, g, "simpson"),
+        np.testing.assert_allclose(boundary_averages(dm, g),
                                    g(mid[:, 0], mid[:, 1]), rtol=1e-14, atol=1e-15)
 
-    def test_quadratic_simpson_exact(self):
+    def test_quadratic_sampled_at_midpoints(self):
         # x^2 on the 1x1 mesh (left, right, bottom, top): 0 and 1 on the
-        # vertical edges, average 1/3 on the horizontal ones
+        # vertical edges, 1/4 at the midpoints of the horizontal ones
         dm = enumerate_dofs(uniform_mesh(1))
         g = lambda x, y: np.asarray(x, float) ** 2
         np.testing.assert_array_equal(dm.boundary, np.arange(4))
-        np.testing.assert_allclose(boundary_averages(dm, g, "simpson"), [0, 1, 1 / 3, 1 / 3])
-        np.testing.assert_allclose(boundary_averages(dm, g, "midpoint"), [0, 1, 1 / 4, 1 / 4])
-
-    def test_unknown_rule_rejected(self):
-        dm = enumerate_dofs(uniform_mesh(2))
-        with pytest.raises(ValueError, match="rule must be one of"):
-            boundary_averages(dm, lambda x, y: x + y, "trapezoid")
+        np.testing.assert_allclose(boundary_averages(dm, g), [0, 1, 1 / 4, 1 / 4])
 
 
 class TestAssemblyConfig:
@@ -124,7 +115,7 @@ class TestAssemblyConfig:
         "swg run": lambda kappa: cli_main(
             ["run", "--problem", "tc1", "--kappa", str(kappa), "--ns", "4"]),
         "swg fd": lambda kappa: cli_main(
-            ["fd", "--problem", "fd1", "--kappa", str(kappa), "--n", "4"]),
+            ["fd", "--problem", "fd1", "--kappa", str(kappa), "--ns", "4"]),
         "swg equiv": lambda kappa: cli_main(["equiv", "--n", "4", "--kappa", str(kappa)]),
     }
 
@@ -138,10 +129,6 @@ class TestAssemblyConfig:
             return
         with pytest.raises(NonPositiveKappa, match="finite and positive"):
             self.KAPPA_ENTRIES[entry](kappa)
-
-    def test_bad_qb_rule(self):
-        with pytest.raises(ValueError):
-            AssemblyConfig(kappa=1.0, qb_rule="trapezoid")
 
 
 class TestAssemble:
@@ -393,23 +380,22 @@ class TestScatterOracle:
     def test_stencil_matches_scatter_bytes(self, pid, label):
         problem = ORACLE_PROBLEMS[pid]
         mesh = oracle_mesh(problem, label)
-        for kappa, qb_rule in itertools.product((0.7, 4.0), QB_RULES):
-            assert_matches_scatter(mesh, problem, AssemblyConfig(kappa=kappa, qb_rule=qb_rule))
+        for kappa in (0.7, 4.0):
+            assert_matches_scatter(mesh, problem, AssemblyConfig(kappa=kappa))
 
     @settings(max_examples=100)
     @given(pid=st.sampled_from(list(ORACLE_PROBLEMS)), kappa=st.sampled_from([0.7, 4.0, 20.0]),
-           qb_rule=st.sampled_from(QB_RULES),
            x_widths=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=12),
            y_widths=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=12))
-    @example(pid="tc2", kappa=20.0, qb_rule="simpson", x_widths=[1.0],
+    @example(pid="tc2", kappa=20.0, x_widths=[1.0],
              y_widths=[0.3, 0.7, 0.5, 0.2, 1.0])
-    @example(pid="custom-c-positive", kappa=0.7, qb_rule="midpoint",
+    @example(pid="custom-c-positive", kappa=0.7,
              x_widths=[0.5, 0.25, 1.0, 0.4, 0.9, 0.2, 0.6], y_widths=[1.0])
-    def test_random_breaks_match_scatter_bytes(self, pid, kappa, qb_rule, x_widths, y_widths):
+    def test_random_breaks_match_scatter_bytes(self, pid, kappa, x_widths, y_widths):
         problem = ORACLE_PROBLEMS[pid]
         x0, x1, y0, y1 = problem.domain
         mesh = build_tensor_mesh(scaled_breaks(x_widths, x0, x1), scaled_breaks(y_widths, y0, y1))
-        assert_matches_scatter(mesh, problem, AssemblyConfig(kappa=kappa, qb_rule=qb_rule))
+        assert_matches_scatter(mesh, problem, AssemblyConfig(kappa=kappa))
 
 
 class TestDumpBytes:
@@ -471,62 +457,62 @@ GOLDEN_MESHES = ("n1", "n8", "n17", "random5", "random6")
 GOLDEN_FD = tuple(f"{scheme}-n{n}" for scheme in ("fd5", "fd7") for n in (2, 8, 17))
 
 #: sha256 (first 16 hex digits) of every stored byte of the systems of a
-#: case (:func:`golden_digest`), recorded before the stored order was
-#: assembled directly, when it was made by permuting the natural-order CSR.
+#: case (:func:`golden_digest`), recorded on f18a219, before the Dirichlet
+#: data lost its second (Simpson) rule, with the midpoint rule.
 GOLDEN_SYSTEMS = {
-    "tc1-n1": "3a3f0837e86bb1be",
-    "tc1-n8": "78fb1c27275e3082",
-    "tc1-n17": "17e832a0abd9c6ca",
-    "tc1-random5": "49eb3e2b4f01941e",
-    "tc1-random6": "7ba17c386a012623",
-    "tc2-n1": "be00d2d3d3711fa4",
-    "tc2-n8": "4065e4fe88442105",
-    "tc2-n17": "473689e4e7c58cd2",
-    "tc2-random5": "9458c454cc1ce534",
-    "tc2-random6": "7042101dcc4f1350",
-    "tc3-n1": "0d70e3da333cdbdf",
-    "tc3-n8": "a7978fc8c7568243",
-    "tc3-n17": "ef677cc2cd855f9b",
-    "tc3-random5": "96facbbd283191a9",
-    "tc3-random6": "c5862106f224905a",
-    "fd1-n1": "b232f970ab8fbdcb",
-    "fd1-n8": "58abda2c54827d4f",
-    "fd1-n17": "ee37c13b2ed784e3",
-    "fd1-random5": "18c9570e19891969",
-    "fd1-random6": "66475fd0a9f66808",
-    "fd2-n1": "fc009e240f9813f0",
-    "fd2-n8": "40732b23c6cf9857",
-    "fd2-n17": "e9e68f5dc924f718",
-    "fd2-random5": "0552414d0a5dbf2b",
-    "fd2-random6": "7f90c6e4dbe12fa0",
-    "fd5-n2": "bdfd519491840f47",
-    "fd5-n8": "ad895ec12b7fbc11",
-    "fd5-n17": "909eb333338afd66",
-    "fd7-n2": "546ae23ff2968c55",
-    "fd7-n8": "4c6975c3433143a5",
-    "fd7-n17": "37a3ad8858accfe0",
+    "tc1-n1": "3f9c0d5dd9e7bbb6",
+    "tc1-n8": "07539530969afc55",
+    "tc1-n17": "ffbd0203db392241",
+    "tc1-random5": "28f76a5be7342966",
+    "tc1-random6": "77d70e1caff69303",
+    "tc2-n1": "dffefb6587f17a99",
+    "tc2-n8": "72f69b030219287b",
+    "tc2-n17": "5aa77309a89a58f3",
+    "tc2-random5": "494339007c4d7c2e",
+    "tc2-random6": "169f984ed2e5252d",
+    "tc3-n1": "8af45d403c98538a",
+    "tc3-n8": "3b65ed3107a88ab5",
+    "tc3-n17": "9bcab65173f7d6a3",
+    "tc3-random5": "9df176de2bc2779a",
+    "tc3-random6": "dc6eb11c8f1ec3ce",
+    "fd1-n1": "a3e5f5488121a455",
+    "fd1-n8": "62b74c45f9b841b4",
+    "fd1-n17": "f8efaea591c1cbcc",
+    "fd1-random5": "e85bdf0603817df9",
+    "fd1-random6": "842f07a8e81fe142",
+    "fd2-n1": "fbbbc8ea43e2af18",
+    "fd2-n8": "3a0958640d732a53",
+    "fd2-n17": "62f08c33777caf6d",
+    "fd2-random5": "bd97057852b01fb8",
+    "fd2-random6": "099de16405bbf101",
+    "fd5-n2": "2da12a7710b718e9",
+    "fd5-n8": "c138a934185fa09b",
+    "fd5-n17": "ee665cabf4a7be75",
+    "fd7-n2": "660f521ca0a6e995",
+    "fd7-n8": "e0c6bef14a9dcb8d",
+    "fd7-n17": "2f17440a48165a3b",
 }
 
 
 def golden_systems(case):
     """The systems a case names: an SWG problem on a mesh at kappa 0.7, 4 and
-    20 with both ``qb`` rules, or a stencil scheme at size n with the f and g
-    of fd1 and fd2 (and those kappa for fd7), with both rules."""
+    20, or a stencil scheme at size n with the f and g of fd1 and fd2 (and
+    those kappa for fd7)."""
     pid, label = case.split("-", 1)
     if pid in ("fd5", "fd7"):
         n = int(label[1:])
-        for source, qb_rule in itertools.product(("fd1", "fd2"), QB_RULES):
+        for source in ("fd1", "fd2"):
             f, g = get_problem(source).f, get_problem(source).g
             if pid == "fd5":
-                yield assemble_fd5(n, f, g, qb_rule=qb_rule)
+                yield assemble_fd5(n, f, g)
                 continue
             for kappa in (0.7, 4.0, 20.0):
-                yield assemble_fd7(n, kappa, f, g, qb_rule=qb_rule)
+                yield assemble_fd7(n, kappa, f, g)
         return
     problem = get_problem(pid)
     mesh = oracle_mesh(problem, label)
-    for kappa, qb_rule in itertools.product((0.7, 4.0, 20.0), QB_RULES):
-        yield assemble(mesh, problem, AssemblyConfig(kappa=kappa, qb_rule=qb_rule))
+    for kappa in (0.7, 4.0, 20.0):
+        yield assemble(mesh, problem, AssemblyConfig(kappa=kappa))
 
 
 def golden_digest(systems, path):

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import os
+import pathlib
+import re
 import weakref
 
 import numpy as np
@@ -12,7 +14,7 @@ import swgfem.cli
 import swgfem.fd
 import swgfem.solver
 from swgfem.assembly import AssemblyConfig, assemble, dump_matrix
-from swgfem.cli import main
+from swgfem.cli import build_parser, main
 from swgfem.problems import get_problem, mesh_for
 
 
@@ -135,6 +137,22 @@ class TestRemovedFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments: --alpha0 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "fd", "dmp"])
+    @pytest.mark.parametrize("rule", ["simpson", "midpoint"])
+    def test_qb_flag_exit_2(self, capsys, command, rule):
+        # g is taken at the boundary edge midpoints, with no rule to choose
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--problem", "fd1", "--kappa", "4", "--ns", "8", "--qb", rule])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --qb {rule}" in capsys.readouterr().err
+
+    def test_fd_n_exit_2(self, capsys):
+        # --ns 8 tabulates one size; --n is not taken as an abbreviation of it
+        with pytest.raises(SystemExit) as exc:
+            main(["fd", "--problem", "fd1", "--kappa", "4", "--n", "8"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestSolveFlags:
     @pytest.mark.parametrize("flags", [("--solver", "iterative"), ("--tol", "1e-12")])
@@ -163,7 +181,7 @@ class TestSolveFlags:
 class TestOutputPaths:
     COMMANDS = {
         "run": ("run", "--problem", "tc1", "--kappa", "4", "--ns", "8", "--out"),
-        "fd": ("fd", "--problem", "fd1", "--kappa", "4", "--n", "8", "--out"),
+        "fd": ("fd", "--problem", "fd1", "--kappa", "4", "--ns", "8", "--out"),
         "dmp": ("dmp", "--problem", "fd2", "--kappa", "4", "--ns", "8", "--out"),
         "equiv": ("equiv", "--n", "8", "--kappa", "4", "--out"),
         "dump-matrix": ("run", "--problem", "tc1", "--kappa", "4", "--ns", "8", "--dump-matrix"),
@@ -210,37 +228,29 @@ class TestFdCommand:
 
     def test_five_point_single_n(self, capsys):
         code, out, _ = run_cli(
-            capsys, "fd", "--scheme", "5", "--problem", "fd2", "--n", "8")
+            capsys, "fd", "--scheme", "5", "--problem", "fd2", "--ns", "8")
         assert code == 0
         assert float(out.strip().splitlines()[2].split()[1]) == pytest.approx(
             3.47e-05, rel=0.05)
 
-    def test_n_and_ns_together_rejected(self, capsys):
-        # --n used to be dropped without a word, tabulating --ns only
-        code, out, err = run_cli(
-            capsys, "fd", "--scheme", "5", "--problem", "fd2", "--n", "8", "--ns", "16")
-        assert code == 2
-        assert out == ""
-        assert "pass either --n or --ns, not both" in err
-
     def test_rejects_convection_problem(self, capsys):
         code, _, err = run_cli(
             capsys, "fd", "--scheme", "7", "--kappa", "4", "--problem", "tc1",
-            "--n", "8")
+            "--ns", "8")
         assert code == 2
         assert "pure unit diffusion" in err
 
     def test_rejects_custom_problem(self, capsys):
         # alpha = 1, beta = 0, c = 0 here, but only fd1/fd2 carry the flag
         code, _, err = run_cli(
-            capsys, "fd", "--scheme", "5", "--problem", "custom", "--n", "8")
+            capsys, "fd", "--scheme", "5", "--problem", "custom", "--ns", "8")
         assert code == 2
         assert "pure unit diffusion" in err
 
     def test_five_point_with_other_kappa(self, capsys):
         code, _, err = run_cli(
             capsys, "fd", "--scheme", "5", "--kappa", "2", "--problem", "fd1",
-            "--n", "8")
+            "--ns", "8")
         assert code == 2
 
 
@@ -375,9 +385,6 @@ GOLDEN_OUTPUTS = {
         ("34ea673f4544c9e5",),
     ("run", "--problem", "tc2", "--kappa", "4", "--ns", "4,8", "--format", "csv"):
         ("9394ccc495c790d3",),
-    ("run", "--problem", "tc3", "--kappa", "4", "--ns", "8", "--qb", "simpson",
-     "--format", "csv"):
-        ("f2af5b559dc04d40",),
     ("run", "--problem", "fd2", "--kappa", "4", "--ns", "8", "--dump-matrix"):
         ("c828c0349ae158b0", "fe99029424736461"),
     ("run", "--problem", "tc2", "--kappa", "0.7", "--ns", "6", "--format", "csv",
@@ -413,3 +420,16 @@ class TestGoldenOutputs:
         assert run_cli(capsys, *command)[0] == 0
         digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in paths)
         assert digests == GOLDEN_OUTPUTS[argv]
+
+
+class TestReadme:
+    def test_cli_section_names_only_parser_flags(self):
+        # every --flag README's CLI section names is an option of some subcommand
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        [subparsers] = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+        options = {flag for sub in subparsers.choices.values()
+                   for flag in sub._option_string_actions}
+        named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+        assert named, "no flag found in README's CLI section"
+        assert named - options == set()

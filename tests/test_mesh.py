@@ -110,7 +110,11 @@ class TestElementGeometry:
         dm = enumerate_dofs(mesh)
         np.testing.assert_allclose(dm.midpoints[conn], edge_midpoints(hx, hy, (cx, cy)),
                                    rtol=1e-15, atol=1e-15)
-        np.testing.assert_array_equal(dm.lengths[conn], edge_lengths(hx, hy))
+        # vertical edges (ids below n_vertical) are dy long, horizontal ones dx
+        lengths = np.concatenate([np.repeat(mesh.dy, mesh.nx + 1), np.tile(mesh.dx, mesh.ny + 1)])
+        np.testing.assert_array_equal(conn[:, :2] < dm.n_vertical, True)
+        np.testing.assert_array_equal(conn[:, 2:] >= dm.n_vertical, True)
+        np.testing.assert_array_equal(lengths[conn], edge_lengths(hx, hy))
 
     def test_matches_element_arrays(self, rng):
         # the sign checks read element_geometry and assembly element_arrays
@@ -160,26 +164,21 @@ class TestEnumerateDofs:
         for arr in (dm.midpoints, dm.is_boundary, dm.interior, dm.boundary, dm.free_index):
             assert not arr.flags.writeable
 
-    def test_derived_arrays_match_edges(self):
-        # is_vertical and lengths are derived on each use; vertical edge
-        # (i, j) has id j*(nx+1) + i, horizontal edge (i, j) nv + j*nx + i
+    def test_midpoints_match_edges(self):
+        # vertical edge (i, j) has id j*(nx+1) + i, horizontal edge (i, j) nv + j*nx + i
         mesh = build_tensor_mesh([0, 0.3, 0.7, 1], [0, 0.5, 0.6, 1])
         dm = enumerate_dofs(mesh)
         nx, ny, nv = mesh.nx, mesh.ny, dm.n_vertical
         xb, yb = mesh.x_breaks, mesh.y_breaks
-        for name in ("is_vertical", "lengths"):
-            assert getattr(dm, name).shape == (dm.count,)
+        assert dm.midpoints.shape == (dm.count, 2)
+        assert nv == (nx + 1) * ny
         for j in range(ny):
             for i in range(nx + 1):
                 k = j * (nx + 1) + i
-                assert dm.is_vertical[k]
-                assert dm.lengths[k] == mesh.dy[j]
                 assert tuple(dm.midpoints[k]) == (xb[i], 0.5 * (yb[j] + yb[j + 1]))
         for j in range(ny + 1):
             for i in range(nx):
                 k = nv + j * nx + i
-                assert not dm.is_vertical[k]
-                assert dm.lengths[k] == mesh.dx[i]
                 assert tuple(dm.midpoints[k]) == (0.5 * (xb[i] + xb[i + 1]), yb[j])
 
     def test_midpoint_is_mean_of_endpoints(self):
@@ -193,9 +192,10 @@ class TestEnumerateDofs:
                          for j in range(ny) for i in range(nx + 1)]
                         + [((xb[i], yb[j]), (xb[i + 1], yb[j]))
                            for j in range(ny + 1) for i in range(nx)])
-        half = 0.5 * dm.lengths
-        step = np.stack([np.where(dm.is_vertical, 0.0, half),
-                         np.where(dm.is_vertical, half, 0.0)], axis=1)
+        vertical = np.arange(dm.count) < dm.n_vertical
+        half = 0.5 * np.concatenate([np.repeat(mesh.dy, nx + 1), np.tile(mesh.dx, ny + 1)])
+        step = np.stack([np.where(vertical, 0.0, half),
+                         np.where(vertical, half, 0.0)], axis=1)
         np.testing.assert_allclose(dm.midpoints - step, ends[:, 0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(dm.midpoints + step, ends[:, 1], rtol=0, atol=1e-15)
         np.testing.assert_allclose(dm.midpoints, ends.mean(axis=1), rtol=0, atol=1e-15)

@@ -311,12 +311,13 @@ class TestNestedDissection:
             return
         # the longer side (x on a tie) is split at its middle grid line;
         # vertical edge (i, j) has id j*(nx+1) + i, horizontal edge (i, j) nv + j*nx + i
-        k = np.arange(dm.count) - np.where(dm.is_vertical, 0, dm.n_vertical)
-        row = np.where(dm.is_vertical, nx + 1, nx)
+        vertical = np.arange(dm.count) < dm.n_vertical
+        k = np.arange(dm.count) - np.where(vertical, 0, dm.n_vertical)
+        row = np.where(vertical, nx + 1, nx)
         if nx >= ny:
-            line, pos, on_line = nx // 2, k % row, dm.is_vertical
+            line, pos, on_line = nx // 2, k % row, vertical
         else:
-            line, pos, on_line = ny // 2, k // row, ~dm.is_vertical
+            line, pos, on_line = ny // 2, k // row, ~vertical
         separator = on_line & (pos == line)
         first = ~separator & (pos < line)
         second = ~separator & ~first
