@@ -171,7 +171,7 @@ def dmp_check(solution: Solution, mesh: TensorMesh, c_nonneg: bool) -> DmpReport
 def split_pos_neg(v):
     """Componentwise split v = v_plus + v_minus with v_plus >= 0 >= v_minus."""
     v = np.asarray(v, dtype=float)
-    return np.clip(v, 0.0, None), np.clip(v, None, 0.0)
+    return np.maximum(v, 0.0), np.minimum(v, 0.0)
 
 
 def sign_inequality_value(geom: ElementGeom, kappa, h_global, problem: ProblemSpec, v) -> float:
@@ -182,12 +182,12 @@ def sign_inequality_value(geom: ElementGeom, kappa, h_global, problem: ProblemSp
     """
     kernels.require_kappa(kappa)
     v_plus, v_minus = split_pos_neg(v)
-    (a11, a22), beta_q, c_val = sample_coefficients(geom, problem)
-    if min(a11.min(), a22.min()) <= 0:
+    alpha_q, beta_q, c_val = sample_coefficients(geom, problem)
+    if min(alpha_q[0].min(), alpha_q[1].min()) <= 0:
         raise NonPositiveDiffusion("diffusion tensor not positive at a quadrature point")
     if c_val < 0:
         raise NegativeReaction(f"reaction coefficient must be >= 0, got {float(c_val)}")
-    op = kernels.local_operator(geom, kappa, h_global, (a11, a22), beta_q, c_val)
+    op = kernels.local_operator(geom, kappa, h_global, alpha_q, beta_q, c_val)
     # rows are test functions, columns trial: B(v-, v+) = v+^T Op v-
     return float(v_plus @ op @ v_minus)
 
@@ -208,7 +208,8 @@ def kappa_condition(mesh: TensorMesh, problem: ProblemSpec, kappa: float,
     area = hx * hy
 
     (a11, a22), (b1, b2), c = sample_coefficients(ElementGeom(hx, hy, (cx, cy)), problem)
-    alpha_min = np.minimum(a11.min(axis=1), a22.min(axis=1))
+    p0, p1, p2, p3 = np.minimum(a11, a22).T  # per Gauss point, over the elements
+    alpha_min = np.minimum(np.minimum(p0, p1), np.minimum(p2, p3))
     beta_inf = max(float(np.abs(b1).max()), float(np.abs(b2).max()))
     c_inf = float(np.abs(c).max())
 
@@ -219,12 +220,7 @@ def kappa_condition(mesh: TensorMesh, problem: ProblemSpec, kappa: float,
     slack3 = alpha_min * hx / hy - eta - rhs_bound
     sigma = hx / hy
     aspect_ok = (sigma >= 0.5 * (1 - _UNIFORM_RTOL)) & (sigma <= 2.0 * (1 + _UNIFORM_RTOL))
-    all_ok = bool(
-        np.all(slack1 >= 0)
-        and np.all(slack2 >= 0)
-        and np.all(slack3 >= 0)
-        and np.all(aspect_ok)
-    )
+    all_ok = bool(min(slack1.min(), slack2.min(), slack3.min()) >= 0 and aspect_ok.all())
     return KappaConditionReport(
         eta=eta, slack1=slack1, slack2=slack2, slack3=slack3,
         aspect_ok=aspect_ok, all_ok=all_ok,

@@ -91,7 +91,6 @@ class SparseSystem:
     row k of ``ordered`` is row ``order[k]`` of A.  ``rhs`` is in the natural
     order, and ``boundary_values`` holds the imposed values of g, aligned
     with ``mesh.dof_map.boundary``.
-    :func:`stored_system` builds a system from its entries.
     """
 
     ordered: sp.csc_matrix
@@ -126,17 +125,6 @@ def stored_numbering(dof_map: DofMap):
     return dof_map.free_index[ids], number
 
 
-def stored_system(values, rows, columns, order, rhs, boundary_values, mesh) -> SparseSystem:
-    """The system whose stored matrix has ``values`` at (``rows``,
-    ``columns``), numbered as :func:`stored_numbering` numbers them, one
-    entry per pair.  Entries given in ascending row order come out of the
-    counting sort by column in canonical CSC order, and scipy sorts nothing.
-    """
-    size = order.size
-    ordered = sp.csc_matrix((values, (rows, columns)), shape=(size, size))
-    return SparseSystem(ordered, order, rhs, boundary_values, mesh)
-
-
 def boundary_averages(dof_map: DofMap, g) -> np.ndarray:
     """g at the midpoints of all boundary edges, aligned with dof_map.boundary."""
     b = dof_map.boundary
@@ -166,8 +154,8 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     elements' blocks and ``conn`` numbers (:func:`_edge_rows`, numbered as
     stored by :func:`stored_numbering`); the boundary columns times g move
     to the right-hand side, and the rows, taken in stored order, give the
-    stored matrix (:func:`stored_system`).  Every sum runs in a fixed order,
-    so assembly is bit-reproducible.
+    stored matrix.  Every sum runs in a fixed order, so assembly is
+    bit-reproducible.
     """
     dof_map = enumerate_dofs(mesh)
     hx, hy, cx, cy, conn = element_arrays(mesh)
@@ -196,8 +184,7 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
             RuntimeWarning,
             stacklevel=2,
         )
-    local = kernels.local_operator(
-        geom, config.kappa, mesh.h, (a11, a22), beta_q, c_val)
+    local = kernels.local_operator(geom, config.kappa, mesh.h, (a11, a22), beta_q, c_val)
     # f at the dof midpoints, which lie exactly on the mesh breakpoints
     f_mid = problem.f(*dof_map.midpoints.T) + np.zeros(dof_map.count)
     loads = kernels.load_vector(geom, problem.f, f_mid=f_mid[conn])
@@ -214,11 +201,18 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     # each row's boundary slots, in slot (dof id) order, summed from +0
     slots = np.flatnonzero(columns < 0)
     lift = values.ravel()[slots] * g_b[~columns.ravel()[slots]]
-    rhs = rhs[dof_map.interior] - np.bincount(slots // 7, lift, minlength=order.size)
+    rows = slots // 7
+    rhs = rhs[dof_map.interior] - np.bincount(rows, lift, minlength=order.size)
+    # the rows in stored order, less their boundary slots; the counting sort
+    # by column of tocsc leaves each column's rows ascending
     values, columns = (np.take(a, order, axis=0) for a in (values, columns))
     keep = columns >= 0
-    rows = np.repeat(np.arange(order.size, dtype=columns.dtype), 7)[keep.ravel()]
-    return stored_system(values[keep], rows, columns[keep], order, rhs, g_b, mesh)
+    indptr = np.zeros(order.size + 1, dtype=columns.dtype)
+    np.cumsum(7 - np.bincount(rows, minlength=order.size)[order], out=indptr[1:])
+    ordered = sp.csr_matrix((values[keep], columns[keep], indptr),
+                            shape=(order.size, order.size)).tocsc()
+    ordered.has_canonical_format = True  # sorted, one entry per pair
+    return SparseSystem(ordered, order, rhs, g_b, mesh)
 
 
 #: How an edge's row is gathered from the rows of its two elements.  Vertical

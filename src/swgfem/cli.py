@@ -231,6 +231,7 @@ def cmd_list_problems(args):
     return 0
 
 
+@functools.cache  # built once per process; each parse_args call starts afresh
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="swg",

@@ -16,6 +16,7 @@ identical when alpha = 1, beta = 0, c = 0.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (
     AssemblyConfig,
@@ -23,7 +24,6 @@ from .assembly import (
     assemble,
     boundary_averages,
     stored_numbering,
-    stored_system,
 )
 from .kernels import require_kappa
 from .mesh import enumerate_dofs, uniform_mesh
@@ -95,8 +95,9 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g):
     for di, dj in ((0, -1), (1, -1), (0, 0), (1, 0)):
         add(hid, (hj + dj) * (n + 1) + (hi + di), stencil.c4)
 
-    return stored_system(np.concatenate(data), np.concatenate(rows), np.concatenate(cols),
-                         order, rhs, g_b, mesh)
+    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+    ordered = sp.csc_matrix(entries, shape=(order.size, order.size))
+    return SparseSystem(ordered, order, rhs, g_b, mesh)
 
 
 def assemble_fd7(n, kappa, f, g) -> SparseSystem:

@@ -21,7 +21,10 @@ Every kernel runs on one element or on a batch of elements: a geometry
 whose ``hx``, ``hy`` and ``center`` hold equal-shape arrays (as built from
 :func:`swgfem.mesh.element_arrays`) gives ``(..., 4)`` vectors and
 ``(..., 4, 4)`` blocks; a scalar geometry gives ``(4,)`` and ``(4, 4)``.
-Edge-value vectors ``v`` batch the same way, with shape ``(..., 4)``.
+Edge-value vectors ``v`` batch the same way, with shape ``(..., 4)``.  The
+per-element scalars take the type the geometry holds: Python floats for
+one element of :func:`swgfem.mesh.element_geometry`, arrays for a batch,
+with the same operations in the same order.
 
 The blocks of :func:`local_operator` are written from per-element scalars.
 With d = (1, 1, -1, -1), mu = hx*hy/(2*h*(hx+hy)), W = |T|/4 * sum_q a11(q)
@@ -29,11 +32,14 @@ and X = (W/hx)/hx (Y likewise from a22 and hy), kappa*S + A is
 kappa*mu*d d^T + X*(e1-e2)(e1-e2)^T + Y*(e3-e4)(e3-e4)^T: entries -kappa*mu
 off the two 2x2 diagonal blocks and kappa*mu +- X (+- Y) on them.  Column 2
 of B is |T|/4 * sum_q s_i(q) b1(q)/hx and column 1 its negative (columns 4
-and 3 take b2/hy); C is c*|T|/4 * sum_q s_i(q) s_j(q).  Each sum over the
-Gauss points runs as (p0 + p2) + (p1 + p3): the order in which numpy's
-``einsum`` sums four terms on x86-64, as in the einsum form of B and C that
-``tests/oracles.py::block_sum_operator`` keeps, so the bytes stay the same.
+and 3 take b2/hy); C is c*|T|/4 * sum_q s_i(q) s_j(q).  The sums over the
+Gauss points run in the orders of the numpy forms that
+``tests/oracles.py::block_sum_operator`` keeps, so the bytes stay the same:
+((p0 + p1) + p2) + p3 for A, as ``sum`` over a last axis of four, and
+(p0 + p2) + (p1 + p3) for B and C, as ``einsum`` sums four terms on x86-64.
 """
+
+import math
 
 import numpy as np
 
@@ -49,44 +55,49 @@ from .mesh import ElementGeom
 _GAUSS_OFFSET = 1.0 / np.sqrt(3.0)
 _GAUSS_SX = np.array([-1.0, 1.0, -1.0, 1.0]) * _GAUSS_OFFSET
 _GAUSS_SY = np.array([-1.0, -1.0, 1.0, 1.0]) * _GAUSS_OFFSET
+_GAUSS_SIDES = np.array([-1.0, 1.0]) * _GAUSS_OFFSET
+#: Gauss point q lies on side q % 2 of the rule across, which s_1 and s_2
+#: read, and on side q // 2 up, which s_3 and s_4 read.
+_BASIS = np.arange(4)[:, None]
+_SIDE_OF_POINT = np.array([[0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 1, 1]])
 
 
 def require_finite(name, *samples):
     """Raise :class:`NonFiniteData` naming ``name`` if a sample is NaN or infinite."""
-    if not all(np.isfinite(v).all() for v in samples):
-        raise NonFiniteData(f"{name} is NaN or infinite at a sample point")
+    for sample in samples:
+        if not np.isfinite(sample).all():
+            raise NonFiniteData(f"{name} is NaN or infinite at a sample point")
 
 
 def require_kappa(kappa):
     """Raise :class:`NonPositiveKappa` unless the stabilization parameter is
     finite and positive."""
-    if not (np.isfinite(kappa) and kappa > 0):
+    if not (math.isfinite(kappa) and kappa > 0):
         raise NonPositiveKappa(f"kappa must be finite and positive, got {kappa}")
 
 
 def require_meshsize(h):
     """Raise :class:`NonPositiveMeshsize` unless the meshsize is finite and positive."""
-    if not (np.isfinite(h) and h > 0):
+    if not (math.isfinite(h) and h > 0):
         raise NonPositiveMeshsize(f"meshsize must be finite and positive, got {h}")
 
 
 def _gauss(geom: ElementGeom):
-    """Columns (hx, hy, cx, cy), each (..., 1), and Gauss coordinates (..., 4)."""
-    hx, hy, cx, cy = cols = [
-        np.asarray(a, dtype=float)[..., None] for a in (geom.hx, geom.hy, *geom.center)
-    ]
-    return cols, cx + 0.5 * hx * _GAUSS_SX, cy + 0.5 * hy * _GAUSS_SY
+    """The Gauss coordinates (qx, qy), each (..., 4), formed point axis first."""
+    points = [c + np.multiply.outer(offsets, 0.5 * h)
+              for c, h, offsets in zip(geom.center, (geom.hx, geom.hy), (_GAUSS_SX, _GAUSS_SY))]
+    return [q.transpose(*range(1, q.ndim), 0) for q in points]
 
 
 def _extensions(geom: ElementGeom):
     """The basis extensions at the Gauss points, (4 basis, 4 points, ...)."""
-    hx, hy, cx, cy = (np.asarray(a, dtype=float) for a in (geom.hx, geom.hy, *geom.center))
-    # the Gauss coordinates of _gauss, point axis first
-    xi = (cx + np.multiply.outer(_GAUSS_SX, 0.5 * hx) - cx) / hx
-    eta = (cy + np.multiply.outer(_GAUSS_SY, 0.5 * hy) - cy) / hy
+    hx, hy, (cx, cy) = geom.hx, geom.hy, geom.center
+    # the Gauss coordinates of _gauss, once per side of the rule
+    xi = (cx + np.multiply.outer(_GAUSS_SIDES, 0.5 * hx) - cx) / hx
+    eta = (cy + np.multiply.outer(_GAUSS_SIDES, 0.5 * hy) - cy) / hy
     den = 2.0 * (hx + hy)
     g_v, g_h = hy / den, hx / den
-    return np.array([g_v - xi, g_v + xi, g_h - eta, g_h + eta])
+    return np.array([g_v - xi, g_v + xi, g_h - eta, g_h + eta])[_BASIS, _SIDE_OF_POINT]
 
 
 def _at_points(pair, shape):
@@ -99,7 +110,7 @@ def sample_pairs(geom: ElementGeom, **coefficients):
     """Each pair-valued coefficient ``name=callable`` at the points of
     :func:`gauss_points`, as two (..., 4) arrays, in the order given; checked
     by :func:`require_finite` under its name."""
-    _, qx, qy = _gauss(geom)
+    qx, qy = _gauss(geom)
     pairs = []
     for name, coefficient in coefficients.items():
         pairs.append(_at_points(coefficient(qx, qy), qx.shape))
@@ -109,8 +120,9 @@ def sample_pairs(geom: ElementGeom, **coefficients):
 
 def gauss_points(geom: ElementGeom):
     """2x2 tensor Gauss rule: points (..., 4, 2) and weights (..., 4) summing to |T|."""
-    (hx, hy, _, _), qx, qy = _gauss(geom)
-    return np.stack([qx, qy], axis=-1), np.repeat(0.25 * (hx * hy), 4, axis=-1)
+    qx, qy = _gauss(geom)
+    weights = np.repeat(np.expand_dims(0.25 * (geom.hx * geom.hy), -1), 4, axis=-1)
+    return np.stack([qx, qy], axis=-1), weights
 
 
 def weak_gradient(geom: ElementGeom, v):
@@ -153,13 +165,13 @@ _EDGE_PATTERN = np.array([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 3, 4], [0, 0, 4, 3]
 
 def _point_sums(s, factors):
     """Row k sums s_i(q) * factors[k](q) over the Gauss points as (p0 + p2) + (p1 + p3)."""
-    rows = np.empty((len(factors),) + s.shape[:1] + s.shape[2:])
-    products = np.empty_like(s)
-    for k, f in enumerate(factors):
-        np.multiply(s, f, out=products)
-        np.add(products[:, :2], products[:, 2:], out=products[:, :2])
-        np.add(products[:, 0], products[:, 1], out=rows[k])
-    return rows
+    sums = s[:, 0] * factors[:, None, 0]  # one point at a time, three arrays at most
+    point = s[:, 2] * factors[:, None, 2]
+    sums += point
+    rest = s[:, 1] * factors[:, None, 1]
+    rest += np.multiply(s[:, 3], factors[:, None, 3], out=point)
+    sums += rest
+    return sums
 
 
 def stabilizer_matrix(geom: ElementGeom, h_global: float):
@@ -185,8 +197,8 @@ def diffusion_matrix(geom: ElementGeom, alpha):
 
 def convection_matrix(geom: ElementGeom, beta):
     """Convection matrix; entry (i, j) integrates (beta . grad_w phi_j) s(phi_i)."""
-    [(b1, b2)] = sample_pairs(geom, beta=beta)
-    return local_operator(geom, 0.0, 1.0, (0.0, 0.0), (b1, b2), 0.0)
+    [beta_q] = sample_pairs(geom, beta=beta)
+    return local_operator(geom, 0.0, 1.0, (0.0, 0.0), beta_q, 0.0)
 
 
 def reaction_matrix(geom: ElementGeom, c_value):
@@ -206,12 +218,11 @@ def load_vector(geom: ElementGeom, f, f_mid):
     """
     area = np.asarray(geom.area, dtype=float)
     sigma = np.asarray(geom.sigma, dtype=float)
-    fm = np.broadcast_to(np.asarray(f_mid, dtype=float), sigma.shape + (4,))
-    fc = np.asarray(f(*geom.center), dtype=float)[..., None]
-    wgt = np.stack([2.0 - sigma, 2.0 - sigma, 2.0 * sigma - 1.0, 2.0 * sigma - 1.0], axis=-1)
-    return (area / 6.0)[..., None] * fm + (
-        area / (6.0 * (1.0 + sigma))
-    )[..., None] * wgt * fc
+    fc = np.asarray(f(*geom.center), dtype=float)
+    wgt = np.array([2.0 - sigma, 2.0 - sigma, 2.0 * sigma - 1.0, 2.0 * sigma - 1.0])
+    at_center = (area / (6.0 * (1.0 + sigma))) * wgt * fc  # (4, ...)
+    return (area / 6.0)[..., None] * np.asarray(f_mid, dtype=float) + at_center.transpose(
+        *range(1, at_center.ndim), 0)
 
 
 def local_operator(geom: ElementGeom, kappa, h_global, alpha_q, beta_q, c_value):
@@ -229,20 +240,25 @@ def local_operator(geom: ElementGeom, kappa, h_global, alpha_q, beta_q, c_value)
     other coefficients, and kappa, set to zero.
     """
     require_meshsize(h_global)
-    hx, hy = np.asarray(geom.hx, dtype=float), np.asarray(geom.hy, dtype=float)
-    w, rx, ry = 0.25 * (hx * hy), 1.0 / hx, 1.0 / hy
-    diag = kappa * (hx * hy / (2.0 * h_global * (hx + hy)))
-    shape = w.shape + (4,)
-    x, y = ((w * a.sum(axis=-1) * r) * r for a, r in zip(_at_points(alpha_q, shape), (rx, ry)))
-    values = np.array([-diag, diag + x, diag - x, diag + y, diag - y])
-    local = np.take(values, _EDGE_PATTERN, axis=0)
+    hx, hy = geom.hx, geom.hy
+    area = hx * hy
+    w, rx, ry = 0.25 * area, 1.0 / hx, 1.0 / hy
+    diag = kappa * (area / (2.0 * h_global * (hx + hy)))
+    shape = np.asarray(w).shape + (4,)
+    sums = [((p0 + p1) + p2) + p3 for p0, p1, p2, p3 in  # point axis first
+            (a.transpose(-1, *range(a.ndim - 1)) for a in _at_points(alpha_q, shape))]
+    x, y = ((w * q * r) * r for q, r in zip(sums, (rx, ry)))
+    local = np.array([-diag, diag + x, diag - x, diag + y, diag - y])[_EDGE_PATTERN]
     b1, b2 = _at_points(beta_q, shape)
     c = np.asarray(c_value, dtype=float)
-    convection, reaction = b1.any() or b2.any(), c.any()
+    convection = np.count_nonzero(b1) or np.count_nonzero(b2)  # no (signed) zero counts
+    reaction = np.count_nonzero(c)
     if convection or reaction:  # only B and C use the basis extensions
         s = _extensions(geom)
     if convection:  # columns 2 and 4; columns 1 and 3 are their negatives
-        fluxes = [r * b.transpose(-1, *range(b.ndim - 1)) for r, b in ((rx, b1), (ry, b2))]
+        fluxes = np.empty((2, 4) + shape[:-1])
+        for flux, r, b in zip(fluxes, (rx, ry), (b1, b2)):
+            np.multiply(r, b.transpose(-1, *range(b.ndim - 1)), out=flux)
         columns = (w * _point_sums(s, fluxes)).swapaxes(0, 1)
         local[:, 0::2] -= columns
         local[:, 1::2] += columns

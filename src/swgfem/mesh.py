@@ -9,8 +9,8 @@ unknowns of the scheme live at edge midpoints:
 
 Degrees of freedom are numbered deterministically: all vertical edges in
 row-major order (j outer, i inner), then all horizontal edges likewise.
-Meshes are immutable; each mesh computes its element sizes, meshsize and
-dof map once, on first use.
+Meshes are immutable; each mesh computes its element sizes when built, and
+its meshsize and dof map once, on first use.
 
 :func:`nested_dissection` orders the interior edges for the direct solve
 (George, SIAM J. Numer. Anal. 10 (1973) 345; Lipton, Rose & Tarjan, SIAM J.
@@ -22,7 +22,8 @@ after the two halves; each distinct block shape is ordered once and
 translated.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -55,17 +56,22 @@ class TensorMesh:
 
     x_breaks: np.ndarray
     y_breaks: np.ndarray
+    dx: np.ndarray = field(init=False, repr=False, compare=False)  # element widths
+    dy: np.ndarray = field(init=False, repr=False, compare=False)  # element heights
 
     def __post_init__(self):
-        for name in ("x_breaks", "y_breaks"):
+        for name, steps_name in (("x_breaks", "dx"), ("y_breaks", "dy")):
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.size < 2:
                 raise TooFewPoints(f"{name} needs at least 2 points, got {arr.size}")
-            if not np.isfinite(arr).all():
-                raise NonFiniteData(f"{name} holds a NaN or infinite breakpoint")
-            if not np.all(np.diff(arr) > 0):
+            steps = np.diff(arr)
+            # NaN fails every comparison: increasing breaks can only be infinite at an end
+            if not ((steps > 0).all() and math.isfinite(arr[0]) and math.isfinite(arr[-1])):
+                if not np.isfinite(arr).all():
+                    raise NonFiniteData(f"{name} holds a NaN or infinite breakpoint")
                 raise NonMonotoneBreaks(f"{name} must be strictly increasing")
             object.__setattr__(self, name, _read_only(arr))
+            object.__setattr__(self, steps_name, _read_only(steps))
 
     @property
     def nx(self) -> int:
@@ -74,14 +80,6 @@ class TensorMesh:
     @property
     def ny(self) -> int:
         return self.y_breaks.size - 1
-
-    @cached_property
-    def dx(self) -> np.ndarray:
-        return _read_only(np.diff(self.x_breaks))
-
-    @cached_property
-    def dy(self) -> np.ndarray:
-        return _read_only(np.diff(self.y_breaks))
 
     @cached_property
     def h(self) -> float:
@@ -147,7 +145,8 @@ class DofMap:
     n_vertical + j*nx + i.  The map is read only through its arrays, each
     indexed by dof id.  ``interior`` and ``boundary`` partition the index
     range; ``free_index`` maps a global id to its position in ``interior``
-    (or -1 for boundary dofs).  The map stores ``midpoints``,
+    (or -1 for boundary dofs).  The map stores ``nx``, ``ny``,
+    ``n_vertical``, ``n_horizontal``, ``count``, ``midpoints``,
     ``is_boundary``, ``interior``, ``boundary`` and ``free_index``, and not
     the mesh, which caches the map.
     """
@@ -162,14 +161,17 @@ class DofMap:
 
         xm = 0.5 * (xb[:-1] + xb[1:])
         ym = 0.5 * (yb[:-1] + yb[1:])
+        self.midpoints = np.empty((self.count, 2))
         # vertical edges (i fastest): x on a grid line, y at an element mid-height;
         # horizontal edges (i fastest): x at an element mid-width, y on a grid line
-        self.midpoints = np.stack([np.concatenate([np.tile(xb, ny), np.tile(xm, ny + 1)]),
-                                   np.concatenate([np.repeat(ym, nx + 1), np.repeat(yb, nx)])],
-                                  axis=1)
-        vi, hj = np.arange(nx + 1), np.arange(ny + 1)
-        self.is_boundary = np.concatenate([np.tile((vi == 0) | (vi == nx), ny),
-                                           np.repeat((hj == 0) | (hj == ny), nx)])
+        for edges, x, y in ((self.midpoints[:self.n_vertical].reshape(ny, nx + 1, 2), xb, ym),
+                            (self.midpoints[self.n_vertical:].reshape(ny + 1, nx, 2), xm, yb)):
+            edges[..., 0], edges[..., 1] = x, y[:, None]
+        self.is_boundary = np.zeros(self.count, dtype=bool)
+        vertical = self.is_boundary[:self.n_vertical].reshape(ny, nx + 1)
+        vertical[:, 0] = vertical[:, nx] = True
+        self.is_boundary[self.n_vertical:self.n_vertical + nx] = True
+        self.is_boundary[self.count - nx:] = True
 
         self.interior = np.flatnonzero(~self.is_boundary)
         self.boundary = np.flatnonzero(self.is_boundary)
@@ -249,11 +251,8 @@ def element_geometry(mesh: TensorMesh, i: int, j: int) -> ElementGeom:
         raise IndexOutOfRange(
             f"element ({i}, {j}) outside ({mesh.nx}, {mesh.ny}) grid"
         )
-    xb, yb = mesh.x_breaks, mesh.y_breaks
-    hx = float(xb[i + 1] - xb[i])
-    hy = float(yb[j + 1] - yb[j])
-    center = (float(0.5 * (xb[i] + xb[i + 1])), float(0.5 * (yb[j] + yb[j + 1])))
-    return ElementGeom(hx=hx, hy=hy, center=center)
+    (x0, x1), (y0, y1) = mesh.x_breaks[i:i + 2].tolist(), mesh.y_breaks[j:j + 2].tolist()
+    return ElementGeom(hx=x1 - x0, hy=y1 - y0, center=(0.5 * (x0 + x1), 0.5 * (y0 + y1)))
 
 
 def enumerate_dofs(mesh: TensorMesh) -> DofMap:
@@ -269,20 +268,13 @@ def element_arrays(mesh: TensorMesh):
     """
     nx, ny = mesh.nx, mesh.ny
     xb, yb = mesh.x_breaks, mesh.y_breaks
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-    ii, jj = ii.ravel(), jj.ravel()  # k = j*nx + i
-    hx = mesh.dx[ii]
-    hy = mesh.dy[jj]
-    cx = 0.5 * (xb[ii] + xb[ii + 1])
-    cy = 0.5 * (yb[jj] + yb[jj + 1])
-    nv = (nx + 1) * ny
-    conn = np.stack(
-        [
-            jj * (nx + 1) + ii,
-            jj * (nx + 1) + ii + 1,
-            nv + jj * nx + ii,
-            nv + (jj + 1) * nx + ii,
-        ],
-        axis=1,
-    )
-    return hx, hy, cx, cy, conn
+    hx, cx = (a[None].repeat(ny, axis=0).ravel() for a in (mesh.dx, 0.5 * (xb[:-1] + xb[1:])))
+    hy, cy = (a.repeat(nx) for a in (mesh.dy, 0.5 * (yb[:-1] + yb[1:])))
+    # element (i, j) lies between vertical edges i and i + 1 of row j and
+    # horizontal edges j and j + 1 of column i
+    vertical = np.arange((nx + 1) * ny).reshape(ny, nx + 1)
+    horizontal = np.arange(vertical.size, vertical.size + nx * (ny + 1)).reshape(ny + 1, nx)
+    conn = np.empty((ny, nx, 4), dtype=vertical.dtype)
+    conn[..., 0], conn[..., 1] = vertical[:, :-1], vertical[:, 1:]
+    conn[..., 2], conn[..., 3] = horizontal[:-1], horizontal[1:]
+    return hx, hy, cx, cy, conn.reshape(-1, 4)

@@ -14,18 +14,19 @@ from .errors import UnknownProblem, ZeroSubdivisions
 from .mesh import TensorMesh, build_tensor_mesh
 
 
-def _const_pair(v1, v2):
-    def fn(x, y):
-        return np.full(np.shape(x), float(v1)), np.full(np.shape(x), float(v2))
+def _filled(x, v):
+    """float(v) in the shape of x, an array or a Python float."""
+    values = np.empty(getattr(x, "shape", ()))
+    values.fill(float(v))
+    return values
 
-    return fn
+
+def _const_pair(v1, v2):
+    return lambda x, y: (_filled(x, v1), _filled(x, v2))
 
 
 def _const(v):
-    def fn(x, y):
-        return np.full(np.shape(x), float(v))
-
-    return fn
+    return lambda x, y: _filled(x, v)
 
 
 def _tc1():

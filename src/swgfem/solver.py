@@ -144,29 +144,28 @@ def _factor_and_solve(system):
                        panel_size=SUPERLU_PANEL)
         # permuted once the factorization, whose peak it would add to, is done
         rhs = system.rhs[system.order]
-        y = lu.solve(rhs)
+        return rhs, lu.solve(rhs)
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SingularMatrix(str(exc)) from exc
-    if not np.all(np.isfinite(y)):
-        raise SingularMatrix("factorization produced non-finite values")
-    return rhs, y
 
 
 def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
     """Solve ``system``, check its normwise backward error (SingularMatrix past
     ``DIRECT_BACKWARD_TOL``) and merge boundary values into a full edge vector."""
-    config = config or SolveConfig()
     ordered, order = system.ordered, system.order
-    if config.method == "auto":
+    if config is None or config.method == "auto":
         check_memory(ordered.shape[0])
 
     y = np.zeros(0)
     if ordered.shape[0]:
         rhs, y = _factor_and_solve(system)
+        y_max = np.abs(y).max()  # NaN or inf if any entry is
+        if not math.isfinite(y_max):
+            raise SingularMatrix("factorization produced non-finite values")
         r = ordered @ y - rhs
         # |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf); 0 when b = Ax = 0.  No
         # BLAS ddot: its threads spin on past the call and slow the next factor
-        scale = _inf_norm(ordered) * np.abs(y).max() + np.abs(rhs).max()
+        scale = _inf_norm(ordered) * y_max + np.abs(rhs).max()
         backward = np.abs(r).max() / scale if scale > 0 else 0.0
         if backward > DIRECT_BACKWARD_TOL:
             raise SingularMatrix(
@@ -174,7 +173,7 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
             )
 
     dof_map = system.mesh.dof_map
-    values = np.zeros(dof_map.count)
+    values = np.empty(dof_map.count)
     values[dof_map.boundary] = system.boundary_values
     values[dof_map.interior[order]] = y
     return Solution(values=values, iterations=0)

@@ -147,6 +147,8 @@ def nested_dissection_oracle(nx, ny, leaf):
 
 
 _STAB_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+_GAUSS_SX = np.array([-1.0, 1.0, -1.0, 1.0]) * (1.0 / np.sqrt(3.0))  # in half-widths
+_GAUSS_SY = np.array([-1.0, -1.0, 1.0, 1.0]) * (1.0 / np.sqrt(3.0))
 _GRAD_X = np.array([-1.0, 1.0, 0.0, 0.0])  # hx * grad_w of each basis function
 _GRAD_Y = np.array([0.0, 0.0, -1.0, 1.0])  # hy * grad_w of each basis function
 
@@ -181,21 +183,21 @@ def block_sum_operator(geom, kappa, h_global, alpha_q, beta_q, c_value):
     Gauss points; no block is left out, even when its coefficient is zero.
     Takes the same arguments, batched or for one element.
     """
-    from swgfem import kernels
-
-    cols, qx, qy = kernels._gauss(geom)
-    hx, hy, cx, cy = cols
+    hx, hy, cx, cy = (np.asarray(a, dtype=float)[..., None]
+                      for a in (geom.hx, geom.hy, *geom.center))
+    qx, qy = cx + 0.5 * hx * _GAUSS_SX, cy + 0.5 * hy * _GAUSS_SY
     w = 0.25 * (hx * hy)[..., 0]
     gx, gy = (1.0 / hx) * _GRAD_X, (1.0 / hy) * _GRAD_Y
     xi, eta = (qx - cx) / hx, (qy - cy) / hy
     g_v, g_h = hy / (2.0 * (hx + hy)), hx / (2.0 * (hx + hy))
     s = np.stack([g_v - xi, g_v + xi, g_h - eta, g_h + eta], axis=-2)
-    a11, a22 = kernels._at_points(alpha_q, qx.shape)
+    a11, a22 = (np.broadcast_to(np.asarray(a, dtype=float), qx.shape) for a in alpha_q)
+    b1, b2 = (np.broadcast_to(np.asarray(b, dtype=float), qx.shape) for b in beta_q)
     mu = geom.hx * geom.hy / (2.0 * h_global * (geom.hx + geom.hy))
     local = kappa * (np.asarray(mu)[..., None, None] * np.outer(_STAB_SIGNS, _STAB_SIGNS))
     for term in (
         *_diffusion_terms(w, gx, gy, a11, a22),
-        _convection_block(w, s, gx, gy, *kernels._at_points(beta_q, qx.shape)),
+        _convection_block(w, s, gx, gy, b1, b2),
         _reaction_block(w, s, c_value),
     ):
         local += term
@@ -221,7 +223,7 @@ def scatter_assemble(mesh, problem, config):
     geom = ElementGeom(hx, hy, (cx, cy))
     pts, _ = kernels.gauss_points(geom)
     qx, qy = pts[..., 0], pts[..., 1]
-    alpha_q = kernels._at_points(problem.alpha(qx, qy), qx.shape)
+    alpha_q = problem.alpha(qx, qy)
     c_val = np.asarray(problem.c(cx, cy), dtype=float)
     local = kernels.local_operator(
         geom, config.kappa, mesh.h, alpha_q, problem.beta(qx, qy), c_val)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import weakref
 from dataclasses import replace
@@ -19,10 +20,18 @@ from swgfem.analysis import (
     solve_problem,
     split_pos_neg,
 )
-from swgfem.assembly import AssemblyConfig, assemble
+from swgfem.assembly import AssemblyConfig, assemble, sample_coefficients
 from swgfem.errors import NegativeReaction, NonPositiveDiffusion, NonUniformMesh
-from swgfem.mesh import ElementGeom, element_geometry, enumerate_dofs, uniform_mesh
-from swgfem.problems import get_problem, make_custom, mesh_for
+from swgfem.kernels import local_operator
+from swgfem.mesh import (
+    ElementGeom,
+    build_tensor_mesh,
+    element_arrays,
+    element_geometry,
+    enumerate_dofs,
+    uniform_mesh,
+)
+from swgfem.problems import PROBLEM_IDS, get_problem, make_custom, mesh_for
 from swgfem.solver import Solution, solve
 
 
@@ -360,3 +369,104 @@ class TestPaperConditionImpliesDmp:
         for i, j in ((0, 0), (mesh.nx - 1, mesh.ny - 1)):
             geom = element_geometry(mesh, i, j)
             assert sign_inequality_value(geom, kappa, mesh.h, problem, np.array(v)) >= -1e-12
+
+
+#: Problems of the analysis digests: the five built-ins and a custom problem
+#: with beta != 0 and c > 0, so that every block of the local operator forms.
+GOLDEN_PROBLEMS = PROBLEM_IDS + ("custom",)
+GOLDEN_KAPPAS = (0.7, 4.0, 20.0)
+
+#: sha256 (first 16 hex digits) of :func:`kappa_condition_digest` and
+#: :func:`sign_values_digest` per problem, recorded on 5ef50b1.  fd1 and fd2
+#: share alpha = I, beta = 0, c = 0 and the unit square, so their digests agree.
+GOLDEN_KAPPA_CONDITION = {
+    "tc1": "df6fd0435f8e4f5d",
+    "tc2": "f0e45cf2400d4f3f",
+    "tc3": "27feea18c2e2837a",
+    "fd1": "d8893dad93468826",
+    "fd2": "d8893dad93468826",
+    "custom": "7c7fb2e0a2c9335e",
+}
+GOLDEN_SIGN_VALUES = {
+    "tc1": "b5711e232a7349bb",
+    "tc2": "a808cb0970fd5949",
+    "tc3": "cd000b712b4b9fbc",
+    "fd1": "b779844dc0e58935",
+    "fd2": "b779844dc0e58935",
+    "custom": "4183673571ff078a",
+}
+
+
+def golden_problem(pid):
+    if pid == "custom":
+        return make_custom(alpha0=1.3, beta=(0.6, -0.4), c=3.0, f=-1.0, g=0.5)
+    return get_problem(pid)
+
+
+def golden_meshes(problem):
+    """Two seeded nonuniform meshes stretched over the problem's domain."""
+    x0, x1, y0, y1 = problem.domain
+    for seed in (5, 6):
+        rng = np.random.default_rng(seed)
+        nx, ny = rng.integers(2, 9, size=2)
+        xt, yt = (np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, k - 1)), [1.0]])
+                  for k in (nx, ny))
+        yield build_tensor_mesh(x0 + (x1 - x0) * xt, y0 + (y1 - y0) * yt)
+
+
+def kappa_condition_digest(pid):
+    """The dtype, shape and bytes of every array of ``kappa_condition`` on
+    the golden meshes, at each golden kappa, with the default h and half of it."""
+    digest = hashlib.sha256()
+    problem = golden_problem(pid)
+    for mesh in golden_meshes(problem):
+        for kappa in GOLDEN_KAPPAS:
+            for h in (None, 0.5 * mesh.h):
+                report = kappa_condition(mesh, problem, kappa, h)
+                for a in (report.eta, report.slack1, report.slack2, report.slack3,
+                          report.aspect_ok):
+                    digest.update(f"{a.dtype.str}{a.shape}".encode())
+                    digest.update(a.tobytes())
+                digest.update(bytes([report.all_ok]))
+    return digest.hexdigest()[:16]
+
+
+def sign_values(pid):
+    """``sign_inequality_value`` on every element of the golden meshes at
+    each golden kappa, for seeded edge vectors, with the batched local
+    operator of the same mesh and kappa."""
+    problem = golden_problem(pid)
+    rng = np.random.default_rng(7)
+    for mesh in golden_meshes(problem):
+        hx, hy, cx, cy, _ = element_arrays(mesh)
+        geom = ElementGeom(hx, hy, (cx, cy))
+        alpha_q, beta_q, c = sample_coefficients(geom, problem)
+        for kappa in GOLDEN_KAPPAS:
+            blocks = local_operator(geom, kappa, mesh.h, alpha_q, beta_q, c)
+            for j in range(mesh.ny):
+                for i in range(mesh.nx):
+                    v = rng.uniform(-1.0, 1.0, 4)
+                    value = sign_inequality_value(element_geometry(mesh, i, j), kappa, mesh.h,
+                                                  problem, v)
+                    yield value, v, blocks[j * mesh.nx + i]
+
+
+def sign_values_digest(pid):
+    values = np.array([value for value, _, _ in sign_values(pid)])
+    return hashlib.sha256(values.tobytes()).hexdigest()[:16]
+
+
+class TestGoldenAnalysis:
+    @pytest.mark.parametrize("pid", GOLDEN_PROBLEMS)
+    def test_kappa_condition_same_bytes(self, pid):
+        assert kappa_condition_digest(pid) == GOLDEN_KAPPA_CONDITION[pid]
+
+    @pytest.mark.parametrize("pid", GOLDEN_PROBLEMS)
+    def test_sign_values_same_bytes(self, pid):
+        assert sign_values_digest(pid) == GOLDEN_SIGN_VALUES[pid]
+
+    @pytest.mark.parametrize("pid", GOLDEN_PROBLEMS)
+    def test_sign_value_is_batched_block_form(self, pid):
+        for value, v, block in sign_values(pid):
+            v_plus, v_minus = split_pos_neg(v)
+            assert value == float(v_plus @ block @ v_minus)

@@ -422,6 +422,21 @@ class TestGoldenOutputs:
         assert digests == GOLDEN_OUTPUTS[argv]
 
 
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_back_to_back_calls_parse_independently(self, tmp_path, capsys):
+        # the golden commands forward, then backward, in one process: no flag
+        # or default of one call (the custom dmp's --c and --beta, run's
+        # --dump-matrix) carries into the next
+        for argv in [*GOLDEN_OUTPUTS, *reversed(GOLDEN_OUTPUTS)]:
+            paths = [tmp_path / "out.txt", tmp_path / "dump.txt"][:len(GOLDEN_OUTPUTS[argv])]
+            assert run_cli(capsys, *argv, *map(str, paths[1:]), "--out", str(paths[0]))[0] == 0
+            digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in paths)
+            assert digests == GOLDEN_OUTPUTS[argv]
+
+
 class TestReadme:
     def test_cli_section_names_only_parser_flags(self):
         # every --flag README's CLI section names is an option of some subcommand

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ from swgfem.analysis import solve_problem
 from swgfem.assembly import AssemblyConfig, SparseSystem, assemble, stored_numbering
 from swgfem.errors import NonFiniteData, OutOfMemory, SingularMatrix
 from swgfem.mesh import (
+    DofMap,
     ND_LEAF_ELEMENTS,
     build_tensor_mesh,
     element_arrays,
@@ -265,7 +267,9 @@ class TestResidency:
         system = assemble(mesh_for(problem, 16), problem, AssemblyConfig(kappa=4.0))
         solve(system)
         assert "matrix" not in vars(system)
-        assert not {"is_vertical", "lengths"} & set(vars(system.mesh.dof_map))
+        # the dof map keeps exactly the attributes its docstring lists
+        stored = DofMap.__doc__.split("The map stores", 1)[1].split(", and not", 1)[0]
+        assert set(vars(system.mesh.dof_map)) == set(re.findall(r"``(\w+)``", stored))
         assert system.matrix is system.matrix  # derived on first access, then kept
 
     def test_solved_triple_freed_by_reference_counting(self):
