@@ -14,7 +14,7 @@ import numpy as np
 from . import kernels
 from .assembly import AssemblyConfig, ProblemSpec, assemble, sample_coefficients
 from .errors import NegativeReaction, NonPositiveDiffusion, NonUniformMesh
-from .mesh import _UNIFORM_RTOL, ElementGeom, TensorMesh, element_arrays, enumerate_dofs
+from .mesh import _UNIFORM_RTOL, ElementGeom, TensorMesh, element_arrays, elements, enumerate_dofs
 from .problems import mesh_for
 from .solver import Solution, solve
 
@@ -202,12 +202,13 @@ def kappa_condition(mesh: TensorMesh, problem: ProblemSpec, kappa: float,
     beta and c vanish.
     """
     kernels.require_kappa(kappa)
-    hx, hy, cx, cy, _ = element_arrays(mesh)
     h_eff = mesh.h if h is None else float(h)
     kernels.require_meshsize(h_eff)
+    geom = elements(mesh)
+    hx, hy = geom.hx, geom.hy
     area = hx * hy
 
-    (a11, a22), (b1, b2), c = sample_coefficients(ElementGeom(hx, hy, (cx, cy)), problem)
+    (a11, a22), (b1, b2), c = sample_coefficients(geom, problem)
     p0, p1, p2, p3 = np.minimum(a11, a22).T  # per Gauss point, over the elements
     alpha_min = np.minimum(np.minimum(p0, p1), np.minimum(p2, p3))
     beta_inf = max(float(np.abs(b1).max()), float(np.abs(b2).max()))

@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import kernels
 from .errors import NonPositiveDiffusion
@@ -41,6 +42,8 @@ from .mesh import (
 #: chunk of 8192 rows (at most 57,344 lines) takes a few MB, so the dump
 #: does not raise the peak memory of a solve of the same system.
 DUMP_CHUNK_ROWS = 8192
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ def stored_numbering(dof_map: DofMap):
     place in the nested-dissection order, and boundary dof k is numbered
     ``~k`` (= -1 - k), for k its place in ``dof_map.boundary``.
     """
-    index = np.int32 if dof_map.count <= np.iinfo(np.int32).max else np.int64
+    index = np.int32 if dof_map.count <= _INT32_MAX else np.int64
     ids = nested_dissection(dof_map)
     number = np.empty(dof_map.count, dtype=index)
     number[ids] = np.arange(ids.size, dtype=index)
@@ -127,8 +130,8 @@ def stored_numbering(dof_map: DofMap):
 
 def boundary_averages(dof_map: DofMap, g) -> np.ndarray:
     """g at the midpoints of all boundary edges, aligned with dof_map.boundary."""
-    b = dof_map.boundary
-    return g(dof_map.midpoints[b, 0], dof_map.midpoints[b, 1]) + np.zeros(b.size)
+    x, y = dof_map.midpoints[dof_map.boundary].T
+    return g(x, y) + np.zeros(x.size)
 
 
 def sample_coefficients(geom: ElementGeom, problem: ProblemSpec):
@@ -203,14 +206,18 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     lift = values.ravel()[slots] * g_b[~columns.ravel()[slots]]
     rows = slots // 7
     rhs = rhs[dof_map.interior] - np.bincount(rows, lift, minlength=order.size)
-    # the rows in stored order, less their boundary slots; the counting sort
-    # by column of tocsc leaves each column's rows ascending
+    # the rows in stored order, less their boundary slots, as CSR; the
+    # counting sort by column of scipy's csr_tocsc, which ``tocsc`` runs,
+    # leaves each column's rows ascending
     values, columns = (np.take(a, order, axis=0) for a in (values, columns))
     keep = columns >= 0
-    indptr = np.zeros(order.size + 1, dtype=columns.dtype)
-    np.cumsum(7 - np.bincount(rows, minlength=order.size)[order], out=indptr[1:])
-    ordered = sp.csr_matrix((values[keep], columns[keep], indptr),
-                            shape=(order.size, order.size)).tocsc()
+    size = order.size
+    indptr = np.zeros(size + 1, dtype=columns.dtype)
+    np.cumsum(7 - np.bincount(rows, minlength=size)[order], out=indptr[1:])
+    values, columns = values[keep], columns[keep]
+    csc = np.empty_like(indptr), np.empty_like(columns), np.empty_like(values)
+    _sparsetools.csr_tocsc(size, size, indptr, columns, values, *csc)
+    ordered = sp.csc_matrix(csc[::-1], shape=(size, size))
     ordered.has_canonical_format = True  # sorted, one entry per pair
     return SparseSystem(ordered, order, rhs, g_b, mesh)
 

@@ -60,12 +60,14 @@ _GAUSS_SIDES = np.array([-1.0, 1.0]) * _GAUSS_OFFSET
 #: read, and on side q // 2 up, which s_3 and s_4 read.
 _BASIS = np.arange(4)[:, None]
 _SIDE_OF_POINT = np.array([[0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 1, 1]])
+#: ``ndarray.all`` over every axis, without its Python-level wrapper.
+_ALL = np.logical_and.reduce
 
 
 def require_finite(name, *samples):
     """Raise :class:`NonFiniteData` naming ``name`` if a sample is NaN or infinite."""
     for sample in samples:
-        if not np.isfinite(sample).all():
+        if not _ALL(np.isfinite(sample), axis=None):
             raise NonFiniteData(f"{name} is NaN or infinite at a sample point")
 
 
@@ -84,9 +86,11 @@ def require_meshsize(h):
 
 def _gauss(geom: ElementGeom):
     """The Gauss coordinates (qx, qy), each (..., 4), formed point axis first."""
-    points = [c + np.multiply.outer(offsets, 0.5 * h)
-              for c, h, offsets in zip(geom.center, (geom.hx, geom.hy), (_GAUSS_SX, _GAUSS_SY))]
-    return [q.transpose(*range(1, q.ndim), 0) for q in points]
+    (cx, cy), half_x, half_y = geom.center, 0.5 * geom.hx, 0.5 * geom.hy
+    qx = cx + np.multiply.outer(_GAUSS_SX, half_x)
+    qy = cy + np.multiply.outer(_GAUSS_SY, half_y)
+    axes = (*range(1, qx.ndim), 0)
+    return qx.transpose(axes), qy.transpose(axes)
 
 
 def _extensions(geom: ElementGeom):
@@ -102,8 +106,9 @@ def _extensions(geom: ElementGeom):
 
 def _at_points(pair, shape):
     """A coefficient pair broadcast to one value per Gauss point."""
-    pair = [np.asarray(a, dtype=float) for a in pair]
-    return [a if a.shape == shape else np.broadcast_to(a, shape) for a in pair]
+    first, second = np.asarray(pair[0], dtype=float), np.asarray(pair[1], dtype=float)
+    return (first if first.shape == shape else np.broadcast_to(first, shape),
+            second if second.shape == shape else np.broadcast_to(second, shape))
 
 
 def sample_pairs(geom: ElementGeom, **coefficients):
@@ -113,8 +118,10 @@ def sample_pairs(geom: ElementGeom, **coefficients):
     qx, qy = _gauss(geom)
     pairs = []
     for name, coefficient in coefficients.items():
-        pairs.append(_at_points(coefficient(qx, qy), qx.shape))
-        require_finite(name, *pairs[-1])
+        first, second = _at_points(coefficient(qx, qy), qx.shape)
+        # a pair of bit-identical constants may share one array
+        require_finite(name, *((first,) if second is first else (first, second)))
+        pairs.append((first, second))
     return pairs
 
 
@@ -165,13 +172,21 @@ _EDGE_PATTERN = np.array([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 3, 4], [0, 0, 4, 3]
 
 def _point_sums(s, factors):
     """Row k sums s_i(q) * factors[k](q) over the Gauss points as (p0 + p2) + (p1 + p3)."""
-    sums = s[:, 0] * factors[:, None, 0]  # one point at a time, three arrays at most
-    point = s[:, 2] * factors[:, None, 2]
+    s0, s1, s2, s3 = s.swapaxes(0, 1)  # (4 basis, ...) at each point
+    f0, f1, f2, f3 = factors.swapaxes(0, 1)[:, :, None]  # (rows, 1, ...) at each point
+    sums = s0 * f0  # one point at a time, three arrays at most
+    point = s2 * f2
     sums += point
-    rest = s[:, 1] * factors[:, None, 1]
-    rest += np.multiply(s[:, 3], factors[:, None, 3], out=point)
+    rest = s1 * f1
+    rest += np.multiply(s3, f3, out=point)
     sums += rest
     return sums
+
+
+def _zero_pair(geom: ElementGeom):
+    """A coefficient pair that is zero at every Gauss point."""
+    zeros = np.zeros(np.shape(geom.hx) + (4,))
+    return zeros, zeros
 
 
 def stabilizer_matrix(geom: ElementGeom, h_global: float):
@@ -180,7 +195,7 @@ def stabilizer_matrix(geom: ElementGeom, h_global: float):
     mu = hx*hy / (2*h_global*(hx+hy)); on a square with h_global = hx this
     is exactly 1/4.
     """
-    return local_operator(geom, 1.0, h_global, (0.0, 0.0), (0.0, 0.0), 0.0)
+    return local_operator(geom, 1.0, h_global, _zero_pair(geom), _zero_pair(geom), 0.0)
 
 
 def diffusion_matrix(geom: ElementGeom, alpha):
@@ -192,20 +207,20 @@ def diffusion_matrix(geom: ElementGeom, alpha):
     [(a11, a22)] = sample_pairs(geom, alpha=alpha)
     if min(a11.min(), a22.min()) <= 0:
         raise NonPositiveDiffusion("diffusion tensor not positive at a quadrature point")
-    return local_operator(geom, 0.0, 1.0, (a11, a22), (0.0, 0.0), 0.0)
+    return local_operator(geom, 0.0, 1.0, (a11, a22), _zero_pair(geom), 0.0)
 
 
 def convection_matrix(geom: ElementGeom, beta):
     """Convection matrix; entry (i, j) integrates (beta . grad_w phi_j) s(phi_i)."""
     [beta_q] = sample_pairs(geom, beta=beta)
-    return local_operator(geom, 0.0, 1.0, (0.0, 0.0), beta_q, 0.0)
+    return local_operator(geom, 0.0, 1.0, _zero_pair(geom), beta_q, 0.0)
 
 
 def reaction_matrix(geom: ElementGeom, c_value):
     """Reaction mass matrix c * (s(phi_i), s(phi_j)); requires c >= 0."""
     if np.min(c_value) < 0:
         raise NegativeReaction(f"reaction coefficient must be >= 0, got {np.min(c_value)}")
-    return local_operator(geom, 0.0, 1.0, (0.0, 0.0), (0.0, 0.0), c_value)
+    return local_operator(geom, 0.0, 1.0, _zero_pair(geom), _zero_pair(geom), c_value)
 
 
 def load_vector(geom: ElementGeom, f, f_mid):
@@ -214,14 +229,14 @@ def load_vector(geom: ElementGeom, f, f_mid):
     entry_i = |T|/6 * f(M_i) + |T|/(6(1+sigma)) * w_i * f(center), where
     sigma = hx/hy and w = (2-sigma, 2-sigma, 2*sigma-1, 2*sigma-1).  For
     constant f the entries sum to |T| exactly.  ``f_mid`` holds f at the
-    four edge midpoints M_i, shape (..., 4); ``f`` is sampled at the center.
+    four edge midpoints M_i, a (..., 4) float array; ``f`` is sampled at the
+    center.
     """
-    area = np.asarray(geom.area, dtype=float)
-    sigma = np.asarray(geom.sigma, dtype=float)
-    fc = np.asarray(f(*geom.center), dtype=float)
-    wgt = np.array([2.0 - sigma, 2.0 - sigma, 2.0 * sigma - 1.0, 2.0 * sigma - 1.0])
-    at_center = (area / (6.0 * (1.0 + sigma))) * wgt * fc  # (4, ...)
-    return (area / 6.0)[..., None] * np.asarray(f_mid, dtype=float) + at_center.transpose(
+    area, sigma = geom.area, geom.sigma
+    w_vertical, w_horizontal = 2.0 - sigma, 2.0 * sigma - 1.0
+    wgt = np.array([w_vertical, w_vertical, w_horizontal, w_horizontal])
+    at_center = (area / (6.0 * (1.0 + sigma))) * wgt * f(*geom.center)  # (4, ...)
+    return np.asarray(area / 6.0)[..., None] * f_mid + at_center.transpose(
         *range(1, at_center.ndim), 0)
 
 
@@ -229,8 +244,9 @@ def local_operator(geom: ElementGeom, kappa, h_global, alpha_q, beta_q, c_value)
     """Full local matrix kappa*S + A + B + C used by the scheme.
 
     ``alpha_q = (a11, a22)`` and ``beta_q = (b1, b2)`` are the coefficients
-    at the :func:`gauss_points`, ``c_value`` the reaction at the element
-    center.  The caller evaluates and validates them.  Each entry sums the
+    at the :func:`gauss_points`, each a (..., 4) float array, and
+    ``c_value`` the reaction at the element center.  The caller evaluates
+    and validates them, as :func:`sample_pairs` does.  Each entry sums the
     blocks in the order S, A, B, C (closed forms in the module docstring);
     the block stacks are built with the element axes last, so that every
     array operation runs over contiguous elements.  B is skipped when beta
@@ -244,24 +260,24 @@ def local_operator(geom: ElementGeom, kappa, h_global, alpha_q, beta_q, c_value)
     area = hx * hy
     w, rx, ry = 0.25 * area, 1.0 / hx, 1.0 / hy
     diag = kappa * (area / (2.0 * h_global * (hx + hy)))
-    shape = np.asarray(w).shape + (4,)
-    sums = [((p0 + p1) + p2) + p3 for p0, p1, p2, p3 in  # point axis first
-            (a.transpose(-1, *range(a.ndim - 1)) for a in _at_points(alpha_q, shape))]
-    x, y = ((w * q * r) * r for q, r in zip(sums, (rx, ry)))
+    batch = getattr(w, "shape", ())  # () for one element of Python floats
+    points_first = (-1, *range(len(batch)))
+    a11, a22 = (a.transpose(points_first) for a in alpha_q)
+    x = (w * (((a11[0] + a11[1]) + a11[2]) + a11[3]) * rx) * rx
+    y = (w * (((a22[0] + a22[1]) + a22[2]) + a22[3]) * ry) * ry
     local = np.array([-diag, diag + x, diag - x, diag + y, diag - y])[_EDGE_PATTERN]
-    b1, b2 = _at_points(beta_q, shape)
-    c = np.asarray(c_value, dtype=float)
+    b1, b2 = beta_q
     convection = np.count_nonzero(b1) or np.count_nonzero(b2)  # no (signed) zero counts
-    reaction = np.count_nonzero(c)
+    reaction = np.count_nonzero(c_value)
     if convection or reaction:  # only B and C use the basis extensions
         s = _extensions(geom)
     if convection:  # columns 2 and 4; columns 1 and 3 are their negatives
-        fluxes = np.empty((2, 4) + shape[:-1])
-        for flux, r, b in zip(fluxes, (rx, ry), (b1, b2)):
-            np.multiply(r, b.transpose(-1, *range(b.ndim - 1)), out=flux)
+        fluxes = np.empty((2, 4) + batch)
+        np.multiply(rx, b1.transpose(points_first), out=fluxes[0])
+        np.multiply(ry, b2.transpose(points_first), out=fluxes[1])
         columns = (w * _point_sums(s, fluxes)).swapaxes(0, 1)
         local[:, 0::2] -= columns
         local[:, 1::2] += columns
     if reaction:
-        local += (w * c) * _point_sums(s, s)
+        local += (w * c_value) * _point_sums(s, s)
     return np.ascontiguousarray(local.transpose(*range(2, local.ndim), 0, 1))

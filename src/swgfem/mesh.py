@@ -64,7 +64,7 @@ class TensorMesh:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.size < 2:
                 raise TooFewPoints(f"{name} needs at least 2 points, got {arr.size}")
-            steps = np.diff(arr)
+            steps = arr[1:] - arr[:-1]
             # NaN fails every comparison: increasing breaks can only be infinite at an end
             if not ((steps > 0).all() and math.isfinite(arr[0]) and math.isfinite(arr[-1])):
                 if not np.isfinite(arr).all():
@@ -173,8 +173,8 @@ class DofMap:
         self.is_boundary[self.n_vertical:self.n_vertical + nx] = True
         self.is_boundary[self.count - nx:] = True
 
-        self.interior = np.flatnonzero(~self.is_boundary)
-        self.boundary = np.flatnonzero(self.is_boundary)
+        self.interior = (~self.is_boundary).nonzero()[0]
+        self.boundary = self.is_boundary.nonzero()[0]
         self.free_index = np.full(self.count, -1, dtype=np.int64)
         self.free_index[self.interior] = np.arange(self.interior.size)
 
@@ -260,6 +260,16 @@ def enumerate_dofs(mesh: TensorMesh) -> DofMap:
     return mesh.dof_map
 
 
+def elements(mesh: TensorMesh) -> ElementGeom:
+    """The geometry of all elements as one batch, flattened row-major
+    (k = j*nx + i): the first four arrays of :func:`element_arrays`."""
+    nx, ny = mesh.nx, mesh.ny
+    xb, yb = mesh.x_breaks, mesh.y_breaks
+    hx, cx = (a[None].repeat(ny, axis=0).ravel() for a in (mesh.dx, 0.5 * (xb[:-1] + xb[1:])))
+    hy, cy = (a.repeat(nx) for a in (mesh.dy, 0.5 * (yb[:-1] + yb[1:])))
+    return ElementGeom(hx, hy, (cx, cy))
+
+
 def element_arrays(mesh: TensorMesh):
     """Vectorized element geometry: (hx, hy, cx, cy, conn) over all elements.
 
@@ -267,9 +277,7 @@ def element_arrays(mesh: TensorMesh):
     (nx*ny, 4) holding the global edge ids (left, right, bottom, top).
     """
     nx, ny = mesh.nx, mesh.ny
-    xb, yb = mesh.x_breaks, mesh.y_breaks
-    hx, cx = (a[None].repeat(ny, axis=0).ravel() for a in (mesh.dx, 0.5 * (xb[:-1] + xb[1:])))
-    hy, cy = (a.repeat(nx) for a in (mesh.dy, 0.5 * (yb[:-1] + yb[1:])))
+    geom = elements(mesh)
     # element (i, j) lies between vertical edges i and i + 1 of row j and
     # horizontal edges j and j + 1 of column i
     vertical = np.arange((nx + 1) * ny).reshape(ny, nx + 1)
@@ -277,4 +285,4 @@ def element_arrays(mesh: TensorMesh):
     conn = np.empty((ny, nx, 4), dtype=vertical.dtype)
     conn[..., 0], conn[..., 1] = vertical[:, :-1], vertical[:, 1:]
     conn[..., 2], conn[..., 3] = horizontal[:-1], horizontal[1:]
-    return hx, hy, cx, cy, conn.reshape(-1, 4)
+    return geom.hx, geom.hy, *geom.center, conn.reshape(-1, 4)

@@ -15,14 +15,20 @@ from .mesh import TensorMesh, build_tensor_mesh
 
 
 def _filled(x, v):
-    """float(v) in the shape of x, an array or a Python float."""
-    values = np.empty(getattr(x, "shape", ()))
+    """float(v) in the shape and memory layout of x, an array or a Python float."""
+    values = np.empty_like(x, dtype=float)
     values.fill(float(v))
     return values
 
 
 def _const_pair(v1, v2):
-    return lambda x, y: (_filled(x, v1), _filled(x, v2))
+    if float(v1).hex() != float(v2).hex():
+        return lambda x, y: (_filled(x, v1), _filled(x, v2))
+
+    def pair(x, y):  # bit-identical components share one array
+        values = _filled(x, v1)
+        return values, values
+    return pair
 
 
 def _const(v):

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .assembly import SparseSystem
 from .errors import OutOfMemory, SingularMatrix
@@ -63,6 +64,9 @@ SUPERLU_PANEL = 2
 
 #: Share of physical memory a predicted factor may take under "auto".
 DIRECT_MEMORY_SHARE = 0.5
+
+#: Physical memory in bytes, read once per process.
+PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 #: Largest normwise backward error accepted from a direct solve.
 DIRECT_BACKWARD_TOL = 64 * np.finfo(float).eps
@@ -104,9 +108,10 @@ def predicted_factor_bytes(dofs: int) -> float:
 
 
 def check_memory(dofs: int, memory_bytes: int | None = None) -> None:
-    """Raise OutOfMemory unless the predicted factor fits the memory share."""
+    """Raise OutOfMemory unless the predicted factor fits the memory share of
+    ``memory_bytes``, by default ``PHYSICAL_MEMORY_BYTES``."""
     if memory_bytes is None:
-        memory_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        memory_bytes = PHYSICAL_MEMORY_BYTES
     predicted = predicted_factor_bytes(dofs)
     budget = DIRECT_MEMORY_SHARE * memory_bytes
     if predicted > budget:
@@ -130,9 +135,19 @@ def _release_free_heap(dofs):
         _malloc_trim(0)
 
 
+def _matvec(matrix, x, data=None):
+    """``matrix @ x`` for a square CSC matrix, with ``data`` in place of its
+    entries if given, by the kernel behind scipy's operator but without its
+    dispatch: each row sums its terms from 0 in storage order."""
+    out = np.zeros(x.size)
+    _sparsetools.csc_matvec(x.size, x.size, matrix.indptr, matrix.indices,
+                            matrix.data if data is None else data, x, out)
+    return out
+
+
 def _inf_norm(matrix) -> float:
-    """Largest absolute row sum of a CSC matrix that stores an entry."""
-    return np.bincount(matrix.indices, weights=np.abs(matrix.data)).max()
+    """Largest absolute row sum of a square CSC matrix that stores an entry."""
+    return _matvec(matrix, np.ones(matrix.shape[0]), np.abs(matrix.data)).max()
 
 
 def _factor_and_solve(system):
@@ -162,7 +177,7 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
         y_max = np.abs(y).max()  # NaN or inf if any entry is
         if not math.isfinite(y_max):
             raise SingularMatrix("factorization produced non-finite values")
-        r = ordered @ y - rhs
+        r = _matvec(ordered, y) - rhs
         # |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf); 0 when b = Ax = 0.  No
         # BLAS ddot: its threads spin on past the call and slow the next factor
         scale = _inf_norm(ordered) * y_max + np.abs(rhs).max()

@@ -396,6 +396,25 @@ GOLDEN_SIGN_VALUES = {
     "custom": "4183673571ff078a",
 }
 
+#: The same digests on the n x 1 and 1 x n meshes of :func:`strip_meshes`,
+#: and of the sign values on corner elements, recorded on 9c2fc6b.
+GOLDEN_KAPPA_CONDITION_STRIPS = {
+    "tc1": "7c0054addb0985e3",
+    "tc2": "c340eb4ab4e1d52b",
+    "tc3": "1eaef00dc8133278",
+    "fd1": "d4a9dfd1d2fe0207",
+    "fd2": "d4a9dfd1d2fe0207",
+    "custom": "0eeda053ad330161",
+}
+GOLDEN_CORNER_SIGN_VALUES = {
+    "tc1": "a6090853a6e65bbb",
+    "tc2": "87e35a3986195e29",
+    "tc3": "5c63eeacbd0071d7",
+    "fd1": "c2d8532967975bc9",
+    "fd2": "c2d8532967975bc9",
+    "custom": "f263eb1ca5219529",
+}
+
 
 def golden_problem(pid):
     if pid == "custom":
@@ -414,12 +433,22 @@ def golden_meshes(problem):
         yield build_tensor_mesh(x0 + (x1 - x0) * xt, y0 + (y1 - y0) * yt)
 
 
-def kappa_condition_digest(pid):
+def strip_meshes(problem):
+    """Seeded nonuniform n x 1 and 1 x n meshes over the problem's domain."""
+    x0, x1, y0, y1 = problem.domain
+    rng = np.random.default_rng(8)
+    for nx, ny in ((7, 1), (1, 6)):
+        xt, yt = (np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, k - 1)), [1.0]])
+                  for k in (nx, ny))
+        yield build_tensor_mesh(x0 + (x1 - x0) * xt, y0 + (y1 - y0) * yt)
+
+
+def kappa_condition_digest(pid, meshes=golden_meshes):
     """The dtype, shape and bytes of every array of ``kappa_condition`` on
     the golden meshes, at each golden kappa, with the default h and half of it."""
     digest = hashlib.sha256()
     problem = golden_problem(pid)
-    for mesh in golden_meshes(problem):
+    for mesh in meshes(problem):
         for kappa in GOLDEN_KAPPAS:
             for h in (None, 0.5 * mesh.h):
                 report = kappa_condition(mesh, problem, kappa, h)
@@ -456,6 +485,23 @@ def sign_values_digest(pid):
     return hashlib.sha256(values.tobytes()).hexdigest()[:16]
 
 
+def corner_sign_values_digest(pid):
+    """``sign_inequality_value`` on the corner elements (0, 0) and
+    (nx - 1, ny - 1) of the strip and golden meshes, at each golden kappa,
+    for seeded edge vectors of every sign pattern."""
+    problem = golden_problem(pid)
+    rng = np.random.default_rng(9)
+    values = []
+    for mesh in (*strip_meshes(problem), *golden_meshes(problem)):
+        for kappa in GOLDEN_KAPPAS:
+            for i, j in ((0, 0), (mesh.nx - 1, mesh.ny - 1)):
+                geom = element_geometry(mesh, i, j)
+                for signs in ((1, -1, 1, -1), (-1, -1, 1, 1), (1, 1, 1, -1)):
+                    v = np.array(signs) * rng.uniform(0.1, 1.0, 4)
+                    values.append(sign_inequality_value(geom, kappa, mesh.h, problem, v))
+    return hashlib.sha256(np.array(values).tobytes()).hexdigest()[:16]
+
+
 class TestGoldenAnalysis:
     @pytest.mark.parametrize("pid", GOLDEN_PROBLEMS)
     def test_kappa_condition_same_bytes(self, pid):
@@ -464,6 +510,14 @@ class TestGoldenAnalysis:
     @pytest.mark.parametrize("pid", GOLDEN_PROBLEMS)
     def test_sign_values_same_bytes(self, pid):
         assert sign_values_digest(pid) == GOLDEN_SIGN_VALUES[pid]
+
+    @pytest.mark.parametrize("pid", GOLDEN_PROBLEMS)
+    def test_kappa_condition_same_bytes_on_strips(self, pid):
+        assert kappa_condition_digest(pid, strip_meshes) == GOLDEN_KAPPA_CONDITION_STRIPS[pid]
+
+    @pytest.mark.parametrize("pid", GOLDEN_PROBLEMS)
+    def test_corner_sign_values_same_bytes(self, pid):
+        assert corner_sign_values_digest(pid) == GOLDEN_CORNER_SIGN_VALUES[pid]
 
     @pytest.mark.parametrize("pid", GOLDEN_PROBLEMS)
     def test_sign_value_is_batched_block_form(self, pid):

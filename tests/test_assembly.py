@@ -272,6 +272,41 @@ class TestSampleCoefficients:
         assert a11.shape == a22.shape == b1.shape == b2.shape == (4, 4)
         assert (a22 == 3.0).all() and (b1 == 0.5).all() and float(c) == 1.5
 
+    @staticmethod
+    def _geometries():
+        mesh = build_tensor_mesh([0.0, 0.3, 0.45, 1.0], [0.0, 0.6, 1.0])
+        hx, hy, cx, cy, _ = element_arrays(mesh)
+        return ElementGeom(hx, hy, (cx, cy)), element_geometry(mesh, 2, 1)
+
+    def test_finite_samples_whose_sum_overflows_pass(self):
+        big = 1e308  # four of them, or two pairs, sum past the largest float
+        problem = dataclasses.replace(
+            make_custom(), alpha=_const_pair(big, big), beta=_const_pair(big, -big), c=_const(big))
+        for geom in self._geometries():
+            (a11, a22), (b1, b2), c = sample_coefficients(geom, problem)
+            assert (a11 == big).all() and (a22 == big).all() and (c == big).all()
+            assert (b1 == big).all() and (b2 == -big).all()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", ["alpha", "beta", "c"])
+    def test_one_bad_sample_names_its_coefficient(self, bad, value):
+        # the bad value sits at one element's points, beside finite samples
+        # whose sum overflows, in the second component of a pair
+        big = 1e308
+
+        def spoil(x, y):
+            return np.where(np.asarray(x) > 0.5, value, big)
+
+        pairs = {"alpha": lambda x, y: (_const(big)(x, y), spoil(x, y)),
+                 "beta": lambda x, y: (_const(-big)(x, y), spoil(x, y)),
+                 "c": spoil}
+        good = dataclasses.replace(
+            make_custom(), alpha=_const_pair(big, big), beta=_const_pair(big, -big), c=_const(big))
+        problem = dataclasses.replace(good, **{bad: pairs[bad]})
+        for geom in self._geometries():
+            with pytest.raises(NonFiniteData, match=f"^{bad} is NaN or infinite"):
+                sample_coefficients(geom, problem)
+
     BAD = {
         "alpha": {"alpha": _const_pair(math.nan, 1.0)},
         "beta": {"beta": _const_pair(0.0, math.inf)},

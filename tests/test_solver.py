@@ -408,6 +408,27 @@ class TestAutoRule:
         assert exc.value.predicted_bytes > exc.value.budget_bytes
         assert isinstance(exc.value, MemoryError)
 
+    def test_physical_memory_is_read_once(self, monkeypatch):
+        # auto takes the size stored at import: shrinking it refuses the
+        # solve before anything is factored, with no query of the machine
+        def refuse(*args, **kwargs):
+            raise AssertionError("factored or queried despite the stored memory size")
+
+        system = assemble_tc1(8)
+        dofs = system.ordered.shape[0]
+        memory = math.ceil(predicted_factor_bytes(dofs) / DIRECT_MEMORY_SHARE) - 1
+        monkeypatch.setattr(swgfem.solver, "PHYSICAL_MEMORY_BYTES", memory)
+        monkeypatch.setattr(spla, "splu", refuse)
+        monkeypatch.setattr(swgfem.solver.os, "sysconf", refuse)
+        with pytest.raises(OutOfMemory) as exc:
+            solve(system)
+        assert exc.value.budget_bytes == DIRECT_MEMORY_SHARE * memory
+        with pytest.raises(OutOfMemory):
+            solve(system, SolveConfig(method="auto"))
+        monkeypatch.setattr(swgfem.solver, "PHYSICAL_MEMORY_BYTES", memory + 1)
+        with pytest.raises(AssertionError, match="factored"):  # now it fits
+            solve(system)
+
     def test_prediction_tracks_measured_fill(self):
         # peak RSS of solve() over the RSS before it, tc1 at n = 256 and 512:
         # 56 and 331 MiB
