@@ -14,10 +14,16 @@ the stored matrix is built from its entries in one step, with no permute.
 A itself, as CSR, is derived on first use (``SparseSystem.matrix``) for the
 matrix dump and other readers of the natural order.
 
+When every element block is one reflection-symmetric block B, as for
+constant alpha, beta = 0 and constant c on a uniform mesh, the system also
+stores B's five weights (:func:`shared_block`), from which the solver
+diagonalizes it by sine transforms instead of factoring it.
+
 Boundary values are g at the boundary edge midpoints, the sampling that
 reproduces midpoint-sampled quadratics exactly at kappa = 4.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +50,17 @@ from .mesh import (
 DUMP_CHUNK_ROWS = 8192
 
 _INT32_MAX = np.iinfo(np.int32).max
+
+#: A mesh's steps count as equal when they differ by at most this many ulps
+#: of its largest coordinate (the steps of ``linspace`` differ by at most
+#: one), and a block as reflection-symmetric when its entries differ from
+#: the pattern of :func:`shared_block` by at most this many ulps of its
+#: largest entry.
+SHARED_BLOCK_ULPS = 4
+
+#: Entry (i, j) of B as an index into (p, a, q, d, e), in the local order
+#: (left, right, bottom, top).
+_SHARED_PATTERN = np.array([[0, 1, 4, 4], [1, 0, 4, 4], [4, 4, 2, 3], [4, 4, 3, 2]])
 
 
 @dataclass(frozen=True)
@@ -93,7 +110,9 @@ class SparseSystem:
     order of its rows and columns (:func:`~swgfem.mesh.nested_dissection`):
     row k of ``ordered`` is row ``order[k]`` of A.  ``rhs`` is in the natural
     order, and ``boundary_values`` holds the imposed values of g, aligned
-    with ``mesh.dof_map.boundary``.
+    with ``mesh.dof_map.boundary``.  ``weights`` is (p, a, q, d, e) when
+    every element block is one reflection-symmetric block B (see
+    :func:`shared_block`), and None otherwise.
     """
 
     ordered: sp.csc_matrix
@@ -101,6 +120,7 @@ class SparseSystem:
     rhs: np.ndarray
     boundary_values: np.ndarray
     mesh: TensorMesh
+    weights: tuple | None = None
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -188,6 +208,7 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
             stacklevel=2,
         )
     local = kernels.local_operator(geom, config.kappa, mesh.h, (a11, a22), beta_q, c_val)
+    weights = shared_block(mesh, ((a11, a22), beta_q, c_val), local)
     # f at the dof midpoints, which lie exactly on the mesh breakpoints
     f_mid = problem.f(*dof_map.midpoints.T) + np.zeros(dof_map.count)
     loads = kernels.load_vector(geom, problem.f, f_mid=f_mid[conn])
@@ -219,7 +240,40 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     _sparsetools.csr_tocsc(size, size, indptr, columns, values, *csc)
     ordered = sp.csc_matrix(csc[::-1], shape=(size, size))
     ordered.has_canonical_format = True  # sorted, one entry per pair
-    return SparseSystem(ordered, order, rhs, g_b, mesh)
+    return SparseSystem(ordered, order, rhs, g_b, mesh, weights)
+
+
+def shared_block(mesh: TensorMesh, coefficients, blocks):
+    """(p, a, q, d, e) of the block B that every element block equals, or None.
+
+    B = [[p, a, e, e], [a, p, e, e], [e, e, q, d], [e, e, d, q]] in the local
+    order (left, right, bottom, top): symmetric, and unchanged by swapping
+    left with right or bottom with top.  Every element computes the same
+    block, up to the rounding of its steps, when the mesh's steps are equal
+    and each coefficient holds one value: so a mesh whose x or y steps
+    differ by more than ``SHARED_BLOCK_ULPS`` ulps of its largest coordinate
+    is rejected first, before any per-element array is read; then each of
+    a11, a22 and c in ``coefficients`` (as :func:`sample_coefficients`
+    returns them) must hold one value and beta only zeros, and the first of
+    ``blocks`` must match the pattern to ``SHARED_BLOCK_ULPS`` ulps of its
+    largest entry.  On the meshes of ``mesh_for`` the blocks of fd1, fd2
+    and tc3 differed from the first by at most 0.75 times the relative
+    spread of the steps times B's largest entry, up to n = 1024; the solver
+    checks each transform solve against the stored matrix all the same.
+    """
+    ulp = math.ulp(max(map(abs, mesh.bounds)))
+    if any(steps.max() - steps.min() > SHARED_BLOCK_ULPS * ulp for steps in (mesh.dx, mesh.dy)):
+        return None
+    (a11, a22), (b1, b2), c = coefficients
+    if (any(v.min() != v.max() for v in (a11, a22, c))
+            or np.count_nonzero(b1) or np.count_nonzero(b2)):
+        return None
+    first = blocks[0]
+    weights = tuple(float(first[i, j]) for i, j in ((0, 0), (0, 1), (2, 2), (2, 3), (0, 2)))
+    block = np.array(weights)[_SHARED_PATTERN]
+    if np.abs(first - block).max() > SHARED_BLOCK_ULPS * math.ulp(np.abs(block).max()):
+        return None
+    return weights
 
 
 #: How an edge's row is gathered from the rows of its two elements.  Vertical

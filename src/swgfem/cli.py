@@ -59,7 +59,8 @@ def _add_common(p, need_kappa=True):
     p.add_argument("--kappa", type=float, required=need_kappa,
                    help="stabilization parameter")
     p.add_argument("--solver", choices=("direct", "auto"), default="auto",
-                   help="auto refuses systems whose factor would not fit in memory")
+                   help="auto refuses a system to be factored whose factor would not "
+                        "fit in memory; sine-transform solves need no factor")
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--format", choices=("text", "csv"), default="text")
 

@@ -97,7 +97,11 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g):
 
     entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
     ordered = sp.csc_matrix(entries, shape=(order.size, order.size))
-    return SparseSystem(ordered, order, rhs, g_b, mesh)
+    # each row sums the rows of one element block B in two elements:
+    # 2p = 2q = c2, a = d = c1 (= c3), e = c4
+    half = 0.5 * stencil.c2
+    return SparseSystem(ordered, order, rhs, g_b, mesh,
+                        (half, stencil.c1, half, stencil.c1, stencil.c4))
 
 
 def assemble_fd7(n, kappa, f, g) -> SparseSystem:

@@ -1,11 +1,26 @@
-"""Sparse direct solves with a post-hoc backward-error check.
+"""Direct solves, by sine transforms or sparse factorization, with a post-hoc
+backward-error check.
 
 A system covers the interior edge dofs, the Dirichlet data having been
 eliminated at assembly; :func:`solve` returns the full edge vector, with the
-imposed averages in the boundary slots.
+imposed averages in the boundary slots.  "direct" names both direct methods.
 
-Assembly stores each system once, as the CSC of P A P^T in the
-nested-dissection order of the tensor mesh
+A system whose element blocks are all one reflection-symmetric block B
+(``SparseSystem.weights``: constant alpha, beta = 0 and constant c on a
+uniform mesh, and both finite-difference schemes) is the 7-point scheme with
+constant weights and Dirichlet data, which sine transforms diagonalize, as
+in the classic fast Poisson solvers (Buzbee, Golub & Nielson, SIAM J. Numer.
+Anal. 7 (1970) 627).  Along x the vertical edges sit at the nodes 1..nx-1
+and the horizontal edges at the cell centres, so a DST-I takes the first and
+a DST-II the second, and likewise along y with the roles swapped; each mode
+(k, l) then couples one vertical and one horizontal coefficient by a 2 x 2
+system (:func:`_transform_solve`).  The transforms run through
+``numpy.fft``, which ``import numpy`` has already loaded, in
+O(dofs log dofs) time and a few copies of the rhs in memory: ``solve`` of
+fd1 at n = 340 (230,520 dofs) took 40 ms, against 743 ms factored.
+
+Every other system is factored.  Assembly stores each system once, as the
+CSC of P A P^T in the nested-dissection order of the tensor mesh
 (:func:`~swgfem.mesh.nested_dissection`), and :func:`solve` factors that
 matrix as stored: SuperLU keeps the order (``permc_spec="NATURAL"``), and
 no natural-order matrix or second copy is resident while it factors.  The
@@ -16,16 +31,19 @@ panel of ``SUPERLU_PANEL`` columns instead of its default, which was tuned
 for long supernodes (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix
 Anal. Appl. 20 (1999) 720); that cuts the memory a solve adds by 30-38%.
 
-``auto`` first checks that the factor predicted from the measured
-nested-dissection fill (:func:`predicted_factor_bytes`) fits in
+Before it factors, ``auto`` checks that the factor predicted from the
+measured nested-dissection fill (:func:`predicted_factor_bytes`) fits in
 ``DIRECT_MEMORY_SHARE`` of physical memory, and raises
 :class:`~swgfem.errors.OutOfMemory` before anything is factored
 otherwise: past about 4.5 M dofs (the unit square at n = 1500) with 8 GB.
-``direct`` skips that check.
+``direct`` skips that check, and a transform solve needs none.
 
 Every solve checks the returned vector independently of solver internals
 by its normwise backward error, in the stored order (Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 7).
+Stability of Numerical Algorithms*, ch. 7).  B is taken from one element,
+and the stored blocks may differ from it by a few ulps (``mesh_for``'s
+steps are not all equal in floating point), so a transform solve that
+misses the tolerance is discarded and the system factored.
 """
 
 import ctypes
@@ -85,7 +103,12 @@ except (AttributeError, OSError, TypeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    method: str = "auto"  # "direct" | "auto" (direct after the memory check)
+    """How :func:`solve` runs.  Both methods solve directly, by sine transforms
+    where the system stores its block weights and by factorization otherwise;
+    "auto" checks the predicted factor against memory before it factors,
+    "direct" does not."""
+
+    method: str = "auto"  # "direct" | "auto"
 
     def __post_init__(self):
         if self.method not in ("direct", "auto"):
@@ -102,7 +125,7 @@ class Solution:
 
 
 def predicted_factor_bytes(dofs: int) -> float:
-    """Predicted peak memory of the direct solve of ``dofs`` unknowns."""
+    """Predicted peak memory of factoring a system of ``dofs`` unknowns."""
     fill = max(FILL_SLOPE * math.log(max(dofs, 1) / FILL_ORIGIN), 1.0)
     return BYTES_PER_ENTRY * fill * dofs
 
@@ -164,28 +187,129 @@ def _factor_and_solve(system):
         raise SingularMatrix(str(exc)) from exc
 
 
+def _sines(x, n, shift):
+    """sum_m x[..., m] sin(pi k (m + shift) / n) for k = 1 .. x.shape[-1]: with
+    shift 1 the DST-I of the values at the nodes 1 .. n-1, with shift 1/2 the
+    DST-II of the values at the n cell centres; both unnormalized."""
+    k = np.arange(1, x.shape[-1] + 1)
+    spectrum = np.fft.rfft(x, 2 * n)[..., 1:k.size + 1]
+    return -(spectrum * np.exp((-1j * np.pi * shift / n) * k)).imag
+
+
+def _cell_sines(w, n):
+    """sum_l w[..., l-1] sin(pi l (j + 1/2) / n) for j = 0 .. n-1: the transpose
+    of the DST-II of :func:`_sines`, unnormalized."""
+    spectrum = np.zeros(w.shape[:-1] + (n + 1,), dtype=complex)
+    spectrum[..., 1:] = w * (-1j * np.exp((0.5j * np.pi / n) * np.arange(1, n + 1)))
+    spectrum[..., n] *= 2.0  # irfft counts the Nyquist term once, the others twice
+    return n * np.fft.irfft(spectrum, 2 * n)[..., :n]
+
+
+def _transform_solve(system):
+    """The solution of a system that stores its block weights, in natural order.
+
+    Vertical edge (i, j), i = 1 .. nx-1, row j, couples a times each vertical
+    neighbour in its row and e times the four horizontal edges of its two
+    elements, with 2p on the diagonal; horizontal edges likewise, with q and
+    d.  In the modes sin(k pi i / nx) sin(l pi (j + 1/2) / ny) of the
+    vertical values and sin(k pi (i + 1/2) / nx) sin(l pi j / ny) of the
+    horizontal ones, each mode (k, l) solves
+
+        [[2p + 2a cos(k pi / nx), g], [g, 2q + 2d cos(l pi / ny)]],
+        g = 4e cos(k pi / 2nx) cos(l pi / 2ny),
+
+    and the vertical modes l = ny and the horizontal modes k = nx, whose g
+    is 0, divide by their diagonal.  With s = sin^2(k pi / 2nx) and
+    t = sin^2(l pi / 2ny) the diagonal is 2(p + a) - 4as and 2(q + d) - 4dt,
+    and the determinant the polynomial in s and t of :func:`_determinant`.
+    The transforms are unnormalized, so the mode solves take the factors
+    that make each forward and backward pair the identity: 4 / (nx ny), or
+    2 / (nx ny) for the uncoupled modes.
+    """
+    p, a, q, d, e = system.weights
+    nx, ny = system.mesh.nx, system.mesh.ny
+    split = ny * (nx - 1)
+    # (k, l) coefficients: vertical (nx-1, ny), horizontal (nx, ny-1)
+    v = _sines(_sines(system.rhs[:split].reshape(ny, nx - 1), nx, 1.0).T, ny, 0.5)
+    h = _sines(_sines(system.rhs[split:].reshape(ny - 1, nx), nx, 0.5).T, ny, 1.0)
+    half_k = (0.5 * np.pi / nx) * np.arange(1, nx)[:, None]
+    half_l = (0.5 * np.pi / ny) * np.arange(1, ny)
+    s, t = np.sin(half_k) ** 2, np.sin(half_l) ** 2
+    across = 2.0 * (p + a) - 4.0 * a * s
+    up = 2.0 * (q + d) - 4.0 * d * t
+    g = 4.0 * e * np.cos(half_k) * np.cos(half_l)
+    scale = 2.0 / (nx * ny)
+    c0, c1, c2, c3 = _determinant(p, a, q, d, e)
+    det = (c0 + c1 * s + c2 * t + c3 * (s * t)) / (2.0 * scale)
+    rv, rh = v[:, :-1].copy(), h[:-1]
+    v[:, :-1] = (up * rv - g * rh) / det
+    h[:-1] = (across * rh - g * rv) / det
+    v[:, -1] *= scale / across[:, 0]
+    h[-1] *= scale / up
+    vertical = _sines(_cell_sines(v, ny).T, nx, 1.0)
+    horizontal = _cell_sines(_sines(h, ny, 1.0).T, nx)
+    return np.concatenate((vertical.ravel(), horizontal.ravel()))
+
+
+def _determinant(p, a, q, d, e):
+    """(c0, c1, c2, c3) with det = c0 + c1 s + c2 t + c3 s t for each mode of
+    :func:`_transform_solve`, each formed exactly from the five weights and
+    rounded once.
+
+    c0 = 4(p + a)(q + d) - 16e^2 is the determinant of the constant mode,
+    0 without reaction; formed in floats it would keep an absolute error of
+    about eps (p + a)(q + d), which the smoothest modes, whose determinant is
+    O(h^2), cannot absorb.  Formed exactly, the transform solve agreed with
+    a refined solution to 6e-16 to 9e-15 relative at n = 17 and 64 and
+    kappa up to 20, where SuperLU's agreed to 3e-15 to 7e-13.  Each weight
+    is an integer over a power of two, so over the largest of those
+    denominators all five are integers, and Python's integer division
+    rounds each coefficient correctly.
+    """
+    ratios = [w.as_integer_ratio() for w in (p, a, q, d, e)]
+    scale = max(den for _, den in ratios)
+    p, a, q, d, e = (num * (scale // den) for num, den in ratios)
+    e2 = 16 * e * e
+    return tuple(c / scale**2 for c in (4 * (p + a) * (q + d) - e2, e2 - 8 * a * (q + d),
+                                        e2 - 8 * d * (p + a), 16 * a * d - e2))
+
+
+def _backward_error(ordered, rhs, y) -> float:
+    """|b - Ay|_inf / (|A|_inf |y|_inf + |b|_inf) in the stored order, 0 when
+    b = Ay = 0, and inf when y holds a NaN or inf."""
+    y_max = np.abs(y).max()
+    if not math.isfinite(y_max):
+        return math.inf
+    r = _matvec(ordered, y) - rhs
+    # no BLAS ddot: its threads spin on past the call and slow the next factor
+    scale = _inf_norm(ordered) * y_max + np.abs(rhs).max()
+    return np.abs(r).max() / scale if scale > 0 else 0.0
+
+
 def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
     """Solve ``system``, check its normwise backward error (SingularMatrix past
-    ``DIRECT_BACKWARD_TOL``) and merge boundary values into a full edge vector."""
-    ordered, order = system.ordered, system.order
-    if config is None or config.method == "auto":
-        check_memory(ordered.shape[0])
+    ``DIRECT_BACKWARD_TOL``) and merge boundary values into a full edge vector.
 
+    A system with ``weights`` is solved by sine transforms; if that solve
+    misses the tolerance, or the system has no weights, it is factored."""
+    ordered, order = system.ordered, system.order
     y = np.zeros(0)
     if ordered.shape[0]:
-        rhs, y = _factor_and_solve(system)
-        y_max = np.abs(y).max()  # NaN or inf if any entry is
-        if not math.isfinite(y_max):
-            raise SingularMatrix("factorization produced non-finite values")
-        r = _matvec(ordered, y) - rhs
-        # |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf); 0 when b = Ax = 0.  No
-        # BLAS ddot: its threads spin on past the call and slow the next factor
-        scale = _inf_norm(ordered) * y_max + np.abs(rhs).max()
-        backward = np.abs(r).max() / scale if scale > 0 else 0.0
-        if backward > DIRECT_BACKWARD_TOL:
-            raise SingularMatrix(
-                f"direct solve left normwise backward error {backward:.3e}"
-            )
+        backward = math.inf
+        if system.weights is not None:
+            rhs, y = system.rhs[order], _transform_solve(system)[order]
+            backward = _backward_error(ordered, rhs, y)
+        if not backward <= DIRECT_BACKWARD_TOL:
+            if config is None or config.method == "auto":
+                check_memory(ordered.shape[0])
+            rhs, y = _factor_and_solve(system)
+            backward = _backward_error(ordered, rhs, y)
+            if backward == math.inf:
+                raise SingularMatrix("factorization produced non-finite values")
+            if backward > DIRECT_BACKWARD_TOL:
+                raise SingularMatrix(
+                    f"direct solve left normwise backward error {backward:.3e}"
+                )
 
     dof_map = system.mesh.dof_map
     values = np.empty(dof_map.count)

@@ -379,7 +379,10 @@ class TestListProblems:
 
 #: First 16 hex digits of the sha256 of each file a small command writes:
 #: its ``--out`` file, then its ``--dump-matrix`` file where it has one.
-#: Recorded at c556b29; a change that moves any output byte fails here.
+#: Recorded at c556b29; a change that moves any output byte fails here.  The
+#: fd2 7-point table and the tc3 DMP report were re-recorded when their
+#: systems came to be solved by sine transforms instead of SuperLU;
+#: ``TestTransformedOutputs`` pins their values to the factored ones.
 GOLDEN_OUTPUTS = {
     ("run", "--problem", "tc1", "--kappa", "0.7", "--ns", "4,8"):
         ("34ea673f4544c9e5",),
@@ -394,9 +397,9 @@ GOLDEN_OUTPUTS = {
         ("50c16a5177832b3d",),
     ("fd", "--problem", "fd2", "--scheme", "7", "--kappa", "0.7", "--ns", "4,8",
      "--format", "csv"):
-        ("fa00dbf0e530fb8d",),
+        ("24cefe218de25f7c",),
     ("dmp", "--problem", "tc3", "--kappa", "4", "--ns", "4,8", "--format", "csv"):
-        ("5e30a63fe13f72df",),
+        ("a8f3016d45b23e9d",),
     ("dmp", "--problem", "custom", "--kappa", "2", "--c", "1", "--beta", "0.3,-0.2",
      "--f", "-1", "--g", "0.5", "--ns", "4,6", "--format", "csv"):
         ("e0b73b8f68179ce9",),
@@ -420,6 +423,45 @@ class TestGoldenOutputs:
         assert run_cli(capsys, *command)[0] == 0
         digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in paths)
         assert digests == GOLDEN_OUTPUTS[argv]
+
+
+#: The CSV rows of the two golden commands whose systems sine transforms
+#: solve, as SuperLU's solves printed them before (c556b29 to 799f317).
+FACTORED_OUTPUTS = {
+    ("fd", "--problem", "fd2", "--scheme", "7", "--kappa", "0.7", "--ns", "4,8",
+     "--format", "csv"): (
+        "n,l2,l2_rate,h1,h1_rate",
+        "4,7.58796394977368227e-02,,2.33575766923222267e-01,",
+        "8,2.53565141533259666e-02,1.581356397667635,8.19719245929441676e-02,1.5106888289092173",
+    ),
+    ("dmp", "--problem", "tc3", "--kappa", "4", "--ns", "4,8", "--format", "csv"): (
+        "n,boundary_max,interior_max,bound,margin,satisfied",
+        "4,-1.59252929687499961e-01,-9.49862760338940765e-02,0.00000000000000000e+00,"
+        "9.49862760338940765e-02,true",
+        "8,-1.52336120605468722e-01,-9.12776115113455577e-02,0.00000000000000000e+00,"
+        "9.12776115113455577e-02,true",
+    ),
+}
+
+
+class TestTransformedOutputs:
+    @pytest.mark.parametrize("argv", FACTORED_OUTPUTS, ids=" ".join)
+    def test_values_match_factored_output(self, argv, tmp_path, capsys):
+        # measured: at most 9.8e-16 (fd) and 1.8e-15 (dmp) relative
+        out = tmp_path / "out.csv"
+        assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        got = [line.split(",") for line in out.read_text().splitlines()]
+        want = [line.split(",") for line in FACTORED_OUTPUTS[argv]]
+        assert got[0] == want[0] and len(got) == len(want)
+        for got_row, want_row in zip(got[1:], want[1:]):
+            assert len(got_row) == len(want_row)
+            for g, w in zip(got_row, want_row):
+                try:
+                    expected = float(w)
+                except ValueError:  # an empty rate, or the DMP verdict
+                    assert g == w
+                else:
+                    assert float(g) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestParserReuse:

@@ -1,13 +1,18 @@
+import dataclasses
 import gc
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import swgfem.assembly
@@ -116,13 +121,15 @@ class TestSolve:
         r = system.matrix @ sol.values[system.mesh.dof_map.interior] - system.rhs
         assert np.linalg.norm(r) / np.linalg.norm(system.rhs) <= 10 * 1e-12
 
-    def test_residual_norms_run_without_blas(self, monkeypatch):
+    @pytest.mark.parametrize("pid", ["fd1", "tc1"], ids=["transform", "factor"])
+    def test_residual_norms_run_without_blas(self, monkeypatch, pid):
         # numpy.linalg.norm takes BLAS ddot, whose worker thread spins on after
         # the call above about 10,000 entries and slows the next factorization;
         # the backward-error check of solve must take neither it nor ddot
-        problem = get_problem("fd1")
+        problem = get_problem(pid)
         system = assemble(mesh_for(problem, 72), problem, AssemblyConfig(kappa=4.0))
         assert system.matrix.shape[0] >= 10_001
+        assert (system.weights is not None) == (pid == "fd1")
 
         def refuse(*args, **kwargs):
             raise AssertionError("a BLAS norm or dot product called")
@@ -134,8 +141,9 @@ class TestSolve:
         assert relative_residual(system, sol) <= 1e-12
 
     def test_direct_judged_by_backward_error(self):
-        # the relative residual (5.3e-14) is above a 1e-14 bar, but the
-        # normwise backward error is a few eps, so the solve is accepted
+        # the relative residual (1.3e-13 by sine transforms, 5.3e-14
+        # factored) is above a 1e-14 bar, but the normwise backward error is
+        # a few eps, so the solve is accepted
         _, system, sol = solve_problem(get_problem("fd1"), 32, 4.0,
                                        solve_config=SolveConfig(method="direct"))
         assert relative_residual(system, sol) > 1e-14
@@ -207,7 +215,7 @@ class TestSolve:
             raise AssertionError("auto factored a system past its budget")
 
         monkeypatch.setattr(swgfem.assembly, "nested_dissection", spy)
-        problem = get_problem("fd1")
+        problem = get_problem("tc1")
         system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
         assert orders == [system.mesh.dof_map]
         monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", 1e-12)
@@ -222,6 +230,13 @@ class TestSolve:
         monkeypatch.setattr(spla, "splu", splu)
         sol = solve(system, SolveConfig(method="direct"))
         assert orders == [system.mesh.dof_map]
+        assert relative_residual(system, sol) <= 1e-12
+
+    def test_auto_solves_by_transform_past_the_factor_budget(self, monkeypatch, factor_calls):
+        # a transform solve factors nothing, so auto's memory check does not apply
+        monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", 1e-12)
+        _, system, sol = solve_problem(get_problem("fd1"), 8, 4.0, solve_config=SolveConfig())
+        assert system.weights is not None and factor_calls == []
         assert relative_residual(system, sol) <= 1e-12
 
     def test_releases_free_heap_before_large_factorizations(self, monkeypatch):
@@ -241,6 +256,190 @@ class TestSolve:
     def test_non_finite_data_fails_at_assembly(self, kwargs):
         with pytest.raises(NonFiniteData):
             solve_problem(make_custom(**kwargs), 8, 4.0)
+
+
+def stored_solution(system, sol):
+    """The interior values of ``sol`` in the stored order of ``system``."""
+    return sol.values[system.mesh.dof_map.interior[system.order]]
+
+
+def stored_backward_error(system, sol):
+    return swgfem.solver._backward_error(system.ordered, system.rhs[system.order],
+                                         stored_solution(system, sol))
+
+
+def factored(system):
+    """``system`` without its block weights, which the solver factors."""
+    return dataclasses.replace(system, weights=None)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The matrices ``splu`` factors while a test runs."""
+    calls = []
+    splu = spla.splu
+
+    def spy(matrix, **kwargs):
+        calls.append(matrix)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return calls
+
+
+TRANSFORM_PROBLEMS = {
+    "fd1": get_problem("fd1"),
+    "fd2": get_problem("fd2"),
+    "tc3": get_problem("tc3"),
+    "custom-c0": make_custom(alpha0=1.5, f=-1.0, g=0.5),
+    "custom-c5": make_custom(alpha0=1.5, c=5.0, f=-1.0, g=0.5),
+}
+
+
+class TestTransformSolve:
+    """Sine-transform solves against factorizations of the same stored system."""
+
+    @staticmethod
+    def check_paths(system, factor_calls, dense):
+        assert system.weights is not None
+        sol = solve(system)
+        assert factor_calls == []
+        reference = solve(factored(system))
+        assert len(factor_calls) == 1
+        values = sol.values
+        scale = np.abs(reference.values).max()
+        assert np.abs(values - reference.values).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(values[system.mesh.dof_map.boundary],
+                                      system.boundary_values)
+        for each in (sol, reference):
+            assert stored_backward_error(system, each) <= swgfem.solver.DIRECT_BACKWARD_TOL
+        if dense:
+            rhs = system.rhs[system.order]
+            dense = np.linalg.solve(system.ordered.toarray(), rhs)
+            assert (np.abs(stored_solution(system, sol) - dense).max()
+                    <= 1e-12 * np.abs(dense).max())
+
+    @pytest.mark.parametrize("kappa", [0.7, 4.0, 20.0])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 64])
+    @pytest.mark.parametrize("pid", TRANSFORM_PROBLEMS)
+    def test_matches_factorization(self, pid, n, kappa, factor_calls):
+        problem = TRANSFORM_PROBLEMS[pid]
+        system = assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=kappa))
+        self.check_paths(system, factor_calls, dense=n <= 6)
+
+    @pytest.mark.parametrize("scheme", ["fd5", "fd7-0.7", "fd7-4", "fd7-20"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 64])
+    def test_stencils_match_factorization(self, scheme, n, factor_calls):
+        problem = get_problem("fd2")
+        if scheme == "fd5":
+            system = swgfem.fd.assemble_fd5(n, problem.f, problem.g)
+        else:
+            system = swgfem.fd.assemble_fd7(n, float(scheme[4:]), problem.f, problem.g)
+        self.check_paths(system, factor_calls, dense=n <= 6)
+
+    @settings(max_examples=30)
+    @given(nx=st.integers(1, 9), ny=st.integers(1, 9), width=st.sampled_from([1.0, 2.0, 0.35]),
+           c=st.sampled_from([0.0, 3.0]))
+    def test_rectangles_of_any_shape(self, nx, ny, width, c):
+        # elements of aspect up to 9 x 2, and one-element rows and columns
+        assume(nx * ny > 1)  # one element has no interior dof
+        mesh = build_tensor_mesh(np.linspace(0.0, width, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+        system = assemble(mesh, make_custom(alpha0=0.8, c=c, f=-1.0, g=0.25),
+                          AssemblyConfig(kappa=2.0))
+        assert system.weights is not None
+        y = swgfem.solver._transform_solve(system)[system.order]
+        assert (swgfem.solver._backward_error(system.ordered, system.rhs[system.order], y)
+                <= swgfem.solver.DIRECT_BACKWARD_TOL)
+        sol = solve(system)
+        reference = solve(factored(system))
+        scale = max(np.abs(reference.values).max(), 1.0)
+        assert np.abs(sol.values - reference.values).max() <= 1e-12 * scale
+
+    def test_missed_tolerance_falls_back_to_the_factor(self, factor_calls):
+        # weights 1e-9 off the stored blocks leave a backward error far past
+        # the tolerance; the solve factors instead, with the factor's bits
+        problem = get_problem("fd2")
+        system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
+        p, *rest = system.weights
+        off = dataclasses.replace(system, weights=(p * (1 + 1e-9), *rest))
+        y = swgfem.solver._transform_solve(off)[system.order]
+        rhs = system.rhs[system.order]
+        assert (swgfem.solver._backward_error(system.ordered, rhs, y)
+                > swgfem.solver.DIRECT_BACKWARD_TOL)
+        sol = solve(off)
+        assert len(factor_calls) == 1
+        np.testing.assert_array_equal(sol.values, solve(factored(system)).values)
+
+
+def random_breaks(rng, count, spread=0.6):
+    """count cells of widths drawn in [1, 1 + spread], scaled onto [0, 1]."""
+    widths = rng.uniform(1.0, 1.0 + spread, count)
+    breaks = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    breaks[-1] = 1.0
+    return breaks
+
+
+def nearly_uniform_breaks(n):
+    """Breaks of ``uniform_mesh(n)`` with one interior break moved by 1e-13."""
+    breaks = np.linspace(0.0, 1.0, n + 1)
+    breaks[n // 2] += 1e-13
+    return breaks
+
+
+class TestPathSelection:
+    """Which systems store block weights, seen by whether ``splu`` runs."""
+
+    @pytest.mark.parametrize("case", ["tc1", "tc2", "custom-beta", "random-breaks",
+                                      "breaks-1e-13", "y-breaks-1e-13"])
+    def test_factored(self, case, factor_calls):
+        rng = np.random.default_rng(23)
+        uniform = np.linspace(0.0, 1.0, 13)
+        problem, x_breaks, y_breaks = {
+            "tc1": (get_problem("tc1"), uniform, uniform),
+            "tc2": (get_problem("tc2"), uniform, uniform),
+            "custom-beta": (make_custom(beta=(0.3, 0.0), c=1.0, f=-1.0), uniform, uniform),
+            "random-breaks": (get_problem("fd2"), random_breaks(rng, 12), random_breaks(rng, 9)),
+            "breaks-1e-13": (get_problem("fd2"), nearly_uniform_breaks(12), uniform),
+            "y-breaks-1e-13": (make_custom(c=2.0, f=-1.0), uniform, nearly_uniform_breaks(12)),
+        }[case]
+        mesh = build_tensor_mesh(x_breaks, y_breaks)
+        system = assemble(mesh, problem, AssemblyConfig(kappa=2.0))
+        assert system.weights is None
+        solve(system)
+        assert len(factor_calls) == 1
+
+    @pytest.mark.parametrize("n", [2, 7, 16, 33])
+    @pytest.mark.parametrize("case", ["fd1", "fd2", "tc3", "fd5", "fd7"])
+    def test_transformed(self, case, n, factor_calls):
+        problem = get_problem("fd2" if case in ("fd5", "fd7") else case)
+        if case == "fd5":
+            system = swgfem.fd.assemble_fd5(n, problem.f, problem.g)
+        elif case == "fd7":
+            system = swgfem.fd.assemble_fd7(n, 0.7, problem.f, problem.g)
+        else:
+            system = assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=4.0))
+        assert system.weights is not None
+        solve(system)
+        assert factor_calls == []
+
+    def test_stencil_weights_are_the_element_block(self):
+        # the weak Galerkin and 7-point systems of fd2 are one matrix, so
+        # their blocks are one block
+        problem = get_problem("fd2")
+        for n, kappa in ((4, 0.7), (9, 4.0), (16, 20.0)):
+            swg = assemble(uniform_mesh(n), problem, AssemblyConfig(kappa=kappa))
+            fd = swgfem.fd.assemble_fd7(n, kappa, problem.f, problem.g)
+            assert swg.weights == pytest.approx(fd.weights, rel=1e-15, abs=1e-15)
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    # the transforms run through numpy.fft; scipy.fft would add about 0.1 s
+    # and 5 MB to every process that imports swgfem
+    src = pathlib.Path(swgfem.solver.__file__).parents[1]
+    code = "import sys, swgfem; print('scipy.fft' in sys.modules, 'numpy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("pid", ["tc1", "tc2", "tc3", "fd1", "fd2"],
