@@ -176,8 +176,8 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     element blocks.  Each interior edge's row is gathered from its two
     elements' blocks and ``conn`` numbers (:func:`_edge_rows`, numbered as
     stored by :func:`stored_numbering`); the boundary columns times g move
-    to the right-hand side, and the rows, taken in stored order, give the
-    stored matrix.  Every sum runs in a fixed order, so assembly is
+    to the right-hand side, and the rows give the stored matrix
+    (:func:`stored_matrix`).  Every sum runs in a fixed order, so assembly is
     bit-reproducible.
     """
     dof_map = enumerate_dofs(mesh)
@@ -227,20 +227,27 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     lift = values.ravel()[slots] * g_b[~columns.ravel()[slots]]
     rows = slots // 7
     rhs = rhs[dof_map.interior] - np.bincount(rows, lift, minlength=order.size)
-    # the rows in stored order, less their boundary slots, as CSR; the
-    # counting sort by column of scipy's csr_tocsc, which ``tocsc`` runs,
-    # leaves each column's rows ascending
+    ordered = stored_matrix(values, columns, order, rows)
+    return SparseSystem(ordered, order, rhs, g_b, mesh, weights)
+
+
+def stored_matrix(values, columns, order, boundary_rows) -> sp.csc_matrix:
+    """``SparseSystem.ordered`` from (rows, 7) ``values`` and ``columns``, a row
+    per interior dof in natural order, numbered by :func:`stored_numbering`,
+    less the boundary slots (column < 0), whose rows ``boundary_rows`` holds.
+    The rows in stored order form a CSR; scipy's ``csr_tocsc``, a counting
+    sort by column, transposes it and leaves each column's rows ascending."""
     values, columns = (np.take(a, order, axis=0) for a in (values, columns))
     keep = columns >= 0
     size = order.size
     indptr = np.zeros(size + 1, dtype=columns.dtype)
-    np.cumsum(7 - np.bincount(rows, minlength=size)[order], out=indptr[1:])
+    np.cumsum(7 - np.bincount(boundary_rows, minlength=size)[order], out=indptr[1:])
     values, columns = values[keep], columns[keep]
     csc = np.empty_like(indptr), np.empty_like(columns), np.empty_like(values)
     _sparsetools.csr_tocsc(size, size, indptr, columns, values, *csc)
     ordered = sp.csc_matrix(csc[::-1], shape=(size, size))
     ordered.has_canonical_format = True  # sorted, one entry per pair
-    return SparseSystem(ordered, order, rhs, g_b, mesh, weights)
+    return ordered
 
 
 def shared_block(mesh: TensorMesh, coefficients, blocks):

@@ -8,21 +8,22 @@ with right-hand side (h^2/2) f at the midpoint; horizontal rows are the
 transpose picture.  At kappa = 4 the flanking weights vanish and the rows,
 divided by h^2, become the 5-point scheme with weights (4, -1, -1, -1, -1).
 
-Both assemblers share the edge-dof enumeration and boundary treatment of
-the weak Galerkin path, to which the 7-point matrix is algebraically
-identical when alpha = 1, beta = 0, c = 0.
+The 7-point matrix equals the weak Galerkin one when alpha = 1, beta = 0,
+c = 0, and its assembler stays an independent oracle of it: it shares the
+dof numbering and the rows-to-CSC step (:func:`~swgfem.assembly.stored_matrix`),
+but slices its own neighbours and lifts its own boundary legs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (
     AssemblyConfig,
     SparseSystem,
     assemble,
     boundary_averages,
+    stored_matrix,
     stored_numbering,
 )
 from .kernels import require_kappa
@@ -51,52 +52,36 @@ def stencil_weights(kappa: float) -> FdStencil:
 
 
 def _assemble_stencil(n, stencil, rhs_scale, f, g):
-    """Shared assembler: one row per interior edge midpoint, boundary
-    values eliminated into the right-hand side."""
+    """Shared assembler: one row per interior edge midpoint, its 7 slots (the
+    edge, its two flanking and its four crossing edges) sliced from the [j, i]
+    grids of the vertical and horizontal edges' stored numbers, and its
+    boundary legs moved to the right-hand side slot by slot."""
     mesh = uniform_mesh(n)
     dm = enumerate_dofs(mesh)
 
     g_b = boundary_averages(dm, g)
     order, number = stored_numbering(dm)
 
-    mods = dm.midpoints[dm.interior]
-    rhs = rhs_scale * f(mods[:, 0], mods[:, 1]) + np.zeros(dm.interior.size)
+    rhs = rhs_scale * f(*dm.midpoints[dm.interior].T) + np.zeros(dm.interior.size)
 
-    rows, cols, data = [], [], []
-
-    def add(row_ids, col_ids, weight):
-        """Append stencil legs in stored numbering; boundary columns move to the rhs."""
-        col_numbers = number[col_ids]
-        bnd = col_numbers < 0
-        np.add.at(rhs, dm.free_index[row_ids[bnd]], -weight * g_b[~col_numbers[bnd]])
-        rows.append(number[row_ids[~bnd]])
-        cols.append(col_numbers[~bnd])
-        data.append(np.full(rows[-1].size, weight))
-
-    nv = dm.n_vertical
-
-    # vertical interior midpoints: i in 1..n-1, j in 0..n-1
-    vi, vj = np.meshgrid(np.arange(1, n), np.arange(n), indexing="ij")
-    vi, vj = vi.ravel(), vj.ravel()
-    vid = vj * (n + 1) + vi
-    add(vid, vid, stencil.c2)
-    add(vid, vj * (n + 1) + (vi - 1), stencil.c1)
-    add(vid, vj * (n + 1) + (vi + 1), stencil.c3)
-    for di, dj in ((-1, 0), (-1, 1), (0, 0), (0, 1)):
-        add(vid, nv + (vj + dj) * n + (vi + di), stencil.c4)
-
-    # horizontal interior midpoints: i in 0..n-1, j in 1..n-1
-    hi, hj = np.meshgrid(np.arange(n), np.arange(1, n), indexing="ij")
-    hi, hj = hi.ravel(), hj.ravel()
-    hid = nv + hj * n + hi
-    add(hid, hid, stencil.c2)
-    add(hid, nv + (hj - 1) * n + hi, stencil.c1)
-    add(hid, nv + (hj + 1) * n + hi, stencil.c3)
-    for di, dj in ((0, -1), (1, -1), (0, 0), (1, 0)):
-        add(hid, (hj + dj) * (n + 1) + (hi + di), stencil.c4)
-
-    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-    ordered = sp.csc_matrix(entries, shape=(order.size, order.size))
+    v, h = number[:dm.n_vertical].reshape(n, n + 1), number[dm.n_vertical:].reshape(n + 1, n)
+    # v(i, j) couples v(i-1, j), v(i+1, j), h(i-1, j), h(i-1, j+1), h(i, j), h(i, j+1);
+    # h(i, j) couples h(i, j-1), h(i, j+1), v(i, j-1), v(i+1, j-1), v(i, j), v(i+1, j)
+    columns = np.empty((order.size, 7), dtype=number.dtype)
+    for rows, legs in (
+            (columns[:n * (n - 1)].reshape(n, n - 1, 7),
+             (v[:, 1:-1], v[:, :-2], v[:, 2:], h[:-1, :-1], h[1:, :-1], h[:-1, 1:], h[1:, 1:])),
+            (columns[n * (n - 1):].reshape(n - 1, n, 7),
+             (h[1:-1], h[:-2], h[2:], v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]))):
+        for slot, leg in enumerate(legs):
+            rows[..., slot] = leg
+    weights = (stencil.c2, stencil.c1, stencil.c3) + 4 * (stencil.c4,)
+    boundary = columns < 0
+    for slot in range(1, 7):  # the boundary legs, one slot after another
+        lifted = np.flatnonzero(boundary[:, slot])
+        rhs[lifted] -= weights[slot] * g_b[~columns[lifted, slot]]
+    values = np.tile(weights, (order.size, 1))  # a broadcast view takes 10x slower
+    ordered = stored_matrix(values, columns, order, np.flatnonzero(boundary) // 7)
     # each row sums the rows of one element block B in two elements:
     # 2p = 2q = c2, a = d = c1 (= c3), e = c4
     half = 0.5 * stencil.c2

@@ -43,7 +43,9 @@ by its normwise backward error, in the stored order (Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 7).  B is taken from one element,
 and the stored blocks may differ from it by a few ulps (``mesh_for``'s
 steps are not all equal in floating point), so a transform solve that
-misses the tolerance is discarded and the system factored.
+misses the tolerance takes one step of refinement against the stored
+matrix (fd2 at kappa = 0.7, n = 1000: from 77 to 1.1 eps, for 0.4 s), and
+one that still misses it is discarded and the system factored.
 """
 
 import ctypes
@@ -205,8 +207,8 @@ def _cell_sines(w, n):
     return n * np.fft.irfft(spectrum, 2 * n)[..., :n]
 
 
-def _transform_solve(system):
-    """The solution of a system that stores its block weights, in natural order.
+def _transform_solve(system, rhs):
+    """The solution for ``rhs`` of a system with block weights, in natural order.
 
     Vertical edge (i, j), i = 1 .. nx-1, row j, couples a times each vertical
     neighbour in its row and e times the four horizontal edges of its two
@@ -230,8 +232,8 @@ def _transform_solve(system):
     nx, ny = system.mesh.nx, system.mesh.ny
     split = ny * (nx - 1)
     # (k, l) coefficients: vertical (nx-1, ny), horizontal (nx, ny-1)
-    v = _sines(_sines(system.rhs[:split].reshape(ny, nx - 1), nx, 1.0).T, ny, 0.5)
-    h = _sines(_sines(system.rhs[split:].reshape(ny - 1, nx), nx, 0.5).T, ny, 1.0)
+    v = _sines(_sines(rhs[:split].reshape(ny, nx - 1), nx, 1.0).T, ny, 0.5)
+    h = _sines(_sines(rhs[split:].reshape(ny - 1, nx), nx, 0.5).T, ny, 1.0)
     half_k = (0.5 * np.pi / nx) * np.arange(1, nx)[:, None]
     half_l = (0.5 * np.pi / ny) * np.arange(1, ny)
     s, t = np.sin(half_k) ** 2, np.sin(half_l) ** 2
@@ -290,15 +292,21 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
     """Solve ``system``, check its normwise backward error (SingularMatrix past
     ``DIRECT_BACKWARD_TOL``) and merge boundary values into a full edge vector.
 
-    A system with ``weights`` is solved by sine transforms; if that solve
-    misses the tolerance, or the system has no weights, it is factored."""
+    A system with ``weights`` is solved by sine transforms, refined once if
+    that solve misses the tolerance; if it misses it still, or the system
+    has no weights, it is factored."""
     ordered, order = system.ordered, system.order
     y = np.zeros(0)
     if ordered.shape[0]:
         backward = math.inf
         if system.weights is not None:
-            rhs, y = system.rhs[order], _transform_solve(system)[order]
+            rhs, y = system.rhs[order], _transform_solve(system, system.rhs)[order]
             backward = _backward_error(ordered, rhs, y)
+            if not backward <= DIRECT_BACKWARD_TOL:  # one step of refinement
+                residual = np.empty_like(rhs)
+                residual[order] = rhs - _matvec(ordered, y)
+                y = y + _transform_solve(system, residual)[order]
+                backward = _backward_error(ordered, rhs, y)
         if not backward <= DIRECT_BACKWARD_TOL:
             if config is None or config.method == "auto":
                 check_memory(ordered.shape[0])

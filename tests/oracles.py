@@ -272,3 +272,64 @@ def dump_matrix_oracle(matrix, path):
     with open(path, "w") as fh:
         for r, c, v in zip(coo.row, coo.col, coo.data):
             fh.write("%d %d %.17g\n" % (r, c, v))
+
+
+def stencil_oracle(n, weights, rhs_scale, f, g, leaf):
+    """The stored system of a 5- or 7-point scheme on the uniform n x n grid,
+    by a loop over the interior edge midpoints.
+
+    ``weights`` is (c1, c2, c3, c4).  Each row takes its legs in the order:
+    itself (c2), its flanking midpoints left and right, or below and above
+    (c1, c3), then the four crossing midpoints of its two cells (c4); each
+    boundary leg times g moves to the rhs in that order.  Returns the CSC
+    (data, indices, indptr) of the interior rows and columns, both in the
+    order of :func:`nested_dissection_oracle`, and the rhs in natural order.
+    """
+    from swgfem.mesh import uniform_mesh
+
+    c1, c2, c3, c4 = weights
+    nv = n * (n + 1)
+
+    def vertical(i, j):
+        return j * (n + 1) + i
+
+    def horizontal(i, j):
+        return nv + j * n + i
+
+    def legs(d):
+        if d < nv:
+            j, i = divmod(d, n + 1)
+            return [(d, c2), (vertical(i - 1, j), c1), (vertical(i + 1, j), c3),
+                    (horizontal(i - 1, j), c4), (horizontal(i - 1, j + 1), c4),
+                    (horizontal(i, j), c4), (horizontal(i, j + 1), c4)]
+        j, i = divmod(d - nv, n)
+        return [(d, c2), (horizontal(i, j - 1), c1), (horizontal(i, j + 1), c3),
+                (vertical(i, j - 1), c4), (vertical(i + 1, j - 1), c4),
+                (vertical(i, j), c4), (vertical(i + 1, j), c4)]
+
+    def on_boundary(d):
+        return d % (n + 1) in (0, n) if d < nv else (d - nv) // n in (0, n)
+
+    dofs = range(2 * nv)
+    interior = [d for d in dofs if not on_boundary(d)]
+    boundary = [d for d in dofs if on_boundary(d)]
+    mids = uniform_mesh(n).dof_map.midpoints
+    loads = f(mids[interior, 0], mids[interior, 1]) + np.zeros(len(interior))
+    g_b = g(mids[boundary, 0], mids[boundary, 1]) + np.zeros(len(boundary))
+    g_at = dict(zip(boundary, g_b))
+    number = {d: k for k, d in enumerate(
+        d for d in nested_dissection_oracle(n, n, leaf) if not on_boundary(d))}
+    columns = [[] for _ in interior]
+    rhs = []
+    for d, load in zip(interior, loads):
+        value = rhs_scale * load + 0.0
+        for e, weight in legs(d):
+            if on_boundary(e):
+                value -= weight * g_at[e]
+            else:
+                columns[number[e]].append((number[d], weight))
+        rhs.append(value)
+    entries = [entry for column in columns for entry in sorted(column)]
+    indptr = np.cumsum([0] + [len(column) for column in columns]).astype(np.int32)
+    return (np.array([w for _, w in entries]), np.array([r for r, _ in entries], dtype=np.int32),
+            indptr, np.array(rhs))

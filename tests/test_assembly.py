@@ -489,11 +489,12 @@ class TestDumpBytes:
 
 #: Meshes of the golden systems: uniform n, and random breaks seeded as in ``oracle_mesh``.
 GOLDEN_MESHES = ("n1", "n8", "n17", "random5", "random6")
-GOLDEN_FD = tuple(f"{scheme}-n{n}" for scheme in ("fd5", "fd7") for n in (2, 8, 17))
+GOLDEN_FD = tuple(f"{scheme}-n{n}" for scheme in ("fd5", "fd7") for n in (2, 3, 8, 17, 33))
 
 #: sha256 (first 16 hex digits) of every stored byte of the systems of a
 #: case (:func:`golden_digest`), recorded on f18a219, before the Dirichlet
-#: data lost its second (Simpson) rule, with the midpoint rule.
+#: data lost its second (Simpson) rule, with the midpoint rule; the stencil
+#: schemes at n = 3 and 33 on 2a6ba0e, before their rows left COO triplets.
 GOLDEN_SYSTEMS = {
     "tc1-n1": "3f9c0d5dd9e7bbb6",
     "tc1-n8": "07539530969afc55",
@@ -521,11 +522,15 @@ GOLDEN_SYSTEMS = {
     "fd2-random5": "bd97057852b01fb8",
     "fd2-random6": "099de16405bbf101",
     "fd5-n2": "2da12a7710b718e9",
+    "fd5-n3": "cb1c215de402cec7",
     "fd5-n8": "c138a934185fa09b",
     "fd5-n17": "ee665cabf4a7be75",
+    "fd5-n33": "fc3413d8f5a02e1a",
     "fd7-n2": "660f521ca0a6e995",
+    "fd7-n3": "8d53fff2b69837fa",
     "fd7-n8": "e0c6bef14a9dcb8d",
     "fd7-n17": "2f17440a48165a3b",
+    "fd7-n33": "58a66facecfb312b",
 }
 
 

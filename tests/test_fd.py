@@ -3,6 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.sparse as sp
+import scipy.sparse._compressed
+import scipy.sparse._coo
+from scipy.sparse import _sparsetools
+
+import swgfem.assembly
+from swgfem import kernels
 from swgfem.analysis import discrete_h1_error, discrete_l2_error
 from swgfem.cli import EQUIV_TOL
 from swgfem.errors import NonPositiveKappa
@@ -12,10 +19,11 @@ from swgfem.fd import (
     check_equivalence,
     stencil_weights,
 )
+from swgfem.mesh import ND_LEAF_ELEMENTS
 from swgfem.problems import get_problem
 from swgfem.solver import solve
 
-from oracles import equivalence_gaps
+from oracles import equivalence_gaps, stencil_oracle
 
 
 def zero(x, y):
@@ -170,3 +178,61 @@ class TestFdConvergence:
             3.47e-05, rel=0.05)
         assert discrete_h1_error(sol, system.mesh, p.exact_grad) == pytest.approx(
             4.10e-04, rel=0.05)
+
+
+def stencil_system(scheme, n, problem):
+    """``assemble_fd5`` or ``assemble_fd7`` at kappa ``scheme[4:]``, and the
+    arguments of :func:`stencil_oracle` for it."""
+    h = 1.0 / n
+    if scheme == "fd5":
+        system = assemble_fd5(n, problem.f, problem.g)
+        return system, (0.0, 4.0 / (h * h), 0.0, -1.0 / (h * h)), 0.5
+    kappa = float(scheme[4:])
+    system = assemble_fd7(n, kappa, problem.f, problem.g)
+    return system, (kappa / 4.0 - 1.0, kappa / 2.0 + 2.0, kappa / 4.0 - 1.0, -kappa / 4.0), 0.5 * h * h
+
+
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+SCHEMES = ["fd5", "fd7-0.7", "fd7-4", "fd7-20"]
+
+
+class TestStencilAssembly:
+    @pytest.mark.parametrize("source", ["fd1", "fd2"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_loop_oracle_byte_for_byte(self, n, scheme, source):
+        problem = get_problem(source)
+        system, weights, rhs_scale = stencil_system(scheme, n, problem)
+        data, indices, indptr, rhs = stencil_oracle(n, weights, rhs_scale, problem.f,
+                                                    problem.g, ND_LEAF_ELEMENTS)
+        ordered = system.ordered
+        assert same_bytes(ordered.data, data)
+        assert same_bytes(ordered.indices, indices)
+        assert same_bytes(ordered.indptr, indptr)
+        assert same_bytes(system.rhs, rhs)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_builds_rows_without_coo_or_element_blocks(self, scheme, monkeypatch):
+        # one csc_matrix from the 7-slot rows: no COO conversion, no index
+        # sort, and none of the weak Galerkin gather the stencils are checked against
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def called(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, called)
+
+        for module, name in ((_sparsetools, "coo_tocsr"), (scipy.sparse._coo, "coo_tocsr"),
+                             (_sparsetools, "csr_sort_indices"),
+                             (scipy.sparse._compressed, "csr_sort_indices"),
+                             (swgfem.assembly, "_edge_rows"), (kernels, "local_operator"),
+                             (sp.csc_matrix, "__init__")):
+            spy(module, name)
+        stencil_system(scheme, 9, get_problem("fd2"))
+        assert calls == ["__init__"]

@@ -347,7 +347,7 @@ class TestTransformSolve:
         system = assemble(mesh, make_custom(alpha0=0.8, c=c, f=-1.0, g=0.25),
                           AssemblyConfig(kappa=2.0))
         assert system.weights is not None
-        y = swgfem.solver._transform_solve(system)[system.order]
+        y = swgfem.solver._transform_solve(system, system.rhs)[system.order]
         assert (swgfem.solver._backward_error(system.ordered, system.rhs[system.order], y)
                 <= swgfem.solver.DIRECT_BACKWARD_TOL)
         sol = solve(system)
@@ -355,17 +355,35 @@ class TestTransformSolve:
         scale = max(np.abs(reference.values).max(), 1.0)
         assert np.abs(sol.values - reference.values).max() <= 1e-12 * scale
 
-    def test_missed_tolerance_falls_back_to_the_factor(self, factor_calls):
-        # weights 1e-9 off the stored blocks leave a backward error far past
-        # the tolerance; the solve factors instead, with the factor's bits
+    @staticmethod
+    def off_weights(offset):
+        """fd2 at n = 8 with its weight p ``offset`` off the stored blocks, the
+        backward error of its first transform solve and the system itself."""
         problem = get_problem("fd2")
         system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
         p, *rest = system.weights
-        off = dataclasses.replace(system, weights=(p * (1 + 1e-9), *rest))
-        y = swgfem.solver._transform_solve(off)[system.order]
+        off = dataclasses.replace(system, weights=(p * (1 + offset), *rest))
+        y = swgfem.solver._transform_solve(off, off.rhs)[system.order]
         rhs = system.rhs[system.order]
-        assert (swgfem.solver._backward_error(system.ordered, rhs, y)
-                > swgfem.solver.DIRECT_BACKWARD_TOL)
+        return off, swgfem.solver._backward_error(system.ordered, rhs, y), system
+
+    def test_missed_tolerance_is_refined_once(self, factor_calls):
+        # weights 1e-12 off miss the tolerance; one step of refinement
+        # against the stored matrix meets it, and nothing is factored
+        off, first, system = self.off_weights(1e-12)
+        assert first > swgfem.solver.DIRECT_BACKWARD_TOL
+        sol = solve(off)
+        assert factor_calls == []
+        assert stored_backward_error(system, sol) <= swgfem.solver.DIRECT_BACKWARD_TOL
+        reference = solve(factored(system)).values
+        assert np.abs(sol.values - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_missed_tolerance_falls_back_to_the_factor(self, factor_calls):
+        # weights 1e-3 off leave a backward error far past the tolerance, and
+        # past it still after the refinement step; the solve factors instead,
+        # with the factor's bits
+        off, first, system = self.off_weights(1e-3)
+        assert first > swgfem.solver.DIRECT_BACKWARD_TOL
         sol = solve(off)
         assert len(factor_calls) == 1
         np.testing.assert_array_equal(sol.values, solve(factored(system)).values)
