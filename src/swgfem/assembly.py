@@ -225,27 +225,28 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     # each row's boundary slots, in slot (dof id) order, summed from +0
     slots = np.flatnonzero(columns < 0)
     lift = values.ravel()[slots] * g_b[~columns.ravel()[slots]]
-    rows = slots // 7
-    rhs = rhs[dof_map.interior] - np.bincount(rows, lift, minlength=order.size)
-    ordered = stored_matrix(values, columns, order, rows)
+    rhs = rhs[dof_map.interior] - np.bincount(slots // 7, lift, minlength=order.size)
+    ordered = stored_matrix(values, columns, order)
     return SparseSystem(ordered, order, rhs, g_b, mesh, weights)
 
 
-def stored_matrix(values, columns, order, boundary_rows) -> sp.csc_matrix:
+def stored_matrix(values, columns, order) -> sp.csc_matrix:
     """``SparseSystem.ordered`` from (rows, 7) ``values`` and ``columns``, a row
-    per interior dof in natural order, numbered by :func:`stored_numbering`,
-    less the boundary slots (column < 0), whose rows ``boundary_rows`` holds.
-    The rows in stored order form a CSR; scipy's ``csr_tocsc``, a counting
-    sort by column, transposes it and leaves each column's rows ascending."""
-    values, columns = (np.take(a, order, axis=0) for a in (values, columns))
-    keep = columns >= 0
+    per interior dof in natural order, numbered by :func:`stored_numbering`.
+    Both are overwritten: taken into stored order in place, so that no second
+    copy is held, with the boundary slots (column < 0) moved to an extra last
+    column.  scipy's ``csr_tocsc``, a counting sort by column, transposes the
+    rows, each column's rows ascending and the extra column last, cut off."""
+    for rows in (values, columns):
+        np.take(rows, order, axis=0, out=rows)  # buffered, as out is the input
     size = order.size
-    indptr = np.zeros(size + 1, dtype=columns.dtype)
-    np.cumsum(7 - np.bincount(boundary_rows, minlength=size)[order], out=indptr[1:])
-    values, columns = values[keep], columns[keep]
-    csc = np.empty_like(indptr), np.empty_like(columns), np.empty_like(values)
-    _sparsetools.csr_tocsc(size, size, indptr, columns, values, *csc)
-    ordered = sp.csc_matrix(csc[::-1], shape=(size, size))
+    columns[columns < 0] = size
+    indptr = np.arange(0, 7 * size + 1, 7, dtype=columns.dtype)
+    csc = (np.empty(size + 2, indptr.dtype), np.empty_like(columns.ravel()),
+           np.empty_like(values.ravel()))
+    _sparsetools.csr_tocsc(size, size + 1, indptr, columns.ravel(), values.ravel(), *csc)
+    nnz = csc[0][size]
+    ordered = sp.csc_matrix((csc[2][:nnz], csc[1][:nnz], csc[0][:size + 1]), shape=(size, size))
     ordered.has_canonical_format = True  # sorted, one entry per pair
     return ordered
 

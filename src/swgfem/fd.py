@@ -80,8 +80,7 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g):
     for slot in range(1, 7):  # the boundary legs, one slot after another
         lifted = np.flatnonzero(boundary[:, slot])
         rhs[lifted] -= weights[slot] * g_b[~columns[lifted, slot]]
-    values = np.tile(weights, (order.size, 1))  # a broadcast view takes 10x slower
-    ordered = stored_matrix(values, columns, order, np.flatnonzero(boundary) // 7)
+    ordered = stored_matrix(np.tile(weights, (order.size, 1)), columns, order)
     # each row sums the rows of one element block B in two elements:
     # 2p = 2q = c2, a = d = c1 (= c3), e = c4
     half = 0.5 * stencil.c2
