@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 import scipy.sparse as sp
 import scipy.sparse._compressed
 import scipy.sparse._coo
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import _sparsetools
 
 import swgfem.assembly
@@ -189,7 +188,8 @@ def stencil_system(scheme, n, problem):
         return system, (0.0, 4.0 / (h * h), 0.0, -1.0 / (h * h)), 0.5
     kappa = float(scheme[4:])
     system = assemble_fd7(n, kappa, problem.f, problem.g)
-    return system, (kappa / 4.0 - 1.0, kappa / 2.0 + 2.0, kappa / 4.0 - 1.0, -kappa / 4.0), 0.5 * h * h
+    weights = (kappa / 4.0 - 1.0, kappa / 2.0 + 2.0, kappa / 4.0 - 1.0, -kappa / 4.0)
+    return system, weights, 0.5 * h * h
 
 
 def same_bytes(got, want):

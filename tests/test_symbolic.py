@@ -60,7 +60,8 @@ def definition_block(hx, hy, h, kappa, a11, a22):
         for j in range(4):
             stab = sum(e * defects[i][k] * defects[j][k]
                        for k, e in enumerate(lengths(hx, hy))) / h
-            diffusion = sum(area / 4 * (p * grads[i][0] * grads[j][0] + q * grads[i][1] * grads[j][1])
+            diffusion = sum(area / 4 * (p * grads[i][0] * grads[j][0]
+                                        + q * grads[i][1] * grads[j][1])
                             for p, q in zip(a11, a22))
             block[i, j] = kappa * stab + diffusion
     return block
@@ -110,8 +111,9 @@ def test_two_square_elements_give_the_seven_point_weights():
     # unit diffusion on a square of side h, with h_global = h
     block = closed_form_block(H, H, H, KAPPA, (1,) * 4, (1,) * 4)
     c1, c2, c3, c4 = KAPPA / 4 - 1, KAPPA / 2 + 2, KAPPA / 4 - 1, -KAPPA / 4
+    want = (c2, c1, c3) + 4 * (c4,)
     for row in seven_point_rows(block):
-        assert [sympy.simplify(w - want) for w, want in zip(row, (c2, c1, c3) + 4 * (c4,))] == [0] * 7
+        assert [sympy.simplify(w - v) for w, v in zip(row, want)] == [0] * 7
     assert sympy.simplify(c1 + c2 + c3 + 4 * c4) == 0
 
 
