@@ -41,8 +41,7 @@ class ConvergenceRow:
 class DmpReport:
     interior_max: float
     boundary_max: float
-    clipped_boundary_max: float
-    c_nonneg: bool
+    bound: float
     satisfied: bool
     margin: float
 
@@ -156,13 +155,11 @@ def dmp_check(solution: Solution, mesh: TensorMesh, c_nonneg: bool) -> DmpReport
     vals = solution.values
     interior_max = float(np.max(vals[dm.interior])) if dm.interior.size else -np.inf
     boundary_max = float(np.max(vals[dm.boundary]))
-    clipped = max(boundary_max, 0.0)
-    bound = clipped if c_nonneg else boundary_max
+    bound = max(boundary_max, 0.0) if c_nonneg else boundary_max
     return DmpReport(
         interior_max=interior_max,
         boundary_max=boundary_max,
-        clipped_boundary_max=clipped,
-        c_nonneg=c_nonneg,
+        bound=bound,
         satisfied=bool(interior_max <= bound + DMP_SLACK),
         margin=float(bound - interior_max),
     )

@@ -53,14 +53,8 @@ _INT32_MAX = np.iinfo(np.int32).max
 
 #: A mesh's steps count as equal when they differ by at most this many ulps
 #: of its largest coordinate (the steps of ``linspace`` differ by at most
-#: one), and a block as reflection-symmetric when its entries differ from
-#: the pattern of :func:`shared_block` by at most this many ulps of its
-#: largest entry.
+#: one).
 SHARED_BLOCK_ULPS = 4
-
-#: Entry (i, j) of B as an index into (p, a, q, d, e), in the local order
-#: (left, right, bottom, top).
-_SHARED_PATTERN = np.array([[0, 1, 4, 4], [1, 0, 4, 4], [4, 4, 2, 3], [4, 4, 3, 2]])
 
 
 @dataclass(frozen=True)
@@ -111,8 +105,8 @@ class SparseSystem:
     row k of ``ordered`` is row ``order[k]`` of A.  ``rhs`` is in the natural
     order, and ``boundary_values`` holds the imposed values of g, aligned
     with ``mesh.dof_map.boundary``.  ``weights`` is (p, a, q, d, e) when
-    every element block is one reflection-symmetric block B (see
-    :func:`shared_block`), and None otherwise.
+    the inputs make every element block one reflection-symmetric block B
+    (see :func:`shared_block`), and None otherwise.
     """
 
     ordered: sp.csc_matrix
@@ -145,7 +139,9 @@ def stored_numbering(dof_map: DofMap):
     number = np.empty(dof_map.count, dtype=index)
     number[ids] = np.arange(ids.size, dtype=index)
     number[dof_map.boundary] = ~np.arange(dof_map.boundary.size, dtype=index)
-    return dof_map.free_index[ids], number
+    order = np.empty(ids.size, dtype=np.int64)
+    order[number[dof_map.interior]] = np.arange(ids.size)
+    return order, number
 
 
 def boundary_averages(dof_map: DofMap, g) -> np.ndarray:
@@ -262,12 +258,10 @@ def shared_block(mesh: TensorMesh, coefficients, blocks):
     differ by more than ``SHARED_BLOCK_ULPS`` ulps of its largest coordinate
     is rejected first, before any per-element array is read; then each of
     a11, a22 and c in ``coefficients`` (as :func:`sample_coefficients`
-    returns them) must hold one value and beta only zeros, and the first of
-    ``blocks`` must match the pattern to ``SHARED_BLOCK_ULPS`` ulps of its
-    largest entry.  On the meshes of ``mesh_for`` the blocks of fd1, fd2
-    and tc3 differed from the first by at most 0.75 times the relative
-    spread of the steps times B's largest entry, up to n = 1024; the solver
-    checks each transform solve against the stored matrix all the same.
+    returns them) must hold one value and beta only zeros, and the weights
+    are read from the first of ``blocks``.  Whether B fits every block is
+    left to the solver, which checks each transform solve against the
+    stored matrix.
     """
     ulp = math.ulp(max(map(abs, mesh.bounds)))
     if any(steps.max() - steps.min() > SHARED_BLOCK_ULPS * ulp for steps in (mesh.dx, mesh.dy)):
@@ -276,12 +270,7 @@ def shared_block(mesh: TensorMesh, coefficients, blocks):
     if (any(v.min() != v.max() for v in (a11, a22, c))
             or np.count_nonzero(b1) or np.count_nonzero(b2)):
         return None
-    first = blocks[0]
-    weights = tuple(float(first[i, j]) for i, j in ((0, 0), (0, 1), (2, 2), (2, 3), (0, 2)))
-    block = np.array(weights)[_SHARED_PATTERN]
-    if np.abs(first - block).max() > SHARED_BLOCK_ULPS * math.ulp(np.abs(block).max()):
-        return None
-    return weights
+    return tuple(float(blocks[0, i, j]) for i, j in ((0, 0), (0, 1), (2, 2), (2, 3), (0, 2)))
 
 
 #: How an edge's row is gathered from the rows of its two elements.  Vertical

@@ -44,6 +44,8 @@ def _parse_breaks(text):
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad breakpoint list {text!r}")
+    if not vals:
+        raise argparse.ArgumentTypeError("empty breakpoint list")
     return vals
 
 
@@ -162,9 +164,8 @@ def _render_dmp(entries, header, csv):
     if csv:
         lines = ["n,boundary_max,interior_max,bound,margin,satisfied"]
         for n, rep in entries:
-            bound = rep.clipped_boundary_max if rep.c_nonneg else rep.boundary_max
             lines.append("%d,%.17e,%.17e,%.17e,%.17e,%s" % (
-                n, rep.boundary_max, rep.interior_max, bound, rep.margin,
+                n, rep.boundary_max, rep.interior_max, rep.bound, rep.margin,
                 "true" if rep.satisfied else "false"))
         return "\n".join(lines) + "\n"
     lines = [header, "%6s  %13s  %13s  %13s  %s" % (

@@ -51,11 +51,15 @@ def stencil_weights(kappa: float) -> FdStencil:
     )
 
 
-def _assemble_stencil(n, stencil, rhs_scale, f, g):
+def _assemble_stencil(n, scheme, f, g):
     """Shared assembler: one row per interior edge midpoint, its 7 slots (the
     edge, its two flanking and its four crossing edges) sliced from the [j, i]
     grids of the vertical and horizontal edges' stored numbers, and its
-    boundary legs moved to the right-hand side slot by slot."""
+    boundary legs moved to the right-hand side slot by slot.  ``scheme(h)``
+    gives the stencil and the rhs scale at the step h = 1/n."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 for interior unknowns, got {n}")
+    stencil, rhs_scale = scheme(1.0 / n)
     mesh = uniform_mesh(n)
     dm = enumerate_dofs(mesh)
 
@@ -90,20 +94,14 @@ def _assemble_stencil(n, stencil, rhs_scale, f, g):
 
 def assemble_fd7(n, kappa, f, g) -> SparseSystem:
     """7-point scheme with stabilization parameter kappa; rhs (h^2/2) f."""
-    if n < 2:
-        raise ValueError(f"need n >= 2 for interior unknowns, got {n}")
     stencil = stencil_weights(kappa)
-    h = 1.0 / n
-    return _assemble_stencil(n, stencil, 0.5 * h * h, f, g)
+    return _assemble_stencil(n, lambda h: (stencil, 0.5 * h * h), f, g)
 
 
 def assemble_fd5(n, f, g) -> SparseSystem:
     """5-point scheme: the kappa = 4 rows divided by h^2, rhs f/2."""
-    if n < 2:
-        raise ValueError(f"need n >= 2 for interior unknowns, got {n}")
-    h = 1.0 / n
-    scaled = FdStencil(c1=0.0, c2=4.0 / (h * h), c3=0.0, c4=-1.0 / (h * h))
-    return _assemble_stencil(n, scaled, 0.5, f, g)
+    return _assemble_stencil(
+        n, lambda h: (FdStencil(c1=0.0, c2=4.0 / (h * h), c3=0.0, c4=-1.0 / (h * h)), 0.5), f, g)
 
 
 @dataclass(frozen=True)

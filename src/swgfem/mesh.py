@@ -144,11 +144,9 @@ class DofMap:
     Vertical edge (i, j) has id j*(nx+1) + i, and horizontal edge (i, j) id
     n_vertical + j*nx + i.  The map is read only through its arrays, each
     indexed by dof id.  ``interior`` and ``boundary`` partition the index
-    range; ``free_index`` maps a global id to its position in ``interior``
-    (or -1 for boundary dofs).  The map stores ``nx``, ``ny``,
-    ``n_vertical``, ``n_horizontal``, ``count``, ``midpoints``,
-    ``is_boundary``, ``interior``, ``boundary`` and ``free_index``, and not
-    the mesh, which caches the map.
+    range.  The map stores ``nx``, ``ny``, ``n_vertical``,
+    ``n_horizontal``, ``count``, ``midpoints``, ``is_boundary``,
+    ``interior`` and ``boundary``, and not the mesh, which caches the map.
     """
 
     def __init__(self, mesh: TensorMesh):
@@ -175,8 +173,6 @@ class DofMap:
 
         self.interior = (~self.is_boundary).nonzero()[0]
         self.boundary = self.is_boundary.nonzero()[0]
-        self.free_index = np.full(self.count, -1, dtype=np.int64)
-        self.free_index[self.interior] = np.arange(self.interior.size)
 
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):

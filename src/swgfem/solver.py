@@ -41,17 +41,19 @@ otherwise: past about 4.5 M dofs (the unit square at n = 1500) with 8 GB.
 Every solve checks the returned vector independently of solver internals
 by its normwise backward error, in the stored order (Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 7).  B is taken from one element,
-and the stored blocks may differ from it by a few ulps (``mesh_for``'s
-steps are not all equal in floating point), so a transform solve that
-misses the tolerance takes one step of refinement against the stored
-matrix (fd2 at kappa = 0.7, n = 1000: from 77 to 1.1 eps, for 0.4 s), and
-one that still misses it is discarded and the system factored.
+and this check alone decides whether it fits the others: the stored blocks
+may differ from it by a few ulps (``mesh_for``'s steps are not all equal in
+floating point), so a transform solve that misses the tolerance takes one
+step of refinement against the stored matrix (fd2 at kappa = 0.7, n = 1000:
+from 77 to 1.1 eps, for 0.4 s), and one that still misses it is discarded
+and the system factored.
 """
 
 import ctypes
 import math
 import os
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -123,7 +125,7 @@ class Solution:
     solve whose backward error passed ``DIRECT_BACKWARD_TOL``."""
 
     values: np.ndarray
-    iterations: int  # always 0: no solve iterates
+    iterations: ClassVar[int] = 0  # no solve iterates
 
 
 def predicted_factor_bytes(dofs: int) -> float:
@@ -323,4 +325,4 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
     values = np.empty(dof_map.count)
     values[dof_map.boundary] = system.boundary_values
     values[dof_map.interior[order]] = y
-    return Solution(values=values, iterations=0)
+    return Solution(values=values)

@@ -49,7 +49,7 @@ class TestNorms:
         mesh = mesh_for(problem, 8)
         dm = enumerate_dofs(mesh)
         vals = problem.exact(dm.midpoints[:, 0], dm.midpoints[:, 1])
-        assert discrete_l2_error(Solution(values=vals, iterations=0), mesh, problem.exact) == 0.0
+        assert discrete_l2_error(Solution(values=vals), mesh, problem.exact) == 0.0
 
     def test_h1_zero_for_linear(self):
         mesh = uniform_mesh(8)
@@ -58,7 +58,7 @@ class TestNorms:
         grad = lambda x, y: (np.full_like(np.asarray(x, float), 2.0),
                              np.full_like(np.asarray(x, float), -3.0))
         vals = u(dm.midpoints[:, 0], dm.midpoints[:, 1])
-        assert discrete_h1_error(Solution(values=vals, iterations=0), mesh, grad) <= 1e-14
+        assert discrete_h1_error(Solution(values=vals), mesh, grad) <= 1e-14
 
     def test_l2_table_values(self):
         # kappa = 0.7 and kappa = 20 rows at n = 8 / n = 16 (frozen from runs,
@@ -80,7 +80,7 @@ class TestNorms:
 
     def test_nonuniform_rejected(self):
         mesh = m.build_tensor_mesh([0, 0.4, 1], [0, 0.5, 1])
-        zero = Solution(values=np.zeros(12), iterations=0)
+        zero = Solution(values=np.zeros(12))
         with pytest.raises(NonUniformMesh):
             discrete_l2_error(zero, mesh, lambda x, y: x)
         with pytest.raises(NonUniformMesh):
@@ -145,8 +145,7 @@ class TestDmpCheck:
     def test_constant_solution_margin_zero(self):
         mesh = uniform_mesh(4)
         dm = enumerate_dofs(mesh)
-        rep = dmp_check(Solution(values=np.full(dm.count, 2.0), iterations=0), mesh,
-                        c_nonneg=False)
+        rep = dmp_check(Solution(values=np.full(dm.count, 2.0)), mesh, c_nonneg=False)
         assert rep.satisfied
         assert rep.margin == pytest.approx(0.0, abs=1e-14)
         assert rep.interior_max == rep.boundary_max == 2.0
@@ -175,14 +174,26 @@ class TestDmpCheck:
         # interior max exceeds the boundary max but stays below zero
         assert not strict.satisfied
         assert clipped.satisfied
-        assert clipped.clipped_boundary_max == 0.0
+        assert clipped.bound == 0.0
+
+    @pytest.mark.parametrize("boundary", [-0.5, 0.0, 0.75])
+    @pytest.mark.parametrize("c_nonneg", [False, True])
+    def test_bound_and_margin(self, boundary, c_nonneg):
+        mesh = uniform_mesh(4)
+        dm = enumerate_dofs(mesh)
+        vals = np.full(dm.count, boundary)
+        vals[dm.interior] = np.linspace(-1.0, -0.6, dm.interior.size)
+        rep = dmp_check(Solution(values=vals), mesh, c_nonneg=c_nonneg)
+        assert rep.boundary_max == boundary and rep.interior_max == -0.6
+        assert rep.bound == (max(rep.boundary_max, 0.0) if c_nonneg else rep.boundary_max)
+        assert rep.margin == rep.bound - rep.interior_max
 
     def test_violation_detected(self):
         mesh = uniform_mesh(4)
         dm = enumerate_dofs(mesh)
         vals = np.zeros(dm.count)
         vals[dm.interior[0]] = 1.0
-        assert not dmp_check(Solution(values=vals, iterations=0), mesh, c_nonneg=False).satisfied
+        assert not dmp_check(Solution(values=vals), mesh, c_nonneg=False).satisfied
 
     @pytest.mark.parametrize("pid", ["fd1", "tc2"])
     @pytest.mark.parametrize("n", [16, 64])

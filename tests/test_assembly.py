@@ -34,6 +34,7 @@ from swgfem.mesh import (
     element_arrays,
     element_geometry,
     enumerate_dofs,
+    nested_dissection,
     uniform_mesh,
 )
 from swgfem.problems import PROBLEM_IDS, _const, _const_pair, get_problem, make_custom, mesh_for
@@ -147,7 +148,7 @@ class TestAssemble:
         dm = system.mesh.dof_map
         # interior vertical edge (2, 1), away from the boundary
         gid = 1 * (n + 1) + 2
-        row = dm.free_index[gid]
+        row = np.searchsorted(dm.interior, gid)
         mat = system.matrix.tocsr()
         cols = mat.indices[mat.indptr[row]:mat.indptr[row + 1]]
         vals = mat.data[mat.indptr[row]:mat.indptr[row + 1]]
@@ -155,10 +156,10 @@ class TestAssemble:
         entries = {int(c): v for c, v in zip(cols, vals)}
         assert entries[row] == pytest.approx(kappa / 2 + 2)
         for neighbor in (gid - 1, gid + 1):  # vertical edges (1, 1) and (3, 1)
-            assert entries[dm.free_index[neighbor]] == pytest.approx(kappa / 4 - 1)
+            assert entries[np.searchsorted(dm.interior, neighbor)] == pytest.approx(kappa / 4 - 1)
         for hi, hj in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            assert entries[dm.free_index[dm.n_vertical + hj * n + hi]] == pytest.approx(
-                -kappa / 4)
+            column = np.searchsorted(dm.interior, dm.n_vertical + hj * n + hi)
+            assert entries[column] == pytest.approx(-kappa / 4)
 
     def test_row_support_bounded(self):
         problem = get_problem("tc2")
@@ -229,6 +230,19 @@ class TestEdgeRows:
         order, number = stored_numbering(dm)
         assert np.array_equal(number[dm.boundary], ~np.arange(dm.boundary.size))
         assert np.array_equal(number[dm.interior[order]], np.arange(order.size))
+
+    @pytest.mark.parametrize("label", ["6x6", "12x3", "12x1", "1x12", "random"])
+    def test_order_is_the_interior_place_of_each_dissection_id(self, label):
+        if label == "random":
+            rng = np.random.default_rng(7)
+            mesh = build_tensor_mesh(*(np.cumsum(rng.uniform(0.05, 1.0, k)) for k in (10, 8)))
+        else:
+            nx, ny = map(int, label.split("x"))
+            mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+        dm = enumerate_dofs(mesh)
+        order, _ = stored_numbering(dm)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.searchsorted(dm.interior, nested_dissection(dm)))
 
     @pytest.mark.parametrize("label", MESHES)
     def test_columns_are_the_edges_of_the_rows_two_elements(self, label, rng):

@@ -311,6 +311,17 @@ class TestDmp:
         assert code == 0
         assert alive == [[], [False], [False, False]]
 
+    @pytest.mark.parametrize("x_breaks, y_breaks", [("", ""), ("", "0,0.5,1"), ("0,1", " , ")],
+                             ids=["both", "x", "y"])
+    def test_empty_breaks_exit_2(self, capsys, x_breaks, y_breaks):
+        # an empty list is refused, not taken for an absent flag
+        with pytest.raises(SystemExit) as exc:
+            main(["dmp", "--problem", "fd1", "--kappa", "4", "--ns", "4",
+                  "--x-breaks", x_breaks, "--y-breaks", y_breaks])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "empty breakpoint list" in err
+
     def test_breaks_domain_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys, "dmp", "--problem", "tc3", "--kappa", "1",
@@ -406,6 +417,12 @@ GOLDEN_OUTPUTS = {
     ("dmp", "--problem", "fd2", "--kappa", "3", "--x-breaks", "0,0.2,0.45,0.7,1",
      "--y-breaks", "0,0.3,0.5,0.8,1", "--format", "csv"):
         ("a1d0bd6c2a060969",),
+    # the strict bound (c = 0): boundary_max, above 0 for fd2 and below it here
+    ("dmp", "--problem", "fd2", "--kappa", "0.7", "--ns", "4,8", "--format", "csv"):
+        ("2d395c4d719f85b9",),
+    ("dmp", "--problem", "custom", "--kappa", "2", "--f", "-1", "--g", "-0.5", "--ns", "4",
+     "--format", "csv"):
+        ("3ae68f8ba1812869",),
     ("equiv", "--n", "16", "--kappa", "0.7"):
         ("62bd32000e05d4c6",),
     ("list-problems",):

@@ -161,7 +161,7 @@ class TestEnumerateDofs:
         dm = enumerate_dofs(mesh)
         assert enumerate_dofs(mesh) is dm
         assert enumerate_dofs(uniform_mesh(4)) is not dm
-        for arr in (dm.midpoints, dm.is_boundary, dm.interior, dm.boundary, dm.free_index):
+        for arr in (dm.midpoints, dm.is_boundary, dm.interior, dm.boundary):
             assert not arr.flags.writeable
 
     def test_midpoints_match_edges(self):

@@ -35,6 +35,7 @@ from swgfem.solver import (
     DIRECT_MEMORY_SHARE,
     SUPERLU_PANEL,
     SUPERLU_RELAX,
+    Solution,
     SolveConfig,
     check_memory,
     predicted_factor_bytes,
@@ -85,6 +86,11 @@ class TestSolve:
         np.testing.assert_allclose(sol.values[system.mesh.dof_map.interior], rhs)
         assert sol.iterations == 0
         assert relative_residual(system, sol) <= 1e-14
+
+    def test_solution_holds_only_values(self):
+        assert [f.name for f in dataclasses.fields(Solution)] == ["values"]
+        _, _, sol = solve_problem(get_problem("tc2"), 4, 4.0)
+        assert sol.iterations == 0
 
     def test_single_cell_returns_boundary_values(self):
         problem = make_custom(f=-1.0, g=2.5)
@@ -179,8 +185,8 @@ class TestSolve:
                           "panel_size": SUPERLU_PANEL}
         assert factored is system.ordered  # as stored, no copy
         perm = system.order
-        np.testing.assert_array_equal(
-            perm, system.mesh.dof_map.free_index[nested_dissection(system.mesh.dof_map)])
+        dm = system.mesh.dof_map
+        np.testing.assert_array_equal(perm, np.searchsorted(dm.interior, nested_dissection(dm)))
         assert (factored != system.matrix[perm][:, perm]).nnz == 0
 
     @pytest.mark.parametrize("build, n", [
@@ -554,8 +560,9 @@ class TestNestedDissection:
         # between them, boundary dofs included
         conn = element_arrays(mesh)[4]
         assert not np.any(first[conn].any(axis=1) & second[conn].any(axis=1))
-        free, interior = dm.free_index, ~dm.is_boundary
-        coupling = system.matrix[free[first & interior]][:, free[second & interior]]
+        free = [np.searchsorted(dm.interior, np.flatnonzero(half & ~dm.is_boundary))
+                for half in (first, second)]
+        coupling = system.matrix[free[0]][:, free[1]]
         assert not np.any(coupling.toarray())
 
     @settings(max_examples=40)
