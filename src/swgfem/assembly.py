@@ -14,10 +14,9 @@ the stored matrix is built from its entries in one step, with no permute.
 A itself, as CSR, is derived on first use (``SparseSystem.matrix``) for the
 matrix dump and other readers of the natural order.
 
-When every element block is one reflection-symmetric block B, as for
-constant alpha, beta = 0 and constant c on a uniform mesh, the system also
-stores B's five weights (:func:`shared_block`), from which the solver
-diagonalizes it by sine transforms instead of factoring it.
+When every element block is one block B, as for constant alpha, beta and c
+on a uniform mesh, the system also stores B (:func:`shared_block`), from
+which the solver decomposes it instead of factoring it.
 
 Boundary values are g at the boundary edge midpoints, the sampling that
 reproduces midpoint-sampled quadratics exactly at kappa = 4.
@@ -104,9 +103,12 @@ class SparseSystem:
     order of its rows and columns (:func:`~swgfem.mesh.nested_dissection`):
     row k of ``ordered`` is row ``order[k]`` of A.  ``rhs`` is in the natural
     order, and ``boundary_values`` holds the imposed values of g, aligned
-    with ``mesh.dof_map.boundary``.  ``weights`` is (p, a, q, d, e) when
-    the inputs make every element block one reflection-symmetric block B
-    (see :func:`shared_block`), and None otherwise.
+    with ``mesh.dof_map.boundary``.  ``block`` is the 4 x 4 block B, in the
+    local order (left, right, bottom, top), when the inputs make every
+    element block one block (see :func:`shared_block`), and None otherwise.
+    The solver takes B unchanged by swapping left with right and bottom with
+    top (beta = 0, and both finite-difference schemes) to sine transforms,
+    and any other B (constant beta != 0) to one Schur decomposition along x.
     """
 
     ordered: sp.csc_matrix
@@ -114,7 +116,7 @@ class SparseSystem:
     rhs: np.ndarray
     boundary_values: np.ndarray
     mesh: TensorMesh
-    weights: tuple | None = None
+    block: np.ndarray | None = None
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -204,7 +206,7 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
             stacklevel=2,
         )
     local = kernels.local_operator(geom, config.kappa, mesh.h, (a11, a22), beta_q, c_val)
-    weights = shared_block(mesh, ((a11, a22), beta_q, c_val), local)
+    block = shared_block(mesh, ((a11, a22), beta_q, c_val), local)
     # f at the dof midpoints, which lie exactly on the mesh breakpoints
     f_mid = problem.f(*dof_map.midpoints.T) + np.zeros(dof_map.count)
     loads = kernels.load_vector(geom, problem.f, f_mid=f_mid[conn])
@@ -223,7 +225,7 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     lift = values.ravel()[slots] * g_b[~columns.ravel()[slots]]
     rhs = rhs[dof_map.interior] - np.bincount(slots // 7, lift, minlength=order.size)
     ordered = stored_matrix(values, columns, order)
-    return SparseSystem(ordered, order, rhs, g_b, mesh, weights)
+    return SparseSystem(ordered, order, rhs, g_b, mesh, block)
 
 
 def stored_matrix(values, columns, order) -> sp.csc_matrix:
@@ -248,29 +250,24 @@ def stored_matrix(values, columns, order) -> sp.csc_matrix:
 
 
 def shared_block(mesh: TensorMesh, coefficients, blocks):
-    """(p, a, q, d, e) of the block B that every element block equals, or None.
+    """A copy of the block B that every element block equals, or None.
 
-    B = [[p, a, e, e], [a, p, e, e], [e, e, q, d], [e, e, d, q]] in the local
-    order (left, right, bottom, top): symmetric, and unchanged by swapping
-    left with right or bottom with top.  Every element computes the same
-    block, up to the rounding of its steps, when the mesh's steps are equal
-    and each coefficient holds one value: so a mesh whose x or y steps
-    differ by more than ``SHARED_BLOCK_ULPS`` ulps of its largest coordinate
-    is rejected first, before any per-element array is read; then each of
-    a11, a22 and c in ``coefficients`` (as :func:`sample_coefficients`
-    returns them) must hold one value and beta only zeros, and the weights
-    are read from the first of ``blocks``.  Whether B fits every block is
-    left to the solver, which checks each transform solve against the
-    stored matrix.
+    Every element computes the same block, up to the rounding of its steps,
+    when the mesh's steps are equal and each coefficient holds one value: so
+    a mesh whose x or y steps differ by more than ``SHARED_BLOCK_ULPS`` ulps
+    of its largest coordinate is rejected first, before any per-element
+    array is read; then each of a11, a22, b1, b2 and c in ``coefficients``
+    (as :func:`sample_coefficients` returns them) must hold one value, and B
+    is the first of ``blocks``.  Whether B fits every block is left to the
+    solver, which checks each solve from B against the stored matrix.
     """
     ulp = math.ulp(max(map(abs, mesh.bounds)))
     if any(steps.max() - steps.min() > SHARED_BLOCK_ULPS * ulp for steps in (mesh.dx, mesh.dy)):
         return None
     (a11, a22), (b1, b2), c = coefficients
-    if (any(v.min() != v.max() for v in (a11, a22, c))
-            or np.count_nonzero(b1) or np.count_nonzero(b2)):
+    if any(v.min() != v.max() for v in (a11, a22, b1, b2, c)):
         return None
-    return tuple(float(blocks[0, i, j]) for i, j in ((0, 0), (0, 1), (2, 2), (2, 3), (0, 2)))
+    return blocks[0].copy()
 
 
 #: How an edge's row is gathered from the rows of its two elements.  Vertical

@@ -62,7 +62,9 @@ def _add_common(p, need_kappa=True):
                    help="stabilization parameter")
     p.add_argument("--solver", choices=("direct", "auto"), default="auto",
                    help="auto refuses a system to be factored whose factor would not "
-                        "fit in memory; sine-transform solves need no factor")
+                        "fit in memory; constant coefficients on a uniform mesh need "
+                        "no factor (sine transforms, or a Schur decomposition when "
+                        "beta != 0)")
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--format", choices=("text", "csv"), default="text")
 

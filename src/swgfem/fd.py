@@ -85,11 +85,12 @@ def _assemble_stencil(n, scheme, f, g):
         lifted = np.flatnonzero(boundary[:, slot])
         rhs[lifted] -= weights[slot] * g_b[~columns[lifted, slot]]
     ordered = stored_matrix(np.tile(weights, (order.size, 1)), columns, order)
-    # each row sums the rows of one element block B in two elements:
-    # 2p = 2q = c2, a = d = c1 (= c3), e = c4
-    half = 0.5 * stencil.c2
-    return SparseSystem(ordered, order, rhs, g_b, mesh,
-                        (half, stencil.c1, half, stencil.c1, stencil.c4))
+    # each row sums the rows of one element block B in two elements: B's
+    # diagonal is c2 / 2, its flanking entries c1 (= c3) and its crossing c4
+    half, c1, c4 = 0.5 * stencil.c2, stencil.c1, stencil.c4
+    block = np.array([[half, c1, c4, c4], [c1, half, c4, c4],
+                      [c4, c4, half, c1], [c4, c4, c1, half]])
+    return SparseSystem(ordered, order, rhs, g_b, mesh, block)
 
 
 def assemble_fd7(n, kappa, f, g) -> SparseSystem:

@@ -1,23 +1,26 @@
-"""Direct solves, by sine transforms or sparse factorization, with a post-hoc
-backward-error check.
+"""Direct solves, by sine transforms, a Schur decomposition or sparse
+factorization, with a post-hoc backward-error check.
 
 A system covers the interior edge dofs, the Dirichlet data having been
 eliminated at assembly; :func:`solve` returns the full edge vector, with the
 imposed averages in the boundary slots.  "direct" names both direct methods.
 
-A system whose element blocks are all one reflection-symmetric block B
-(``SparseSystem.weights``: constant alpha, beta = 0 and constant c on a
-uniform mesh, and both finite-difference schemes) is the 7-point scheme with
-constant weights and Dirichlet data, which sine transforms diagonalize, as
-in the classic fast Poisson solvers (Buzbee, Golub & Nielson, SIAM J. Numer.
-Anal. 7 (1970) 627).  Along x the vertical edges sit at the nodes 1..nx-1
+A system whose element blocks are all one block B (``SparseSystem.block``:
+constant alpha, beta and c on a uniform mesh, and both finite-difference
+schemes) is a 7-point scheme with constant weights.  A B unchanged by
+swapping left with right and bottom with top (beta = 0) is diagonalized by
+sine transforms, with exactly formed determinants, as in the classic fast
+Poisson solvers (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627).  Along x the vertical edges sit at the nodes 1..nx-1
 and the horizontal edges at the cell centres, so a DST-I takes the first and
 a DST-II the second, and likewise along y with the roles swapped; each mode
 (k, l) then couples one vertical and one horizontal coefficient by a 2 x 2
 system (:func:`_transform_solve`).  The transforms run through
 ``numpy.fft``, which ``import numpy`` has already loaded, in
 O(dofs log dofs) time and a few copies of the rhs in memory: ``solve`` of
-fd1 at n = 340 (230,520 dofs) took 40 ms, against 743 ms factored.
+fd1 at n = 340 (230,520 dofs) took 40 ms, against 743 ms factored.  Any
+other B (beta != 0) takes one Schur decomposition of a dense nx x nx matrix
+and a tridiagonal solve per column (:func:`_decomposition_solver`): tc1 at
+n = 260 took about 0.13 s, against 0.44 s factored.
 
 Every other system is factored.  Assembly stores each system once, as the
 CSC of P A P^T in the nested-dissection order of the tensor mesh
@@ -36,7 +39,7 @@ measured nested-dissection fill (:func:`predicted_factor_bytes`) fits in
 ``DIRECT_MEMORY_SHARE`` of physical memory, and raises
 :class:`~swgfem.errors.OutOfMemory` before anything is factored
 otherwise: past about 4.5 M dofs (the unit square at n = 1500) with 8 GB.
-``direct`` skips that check, and a transform solve needs none.
+``direct`` skips that check, and a solve from B needs none.
 
 Every solve checks the returned vector independently of solver internals
 by its normwise backward error, in the stored order (Higham, *Accuracy and
@@ -45,8 +48,9 @@ and this check alone decides whether it fits the others: the stored blocks
 may differ from it by a few ulps (``mesh_for``'s steps are not all equal in
 floating point), so a transform solve that misses the tolerance takes one
 step of refinement against the stored matrix (fd2 at kappa = 0.7, n = 1000:
-from 77 to 1.1 eps, for 0.4 s), and one that still misses it is discarded
-and the system factored.
+from 77 to 1.1 eps, for 0.4 s), as every Schur solve does (tc1 at n = 260:
+from 20 to 0.8 eps, and its H1 error from 9.5e-11 to 1.9e-12), and one
+that still misses it is discarded and the system factored.
 """
 
 import ctypes
@@ -56,10 +60,12 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from scipy.sparse import _sparsetools
 
-from .assembly import SparseSystem
+from .assembly import SHARED_BLOCK_ULPS, SparseSystem
 from .errors import OutOfMemory, SingularMatrix
 
 #: Factor entries per dof are FILL_SLOPE * ln(dofs / FILL_ORIGIN); the
@@ -230,7 +236,7 @@ def _transform_solve(system, rhs):
     that make each forward and backward pair the identity: 4 / (nx ny), or
     2 / (nx ny) for the uncoupled modes.
     """
-    p, a, q, d, e = system.weights
+    p, a, q, d, e = system.block[(0, 0, 2, 2, 0), (0, 1, 2, 3, 2)]
     nx, ny = system.mesh.nx, system.mesh.ny
     split = ny * (nx - 1)
     # (k, l) coefficients: vertical (nx-1, ny), horizontal (nx, ny-1)
@@ -278,6 +284,76 @@ def _determinant(p, a, q, d, e):
                                         e2 - 8 * d * (p + a), 16 * a * d - e2))
 
 
+def _tridiagonal_solve(sub, diag, sup, rhs):
+    """Solve the Toeplitz tridiagonal system with diagonals ``sub``, ``diag``
+    and ``sup`` for each column of ``rhs`` by LAPACK's gtsv, which pivots."""
+    size = rhs.shape[0]
+    if size < 2:  # scipy's gtsv wrapper takes no system of order 1
+        return rhs / diag
+    gtsv = lapack.zgtsv if np.iscomplexobj(rhs) else lapack.dgtsv
+    off = np.ones(size - 1, rhs.dtype)
+    return gtsv(sub * off, np.full(size, diag, rhs.dtype), sup * off, rhs)[3]
+
+
+def _bidiagonal(x, first, second):
+    """first x[i - 1] + second x[i] for i = 0 .. n along axis 0 of x, which has
+    n rows, with the rows outside x taken as 0."""
+    out = np.zeros((x.shape[0] + 1,) + x.shape[1:], np.result_type(x, first, second))
+    out[1:] += first * x
+    out[:-1] += second * x
+    return out
+
+
+def _decomposition_solver(system):
+    """The natural-order solve of a system whose element blocks are all one
+    block M, by matrix decomposition (Lynch, Rice & Thomas, Numer. Math. 6
+    (1964) 185) with a Schur form (Bartels & Stewart, Comm. ACM 15 (1972) 820).
+
+    The rows V of vertical and H of horizontal edges satisfy V Tv' + Gy H Kx'
+    = Rv and Fy V Lx' + Th H = Rh: Tv and Th are tridiagonal, Kx and Fy sum
+    the two cells beside a node, and Lx and Gy take M's crossing entries,
+    which agree on its left and right rows and on its bottom and top rows.
+    Eliminating V leaves Th H - Fy Gy H R' = Rh - Fy Rv Tv'^-1 Lx', with
+    R = Lx Tv^-1 Kx dense.  For R = Z T Z^H, T upper triangular, column k of
+    H conj(Z) solves Th - T[k, k] Fy Gy along y, its right-hand side taking
+    the columns after it.  Eigenvectors in place of Z would decouple the
+    columns, but are ill-conditioned where convection dominates on elements
+    of high aspect (10 x 2 and 64 x 2 meshes of the unit square): refined,
+    they missed the tolerance in 105 of 880 extreme cases, the Schur form in
+    none of 1,408.
+    """
+    m = system.block
+    nx, ny = system.mesh.nx, system.mesh.ny
+    split = ny * (nx - 1)
+
+    def vertical(rows):  # rows Tv'^-1
+        return _tridiagonal_solve(m[1, 0], m[0, 0] + m[1, 1], m[0, 1], rows.T).T
+
+    kx = np.eye(nx, nx - 1) + np.eye(nx, nx - 1, -1)  # Kx'
+    t, z = scipy.linalg.schur(_bidiagonal(vertical(kx).T, m[2, 0], m[2, 1]))  # of R
+    if np.any(np.diag(t, -1)):  # complex eigenvalues: the complex triangular form
+        t, z = scipy.linalg.rsf2csf(t, z)
+    modes = [(m[3, 2] - lam * m[0, 2], (m[2, 2] + m[3, 3]) - lam * (m[0, 2] + m[0, 3]),
+              m[2, 3] - lam * m[0, 3]) for lam in np.diag(t)]
+
+    def solve(rhs):
+        rv, rh = rhs[:split].reshape(ny, nx - 1), rhs[split:].reshape(ny - 1, nx)
+        nodes = vertical(rv)
+        # row k: column k of (Rh - Fy Rv Tv'^-1 Lx') conj(Z)
+        g = z.conj().T @ (rh.T - _bidiagonal((nodes[:-1] + nodes[1:]).T, m[2, 0], m[2, 1]))
+        h, crossed = np.empty_like(g), np.empty_like(g)  # crossed[k] = Fy Gy h[k]
+        for k in reversed(range(nx)):
+            h[k] = _tridiagonal_solve(*modes[k], g[k] + t[k, k + 1:] @ crossed[k + 1:])
+            pairs = _bidiagonal(h[k], m[0, 2], m[0, 3])
+            crossed[k] = pairs[:-1] + pairs[1:]
+        h = (z @ h).real.T
+        crossing = _bidiagonal(h, m[0, 2], m[0, 3])  # Gy H
+        v = vertical(rv - (crossing[:, :-1] + crossing[:, 1:]))
+        return np.concatenate((v.ravel(), h.ravel()))
+
+    return solve
+
+
 def _backward_error(ordered, rhs, y) -> float:
     """|b - Ay|_inf / (|A|_inf |y|_inf + |b|_inf) in the stored order, 0 when
     b = Ay = 0, and inf when y holds a NaN or inf."""
@@ -290,24 +366,41 @@ def _backward_error(ordered, rhs, y) -> float:
     return np.abs(r).max() / scale if scale > 0 else 0.0
 
 
+def _structured_solver(system):
+    """(solve, refine): the natural-order solve of ``system`` from its block,
+    and whether its first solve is always refined; (None, False) when it has
+    no block, or a LinAlgError stops the Schur decomposition."""
+    block, mirror = system.block, [1, 0, 3, 2]  # left <-> right, bottom <-> top
+    if block is None:
+        return None, False
+    ulps = SHARED_BLOCK_ULPS * math.ulp(np.abs(block).max())
+    if all(np.abs(block - other).max() <= ulps for other in (block.T, block[mirror][:, mirror])):
+        return lambda rhs: _transform_solve(system, rhs), False
+    try:
+        return _decomposition_solver(system), True
+    except np.linalg.LinAlgError:
+        return None, False
+
+
 def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
     """Solve ``system``, check its normwise backward error (SingularMatrix past
     ``DIRECT_BACKWARD_TOL``) and merge boundary values into a full edge vector.
 
-    A system with ``weights`` is solved by sine transforms, refined once if
-    that solve misses the tolerance; if it misses it still, or the system
-    has no weights, it is factored."""
+    A system with a ``block`` is solved from it, refined once if that solve
+    misses the tolerance and always after a Schur solve; if it misses it
+    still, or the system has no block, it is factored."""
     ordered, order = system.ordered, system.order
     y = np.zeros(0)
     if ordered.shape[0]:
         backward = math.inf
-        if system.weights is not None:
-            rhs, y = system.rhs[order], _transform_solve(system, system.rhs)[order]
-            backward = _backward_error(ordered, rhs, y)
+        structured, refine = _structured_solver(system)
+        if structured is not None:
+            rhs, y = system.rhs[order], structured(system.rhs)[order]
+            backward = math.inf if refine else _backward_error(ordered, rhs, y)
             if not backward <= DIRECT_BACKWARD_TOL:  # one step of refinement
                 residual = np.empty_like(rhs)
                 residual[order] = rhs - _matvec(ordered, y)
-                y = y + _transform_solve(system, residual)[order]
+                y = y + structured(residual)[order]
                 backward = _backward_error(ordered, rhs, y)
         if not backward <= DIRECT_BACKWARD_TOL:
             if config is None or config.method == "auto":

@@ -13,6 +13,7 @@ import swgfem.analysis
 import swgfem.cli
 import swgfem.fd
 import swgfem.solver
+from swgfem.analysis import EXACT_FLOOR
 from swgfem.assembly import AssemblyConfig, assemble, dump_matrix
 from swgfem.cli import build_parser, main
 from swgfem.problems import get_problem, mesh_for
@@ -166,11 +167,11 @@ class TestSolveFlags:
         monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", share)
         out = tmp_path / "table.csv"
         code, _, err = run_cli(
-            capsys, "run", "--problem", "tc1", "--kappa", "4", "--ns", "8",
+            capsys, "run", "--problem", "tc2", "--kappa", "4", "--ns", "8",
             "--out", str(out))
         assert code == 1
         assert err.startswith("solve failed:")
-        problem = get_problem("tc1")
+        problem = get_problem("tc2")
         dofs = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0)).matrix.shape[0]
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         assert "%d bytes" % swgfem.solver.predicted_factor_bytes(dofs) in err
@@ -392,8 +393,10 @@ class TestListProblems:
 #: its ``--out`` file, then its ``--dump-matrix`` file where it has one.
 #: Recorded at c556b29; a change that moves any output byte fails here.  The
 #: fd2 7-point table and the tc3 DMP report were re-recorded when their
-#: systems came to be solved by sine transforms instead of SuperLU;
-#: ``TestTransformedOutputs`` pins their values to the factored ones.
+#: systems came to be solved by sine transforms instead of SuperLU, and the
+#: constant-beta DMP report when its system came to be solved by the
+#: Schur decomposition; ``TestTransformedOutputs`` pins their values to the
+#: factored ones.
 GOLDEN_OUTPUTS = {
     ("run", "--problem", "tc1", "--kappa", "0.7", "--ns", "4,8"):
         ("34ea673f4544c9e5",),
@@ -413,7 +416,7 @@ GOLDEN_OUTPUTS = {
         ("a8f3016d45b23e9d",),
     ("dmp", "--problem", "custom", "--kappa", "2", "--c", "1", "--beta", "0.3,-0.2",
      "--f", "-1", "--g", "0.5", "--ns", "4,6", "--format", "csv"):
-        ("e0b73b8f68179ce9",),
+        ("a00380627dd94dce",),
     ("dmp", "--problem", "fd2", "--kappa", "3", "--x-breaks", "0,0.2,0.45,0.7,1",
      "--y-breaks", "0,0.3,0.5,0.8,1", "--format", "csv"):
         ("a1d0bd6c2a060969",),
@@ -442,9 +445,32 @@ class TestGoldenOutputs:
         assert digests == GOLDEN_OUTPUTS[argv]
 
 
-#: The CSV rows of the two golden commands whose systems sine transforms
-#: solve, as SuperLU's solves printed them before (c556b29 to 799f317).
+#: The CSV rows of the golden commands whose systems are solved without a
+#: factor, as SuperLU's solves printed them before: the fd2 and tc3 rows by
+#: sine transforms (recorded c556b29 to 799f317), the tc1 and constant-beta
+#: rows by the Schur decomposition (recorded at aaa1abc).  The tc1 command at
+#: kappa = 4 pins its round-off errors only below ``ROUND_OFF``, where no
+#: rate is printed.
 FACTORED_OUTPUTS = {
+    ("run", "--problem", "tc1", "--kappa", "0.7", "--ns", "4,8", "--format", "csv"): (
+        "n,l2,l2_rate,h1,h1_rate",
+        "4,3.79718990674008106e-02,,1.17113708557357046e-01,",
+        "8,1.26790610425931462e-02,1.5824842438971685,4.11014511287779646e-02,1.5106487223349621",
+    ),
+    ("run", "--problem", "tc1", "--kappa", "4", "--ns", "8,16,32", "--format", "csv"): (
+        "n,l2,l2_rate,h1,h1_rate",
+        "8,1.69146658564494903e-16,,1.74650732776032286e-15,",
+        "16,3.10695263667955355e-15,,1.17452904466045718e-14,",
+        "32,5.11145047667973392e-15,,2.06161988515683843e-14,",
+    ),
+    ("dmp", "--problem", "custom", "--kappa", "2", "--c", "1", "--beta", "0.3,-0.2",
+     "--f", "-1", "--g", "0.5", "--ns", "4,6", "--format", "csv"): (
+        "n,boundary_max,interior_max,bound,margin,satisfied",
+        "4,5.00000000000000000e-01,4.56781782941861392e-01,5.00000000000000000e-01,"
+        "4.32182170581386083e-02,true",
+        "6,5.00000000000000000e-01,4.75521415183532858e-01,5.00000000000000000e-01,"
+        "2.44785848164671416e-02,true",
+    ),
     ("fd", "--problem", "fd2", "--scheme", "7", "--kappa", "0.7", "--ns", "4,8",
      "--format", "csv"): (
         "n,l2,l2_rate,h1,h1_rate",
@@ -458,6 +484,14 @@ FACTORED_OUTPUTS = {
         "8,-1.52336120605468722e-01,-9.12776115113455577e-02,0.00000000000000000e+00,"
         "9.12776115113455577e-02,true",
     ),
+}
+
+
+#: Absolute slack of the round-off errors of exact solves: the error floor
+#: below which no rate is printed, at n <= 64.
+ROUND_OFF = {
+    ("run", "--problem", "tc1", "--kappa", "4", "--ns", "8,16,32", "--format", "csv"):
+        EXACT_FLOOR,
 }
 
 
@@ -478,7 +512,8 @@ class TestTransformedOutputs:
                 except ValueError:  # an empty rate, or the DMP verdict
                     assert g == w
                 else:
-                    assert float(g) == pytest.approx(expected, rel=1e-12, abs=0.0)
+                    assert float(g) == pytest.approx(expected, rel=1e-12,
+                                                        abs=ROUND_OFF.get(argv, 0.0))
 
 
 class TestParserReuse:

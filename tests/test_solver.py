@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import swgfem.assembly
 import swgfem.fd
 import swgfem.solver
-from swgfem.analysis import solve_problem
+from swgfem.analysis import discrete_h1_error, discrete_l2_error, solve_problem
 from swgfem.assembly import AssemblyConfig, SparseSystem, assemble, stored_numbering
 from swgfem.errors import NonFiniteData, OutOfMemory, SingularMatrix
 from swgfem.mesh import (
@@ -127,7 +128,8 @@ class TestSolve:
         r = system.matrix @ sol.values[system.mesh.dof_map.interior] - system.rhs
         assert np.linalg.norm(r) / np.linalg.norm(system.rhs) <= 10 * 1e-12
 
-    @pytest.mark.parametrize("pid", ["fd1", "tc1"], ids=["transform", "factor"])
+    @pytest.mark.parametrize("pid", ["fd1", "tc1", "tc2"],
+                             ids=["transform", "decomposition", "factor"])
     def test_residual_norms_run_without_blas(self, monkeypatch, pid):
         # numpy.linalg.norm takes BLAS ddot, whose worker thread spins on after
         # the call above about 10,000 entries and slows the next factorization;
@@ -135,7 +137,7 @@ class TestSolve:
         problem = get_problem(pid)
         system = assemble(mesh_for(problem, 72), problem, AssemblyConfig(kappa=4.0))
         assert system.matrix.shape[0] >= 10_001
-        assert (system.weights is not None) == (pid == "fd1")
+        assert (system.block is not None) == (pid != "tc2")
 
         def refuse(*args, **kwargs):
             raise AssertionError("a BLAS norm or dot product called")
@@ -221,7 +223,7 @@ class TestSolve:
             raise AssertionError("auto factored a system past its budget")
 
         monkeypatch.setattr(swgfem.assembly, "nested_dissection", spy)
-        problem = get_problem("tc1")
+        problem = get_problem("tc2")
         system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
         assert orders == [system.mesh.dof_map]
         monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", 1e-12)
@@ -242,7 +244,15 @@ class TestSolve:
         # a transform solve factors nothing, so auto's memory check does not apply
         monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", 1e-12)
         _, system, sol = solve_problem(get_problem("fd1"), 8, 4.0, solve_config=SolveConfig())
-        assert system.weights is not None and factor_calls == []
+        assert system.block is not None and factor_calls == []
+        assert relative_residual(system, sol) <= 1e-12
+
+    def test_auto_solves_by_decomposition_past_the_factor_budget(self, monkeypatch,
+                                                                 factor_calls):
+        # nor does a solve by the Schur decomposition
+        monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", 1e-12)
+        _, system, sol = solve_problem(get_problem("tc1"), 8, 4.0, solve_config=SolveConfig())
+        assert system.block is not None and factor_calls == []
         assert relative_residual(system, sol) <= 1e-12
 
     def test_releases_free_heap_before_large_factorizations(self, monkeypatch):
@@ -275,8 +285,8 @@ def stored_backward_error(system, sol):
 
 
 def factored(system):
-    """``system`` without its block weights, which the solver factors."""
-    return dataclasses.replace(system, weights=None)
+    """``system`` without its element block, which the solver factors."""
+    return dataclasses.replace(system, block=None)
 
 
 @pytest.fixture
@@ -307,7 +317,7 @@ class TestTransformSolve:
 
     @staticmethod
     def check_paths(system, factor_calls, dense):
-        assert system.weights is not None
+        assert system.block is not None
         sol = solve(system)
         assert factor_calls == []
         reference = solve(factored(system))
@@ -352,7 +362,7 @@ class TestTransformSolve:
         mesh = build_tensor_mesh(np.linspace(0.0, width, nx + 1), np.linspace(0.0, 1.0, ny + 1))
         system = assemble(mesh, make_custom(alpha0=0.8, c=c, f=-1.0, g=0.25),
                           AssemblyConfig(kappa=2.0))
-        assert system.weights is not None
+        assert system.block is not None
         y = swgfem.solver._transform_solve(system, system.rhs)[system.order]
         assert (swgfem.solver._backward_error(system.ordered, system.rhs[system.order], y)
                 <= swgfem.solver.DIRECT_BACKWARD_TOL)
@@ -362,21 +372,22 @@ class TestTransformSolve:
         assert np.abs(sol.values - reference.values).max() <= 1e-12 * scale
 
     @staticmethod
-    def off_weights(offset):
-        """fd2 at n = 8 with its weight p ``offset`` off the stored blocks, the
-        backward error of its first transform solve and the system itself."""
+    def off_block(offset):
+        """fd2 at n = 8 with its block's diagonal ``offset`` off the stored
+        blocks, the backward error of its first transform solve and the
+        system itself."""
         problem = get_problem("fd2")
         system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
-        p, *rest = system.weights
-        off = dataclasses.replace(system, weights=(p * (1 + offset), *rest))
+        block = system.block * np.where(np.eye(4), 1 + offset, 1.0)
+        off = dataclasses.replace(system, block=block)
         y = swgfem.solver._transform_solve(off, off.rhs)[system.order]
         rhs = system.rhs[system.order]
         return off, swgfem.solver._backward_error(system.ordered, rhs, y), system
 
     def test_missed_tolerance_is_refined_once(self, factor_calls):
-        # weights 1e-12 off miss the tolerance; one step of refinement
+        # a block 1e-12 off misses the tolerance; one step of refinement
         # against the stored matrix meets it, and nothing is factored
-        off, first, system = self.off_weights(1e-12)
+        off, first, system = self.off_block(1e-12)
         assert first > swgfem.solver.DIRECT_BACKWARD_TOL
         sol = solve(off)
         assert factor_calls == []
@@ -385,10 +396,10 @@ class TestTransformSolve:
         assert np.abs(sol.values - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_missed_tolerance_falls_back_to_the_factor(self, factor_calls):
-        # weights 1e-3 off leave a backward error far past the tolerance, and
+        # a block 1e-3 off leaves a backward error far past the tolerance, and
         # past it still after the refinement step; the solve factors instead,
         # with the factor's bits
-        off, first, system = self.off_weights(1e-3)
+        off, first, system = self.off_block(1e-3)
         assert first > swgfem.solver.DIRECT_BACKWARD_TOL
         sol = solve(off)
         assert len(factor_calls) == 1
@@ -411,26 +422,48 @@ def nearly_uniform_breaks(n):
 
 
 class TestPathSelection:
-    """Which systems store block weights, seen by whether ``splu`` runs."""
+    """Which systems store an element block, seen by whether ``splu`` runs."""
 
-    @pytest.mark.parametrize("case", ["tc1", "tc2", "custom-beta", "random-breaks",
-                                      "breaks-1e-13", "y-breaks-1e-13"])
+    @pytest.mark.parametrize("case", ["tc2", "random-breaks", "breaks-1e-13", "y-breaks-1e-13"])
     def test_factored(self, case, factor_calls):
         rng = np.random.default_rng(23)
         uniform = np.linspace(0.0, 1.0, 13)
         problem, x_breaks, y_breaks = {
-            "tc1": (get_problem("tc1"), uniform, uniform),
             "tc2": (get_problem("tc2"), uniform, uniform),
-            "custom-beta": (make_custom(beta=(0.3, 0.0), c=1.0, f=-1.0), uniform, uniform),
             "random-breaks": (get_problem("fd2"), random_breaks(rng, 12), random_breaks(rng, 9)),
             "breaks-1e-13": (get_problem("fd2"), nearly_uniform_breaks(12), uniform),
             "y-breaks-1e-13": (make_custom(c=2.0, f=-1.0), uniform, nearly_uniform_breaks(12)),
         }[case]
         mesh = build_tensor_mesh(x_breaks, y_breaks)
         system = assemble(mesh, problem, AssemblyConfig(kappa=2.0))
-        assert system.weights is None
+        assert system.block is None
         solve(system)
         assert len(factor_calls) == 1
+
+    @pytest.mark.parametrize("case", ["tc1", "custom-beta", "rectangle", "offset", "n2",
+                                      "one-column", "one-row"])
+    def test_decomposed(self, case, factor_calls):
+        # a block changed by swapping left with right is decomposed, not
+        # transformed, and factored by no shape or offset of the mesh
+        uniform = np.linspace(0.0, 1.0, 13)
+        beta = make_custom(beta=(0.3, 0.0), c=1.0, f=-1.0)
+        problem, x_breaks, y_breaks = {
+            "tc1": (get_problem("tc1"), uniform, uniform),
+            "custom-beta": (beta, uniform, uniform),
+            "rectangle": (make_custom(beta=(-1.0, 2.0), f=1.0, g=0.5),
+                          np.linspace(0.0, 2.0, 17), np.linspace(0.0, 0.5, 6)),
+            "offset": (beta, np.linspace(1e3, 1e3 + 1.0, 13), uniform),
+            "n2": (get_problem("tc1"), np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 3)),
+            "one-column": (beta, np.linspace(0.0, 1.0, 2), uniform),
+            "one-row": (beta, uniform, np.linspace(0.0, 1.0, 2)),
+        }[case]
+        mesh = build_tensor_mesh(x_breaks, y_breaks)
+        system = assemble(mesh, problem, AssemblyConfig(kappa=2.0))
+        block = system.block
+        assert not np.array_equal(block, block[[1, 0, 3, 2]][:, [1, 0, 3, 2]])
+        sol = solve(system)
+        assert factor_calls == []
+        assert stored_backward_error(system, sol) <= swgfem.solver.DIRECT_BACKWARD_TOL
 
     @pytest.mark.parametrize("n", [2, 7, 16, 33])
     @pytest.mark.parametrize("case", ["fd1", "fd2", "tc3", "fd5", "fd7"])
@@ -442,18 +475,62 @@ class TestPathSelection:
             system = swgfem.fd.assemble_fd7(n, 0.7, problem.f, problem.g)
         else:
             system = assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=4.0))
-        assert system.weights is not None
+        assert system.block is not None
         solve(system)
         assert factor_calls == []
 
-    def test_stencil_weights_are_the_element_block(self):
+    def test_stencil_block_is_the_element_block(self):
         # the weak Galerkin and 7-point systems of fd2 are one matrix, so
         # their blocks are one block
         problem = get_problem("fd2")
         for n, kappa in ((4, 0.7), (9, 4.0), (16, 20.0)):
             swg = assemble(uniform_mesh(n), problem, AssemblyConfig(kappa=kappa))
             fd = swgfem.fd.assemble_fd7(n, kappa, problem.f, problem.g)
-            assert swg.weights == pytest.approx(fd.weights, rel=1e-15, abs=1e-15)
+            np.testing.assert_allclose(swg.block, fd.block, rtol=1e-15, atol=1e-15)
+
+
+class TestDecompositionSolve:
+    """Solves by one Schur decomposition along x, of systems whose one element
+    block changes when left and right are swapped (constant beta != 0)."""
+
+    @settings(max_examples=60)
+    @given(nx=st.integers(2, 64), ny=st.integers(2, 64), alpha0=st.floats(0.2, 2.0),
+           beta=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), c=st.floats(0.0, 10.0),
+           kappa=st.floats(0.3, 8.0))
+    def test_matches_factorization(self, nx, ny, alpha0, beta, c, kappa):
+        mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+        problem = make_custom(alpha0=alpha0, beta=beta, c=c, f=-1.0, g=0.5)
+        system = assemble(mesh, problem, AssemblyConfig(kappa=kappa))
+        with mock.patch.object(spla, "splu", wraps=spla.splu) as spy:
+            sol = solve(system)
+        assert spy.call_count == 0
+        assert stored_backward_error(system, sol) <= swgfem.solver.DIRECT_BACKWARD_TOL
+        reference = spla.splu(system.ordered).solve(system.rhs[system.order])
+        assert (np.abs(stored_solution(system, sol) - reference).max()
+                <= 1e-12 * np.abs(reference).max())
+
+    def test_missed_tolerance_falls_back_to_the_factor(self, factor_calls):
+        # a block whose diagonal is 1e-3 off leaves a backward error far past
+        # the tolerance, and past it still after the refinement step; the
+        # solve factors instead, with the factor's bits
+        system = assemble_tc1(8)
+        off = dataclasses.replace(system, block=system.block * np.where(np.eye(4), 1.001, 1.0))
+        y = swgfem.solver._decomposition_solver(off)(off.rhs)[system.order]
+        rhs = system.rhs[system.order]
+        assert swgfem.solver._backward_error(system.ordered, rhs, y) > 1e6 * np.finfo(float).eps
+        sol = solve(off)
+        assert len(factor_calls) == 1
+        np.testing.assert_array_equal(sol.values, solve(factored(system)).values)
+
+    def test_quadratic_exact_at_n_256(self, factor_calls):
+        # tc1 at kappa = 4 reproduces its quadratic: measured 4.4e-15 (l2)
+        # and 7.9e-14 (h1), against 1.3e-11 and 5.7e-11 before the
+        # refinement step every Schur solve takes
+        problem = get_problem("tc1")
+        mesh, _, sol = solve_problem(problem, 256, 4.0)
+        assert factor_calls == []
+        assert discrete_l2_error(sol, mesh, problem.exact) <= 1e-11
+        assert discrete_h1_error(sol, mesh, problem.exact_grad) <= 1e-11
 
 
 def test_import_leaves_scipy_fft_unloaded():
@@ -638,7 +715,7 @@ class TestAutoRule:
         def refuse(*args, **kwargs):
             raise AssertionError("factored or queried despite the stored memory size")
 
-        system = assemble_tc1(8)
+        system = factored(assemble_tc1(8))
         dofs = system.ordered.shape[0]
         memory = math.ceil(predicted_factor_bytes(dofs) / DIRECT_MEMORY_SHARE) - 1
         monkeypatch.setattr(swgfem.solver, "PHYSICAL_MEMORY_BYTES", memory)
