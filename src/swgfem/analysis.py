@@ -90,13 +90,14 @@ def discrete_h1_error(solution: Solution, mesh: TensorMesh, grad_exact) -> float
 
 
 def solve_problem(problem: ProblemSpec, n: int, kappa: float, *, solve_config=None):
-    """Assemble and solve ``problem`` at resolution n (h = 1/n).
+    """Assemble and solve ``problem`` at resolution n (h = 1/n).  A
+    ``solve_config`` is accepted and ignored (see ``SolveConfig``).
 
     Returns (mesh, system, solution).
     """
     mesh = mesh_for(problem, n)
     system = assemble(mesh, problem, AssemblyConfig(kappa=kappa))
-    return mesh, system, solve(system, solve_config)
+    return mesh, system, solve(system)
 
 
 def _exact_floor(n):

@@ -18,7 +18,7 @@ from .assembly import AssemblyConfig, assemble, dump_matrix
 from .errors import OutOfMemory, SingularMatrix
 from .mesh import build_tensor_mesh
 from .problems import PROBLEM_IDS, get_problem, make_custom, mesh_for
-from .solver import SolveConfig, solve
+from .solver import solve
 
 EQUIV_TOL = 1e-13
 
@@ -60,11 +60,6 @@ def _add_common(p, need_kappa=True):
     p.add_argument("--problem", required=True, help="problem id or 'custom'")
     p.add_argument("--kappa", type=float, required=need_kappa,
                    help="stabilization parameter")
-    p.add_argument("--solver", choices=("direct", "auto"), default="auto",
-                   help="auto refuses a system to be factored whose factor would not "
-                        "fit in memory; constant coefficients on a uniform mesh need "
-                        "no factor (sine transforms, or a Schur decomposition when "
-                        "beta != 0)")
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
@@ -112,11 +107,9 @@ def cmd_run(args):
     if args.dump_matrix and len(args.ns) != 1:
         print("--dump-matrix requires a single resolution", file=sys.stderr)
         return 2
-    solve_config = SolveConfig(method=args.solver)
 
     def solve_at(n):
-        mesh, system, sol = analysis.solve_problem(
-            problem, n, args.kappa, solve_config=solve_config)
+        mesh, system, sol = analysis.solve_problem(problem, n, args.kappa)
         if args.dump_matrix:  # the one system the table solves
             dump_matrix(system, args.dump_matrix)
         return mesh, sol
@@ -146,14 +139,13 @@ def cmd_fd(args):
             print("--kappa is required for the 7-point scheme", file=sys.stderr)
             return 2
         kappa = args.kappa
-    solve_config = SolveConfig(method=args.solver)
 
     def solve_at(n):
         if args.scheme == 5:
             system = fd.assemble_fd5(n, problem.f, problem.g)
         else:
             system = fd.assemble_fd7(n, kappa, problem.f, problem.g)
-        return system.mesh, solve(system, solve_config)
+        return system.mesh, solve(system)
 
     rows = analysis.convergence_table(problem, args.ns, solve_at)
     header = "# problem=%s scheme=%d-point kappa=%g qb=midpoint" % (
@@ -201,11 +193,10 @@ def cmd_dmp(args):
             print("pass --ns or explicit breaks", file=sys.stderr)
             return 2
         meshes = ((n, mesh_for(problem, n)) for n in args.ns)
-    solve_config = SolveConfig(method=args.solver)
 
     def check(mesh):  # the system dies on return, before the next one is assembled
         system = assemble(mesh, problem, AssemblyConfig(kappa=args.kappa))
-        return analysis.dmp_check(solve(system, solve_config), mesh, c_nonneg)
+        return analysis.dmp_check(solve(system), mesh, c_nonneg)
 
     entries = [(label, check(mesh)) for label, mesh in meshes]
     rule = "max(boundary, 0)" if c_nonneg else "boundary"

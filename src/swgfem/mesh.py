@@ -24,7 +24,7 @@ translated.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -185,6 +185,18 @@ class DofMap:
 ND_LEAF_ELEMENTS = 4
 
 
+def _split(w, h):
+    """Where the order cuts a w x h block: ("x", k) at the grid line x = k or
+    ("y", k) at y = k, or (None, None) for one element.  A region is cut in
+    the middle of its longer side (x on a tie); a leaf peels off its last row,
+    or its last column if it has one row, which numbers its edges by id."""
+    if w * h == 1:
+        return None, None
+    if w * h <= ND_LEAF_ELEMENTS:
+        return ("y", h - 1) if h > 1 else ("x", w - 1)
+    return ("x", w // 2) if w >= h else ("y", h // 2)
+
+
 def _block_order(w, h, row, nv, memo):
     """Order of the edges strictly inside a w x h block at the origin, as padded ids.
 
@@ -194,16 +206,13 @@ def _block_order(w, h, row, nv, memo):
     order = memo.get((w, h))
     if order is not None:
         return order
-    if w * h <= ND_LEAF_ELEMENTS:  # id order: vertical edges row by row, then horizontal
-        order = np.array([j * row + i for j in range(h) for i in range(1, w)]
-                         + [nv + j * row + i for j in range(1, h) for i in range(w)],
-                         dtype=np.int64)
-    elif w >= h:
-        k = w // 2
+    axis, k = _split(w, h)
+    if axis is None:
+        order = np.zeros(0, dtype=np.int64)
+    elif axis == "x":
         first, second = _block_order(k, h, row, nv, memo), _block_order(w - k, h, row, nv, memo)
         order = np.concatenate([first, second + k, np.arange(k, k + h * row, row)])
     else:
-        k = h // 2
         first, second = _block_order(w, k, row, nv, memo), _block_order(w, h - k, row, nv, memo)
         order = np.concatenate([first, second + k * row, nv + k * row + np.arange(w)])
     memo[(w, h)] = order
@@ -226,6 +235,33 @@ def nested_dissection(dof_map: DofMap) -> np.ndarray:
     padded = _block_order(nx, dof_map.ny, nx + 1, nv, {})
     # a horizontal edge on grid row j has a padded id j too large
     return padded - np.maximum(padded - nv, 0) // (nx + 1)
+
+
+def factor_entries(nx: int, ny: int) -> int:
+    """nnz(L + U) of the interior system of an nx x ny mesh, every stored slot
+    counted, factored without pivoting in the :func:`nested_dissection` order.
+
+    Both sides of a cut are connected once eliminated, so each of its s edges
+    reaches every later one and the b edges on its block's open sides (on an
+    enclosing cut, not on the boundary): it adds s(s+1)/2 + s b entries of L.
+    """
+    return 2 * _lower_entries(nx, ny, (False,) * 4) - (nx - 1) * ny - nx * (ny - 1)
+
+
+@cache
+def _lower_entries(w, h, sides):
+    """Entries of L, diagonal included, in the columns of the edges strictly
+    inside a w x h block whose (left, right, bottom, top) sides are open."""
+    left, right, bottom, top = sides
+    axis, k = _split(w, h)
+    if axis is None:
+        return 0
+    if axis == "x":
+        s, halves = h, ((k, h, (left, True, bottom, top)), (w - k, h, (True, right, bottom, top)))
+    else:
+        s, halves = w, ((w, k, (left, right, bottom, True)), (w, h - k, (left, right, True, top)))
+    b = h * (left + right) + w * (bottom + top)  # edges on the open sides
+    return sum(_lower_entries(*half) for half in halves) + s * (s + 1) // 2 + s * b
 
 
 def build_tensor_mesh(x_breaks, y_breaks) -> TensorMesh:

@@ -3,7 +3,7 @@ factorization, with a post-hoc backward-error check.
 
 A system covers the interior edge dofs, the Dirichlet data having been
 eliminated at assembly; :func:`solve` returns the full edge vector, with the
-imposed averages in the boundary slots.  "direct" names both direct methods.
+imposed averages in the boundary slots.
 
 A system whose element blocks are all one block B (``SparseSystem.block``:
 constant alpha, beta and c on a uniform mesh, and both finite-difference
@@ -34,12 +34,12 @@ panel of ``SUPERLU_PANEL`` columns instead of its default, which was tuned
 for long supernodes (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix
 Anal. Appl. 20 (1999) 720); that cuts the memory a solve adds by 30-38%.
 
-Before it factors, ``auto`` checks that the factor predicted from the
-measured nested-dissection fill (:func:`predicted_factor_bytes`) fits in
-``DIRECT_MEMORY_SHARE`` of physical memory, and raises
-:class:`~swgfem.errors.OutOfMemory` before anything is factored
-otherwise: past about 4.5 M dofs (the unit square at n = 1500) with 8 GB.
-``direct`` skips that check, and a solve from B needs none.
+Before it factors, :func:`solve` checks that the factor, predicted from its
+exact entry count in that order (:func:`~swgfem.mesh.factor_entries`), fits
+in ``DIRECT_MEMORY_SHARE`` of physical memory, and raises
+:class:`~swgfem.errors.OutOfMemory` before anything is factored otherwise:
+on the unit square from n = 1562 (4.9 M dofs) with 8 GiB.  A solve from B
+needs no check.
 
 Every solve checks the returned vector independently of solver internals
 by its normwise backward error, in the stored order (Higham, *Accuracy and
@@ -67,17 +67,13 @@ from scipy.sparse import _sparsetools
 
 from .assembly import SHARED_BLOCK_ULPS, SparseSystem
 from .errors import OutOfMemory, SingularMatrix
+from .mesh import factor_entries
 
-#: Factor entries per dof are FILL_SLOPE * ln(dofs / FILL_ORIGIN); the
-#: measured nnz(L+U)/dofs was 51.2, 55.4, 58.9, 63.9 and 66.6 at 130,560,
-#: 261,364, 523,264, 1,178,112 and 2,095,104 dofs, against 51.6, 55.5,
-#: 59.4, 63.9 and 67.1 predicted.
-FILL_SLOPE = 5.6
-FILL_ORIGIN = 13.0
-
-#: Peak bytes a direct solve adds per factor entry: 8.6-13.0 measured as
-#: the peak RSS of ``solve`` over the RSS before it at the sizes above.
-BYTES_PER_ENTRY = 13.0
+#: Peak bytes a factorization adds per :func:`~swgfem.mesh.factor_entries` entry and
+#: per dof.  The peak RSS of ``solve`` over the RSS before it, with only tc2 held, read
+#: 0.96-0.97 of the prediction on 256², 512², 1024², 1024x64, 4096x16 and 16384x4.
+BYTES_PER_ENTRY = 10.5
+BYTES_PER_DOF = 140
 
 #: SuperLU's supernode relaxation and panel width, in columns.  Nested
 #: dissection leaves thousands of supernodes of a few columns, for which a
@@ -90,7 +86,7 @@ BYTES_PER_ENTRY = 13.0
 SUPERLU_RELAX = 2
 SUPERLU_PANEL = 2
 
-#: Share of physical memory a predicted factor may take under "auto".
+#: Share of physical memory a predicted factor may take.
 DIRECT_MEMORY_SHARE = 0.5
 
 #: Physical memory in bytes, read once per process.
@@ -113,10 +109,9 @@ except (AttributeError, OSError, TypeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """How :func:`solve` runs.  Both methods solve directly, by sine transforms
-    where the system stores its block weights and by factorization otherwise;
-    "auto" checks the predicted factor against memory before it factors,
-    "direct" does not."""
+    """A solve method that nothing reads: "auto" and "direct" solve the same
+    way, and every factorization is checked against memory first.  It stays
+    while the benchmark's ``large`` workload passes one to ``solve_problem``."""
 
     method: str = "auto"  # "direct" | "auto"
 
@@ -134,19 +129,12 @@ class Solution:
     iterations: ClassVar[int] = 0  # no solve iterates
 
 
-def predicted_factor_bytes(dofs: int) -> float:
-    """Predicted peak memory of factoring a system of ``dofs`` unknowns."""
-    fill = max(FILL_SLOPE * math.log(max(dofs, 1) / FILL_ORIGIN), 1.0)
-    return BYTES_PER_ENTRY * fill * dofs
-
-
-def check_memory(dofs: int, memory_bytes: int | None = None) -> None:
-    """Raise OutOfMemory unless the predicted factor fits the memory share of
-    ``memory_bytes``, by default ``PHYSICAL_MEMORY_BYTES``."""
-    if memory_bytes is None:
-        memory_bytes = PHYSICAL_MEMORY_BYTES
-    predicted = predicted_factor_bytes(dofs)
-    budget = DIRECT_MEMORY_SHARE * memory_bytes
+def check_memory(nx: int, ny: int) -> None:
+    """Raise OutOfMemory unless the predicted factor of the system of an
+    nx x ny mesh fits ``DIRECT_MEMORY_SHARE`` of ``PHYSICAL_MEMORY_BYTES``."""
+    dofs = (nx - 1) * ny + nx * (ny - 1)
+    predicted = BYTES_PER_ENTRY * factor_entries(nx, ny) + BYTES_PER_DOF * dofs
+    budget = DIRECT_MEMORY_SHARE * PHYSICAL_MEMORY_BYTES
     if predicted > budget:
         raise OutOfMemory(dofs, predicted, budget)
 
@@ -382,13 +370,13 @@ def _structured_solver(system):
         return None, False
 
 
-def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
+def solve(system: SparseSystem) -> Solution:
     """Solve ``system``, check its normwise backward error (SingularMatrix past
     ``DIRECT_BACKWARD_TOL``) and merge boundary values into a full edge vector.
 
     A system with a ``block`` is solved from it, refined once if that solve
     misses the tolerance and always after a Schur solve; if it misses it
-    still, or the system has no block, it is factored."""
+    still, or the system has no block, it is factored after :func:`check_memory`."""
     ordered, order = system.ordered, system.order
     y = np.zeros(0)
     if ordered.shape[0]:
@@ -403,8 +391,7 @@ def solve(system: SparseSystem, config: SolveConfig | None = None) -> Solution:
                 y = y + structured(residual)[order]
                 backward = _backward_error(ordered, rhs, y)
         if not backward <= DIRECT_BACKWARD_TOL:
-            if config is None or config.method == "auto":
-                check_memory(ordered.shape[0])
+            check_memory(system.mesh.nx, system.mesh.ny)
             rhs, y = _factor_and_solve(system)
             backward = _backward_error(ordered, rhs, y)
             if backward == math.inf:

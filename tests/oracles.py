@@ -146,6 +146,29 @@ def nested_dissection_oracle(nx, ny, leaf):
     return order(0, nx, 0, ny, list(range(nv + nx * (ny + 1))))
 
 
+def factor_entries_oracle(matrix):
+    """nnz(L + U) of a matrix with a symmetric pattern factored without
+    pivoting in its stored order, from its structure alone (explicit zeros
+    count): Liu's elimination tree, built as it goes, and each row of L as
+    the subtree its entries reach in that tree (Liu, SIAM J. Matrix Anal.
+    Appl. 11 (1990) 134)."""
+    n = matrix.shape[0]
+    indptr, indices = matrix.indptr, matrix.indices
+    parent, mark = [-1] * n, [-1] * n
+    lower = 0
+    for i in range(n):  # row i of L: its column of the pattern, above the diagonal
+        mark[i] = i
+        lower += 1
+        for k in indices[indptr[i]:indptr[i + 1]].tolist():
+            while k < i and mark[k] != i:  # climb the tree from k up to row i's subtree
+                mark[k] = i
+                lower += 1
+                if parent[k] == -1:
+                    parent[k] = i
+                k = parent[k]
+    return 2 * lower - n
+
+
 _STAB_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 _GAUSS_SX = np.array([-1.0, 1.0, -1.0, 1.0]) * (1.0 / np.sqrt(3.0))  # in half-widths
 _GAUSS_SY = np.array([-1.0, -1.0, 1.0, 1.0]) * (1.0 / np.sqrt(3.0))

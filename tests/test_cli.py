@@ -16,6 +16,7 @@ import swgfem.solver
 from swgfem.analysis import EXACT_FLOOR
 from swgfem.assembly import AssemblyConfig, assemble, dump_matrix
 from swgfem.cli import build_parser, main
+from swgfem.mesh import factor_entries
 from swgfem.problems import get_problem, mesh_for
 
 
@@ -81,9 +82,9 @@ class TestRun:
     def test_dump_matrix_solves_once(self, tmp_path, monkeypatch, capsys):
         calls = []
 
-        def counting_solve(system, config=None):
+        def counting_solve(system):
             calls.append(system.matrix.shape)
-            return swgfem.solver.solve(system, config)
+            return swgfem.solver.solve(system)
 
         monkeypatch.setattr(swgfem.analysis, "solve", counting_solve)
         monkeypatch.setattr(swgfem.cli, "solve", counting_solve)
@@ -156,11 +157,15 @@ class TestRemovedFlags:
 
 
 class TestSolveFlags:
-    @pytest.mark.parametrize("flags", [("--solver", "iterative"), ("--tol", "1e-12")])
+    @pytest.mark.parametrize("flags", [("--solver", "iterative"), ("--tol", "1e-12"),
+                                       ("--solver", "direct"), ("--solver", "auto")])
     def test_removed_solver_flags_exit_2(self, capsys, flags):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--problem", "tc1", "--kappa", "4", "--ns", "8", *flags])
-        assert exc.value.code == 2
+        # every factorization is checked against memory first: no flag skips it
+        for command in ("run", "fd", "dmp"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--problem", "fd1", "--kappa", "4", "--ns", "8", *flags])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: %s" % " ".join(flags) in capsys.readouterr().err
 
     def test_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):
         share = 1e-6
@@ -171,10 +176,11 @@ class TestSolveFlags:
             "--out", str(out))
         assert code == 1
         assert err.startswith("solve failed:")
-        problem = get_problem("tc2")
-        dofs = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0)).matrix.shape[0]
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        assert "%d bytes" % swgfem.solver.predicted_factor_bytes(dofs) in err
+        assert "solve of 112 dofs" in err
+        predicted = (swgfem.solver.BYTES_PER_ENTRY * factor_entries(8, 8)
+                     + swgfem.solver.BYTES_PER_DOF * 112)
+        assert "%d bytes" % predicted in err
         assert "%d bytes" % (share * memory) in err
         assert not out.exists()
 
@@ -529,6 +535,25 @@ class TestParserReuse:
             assert run_cli(capsys, *argv, *map(str, paths[1:]), "--out", str(paths[0]))[0] == 0
             digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in paths)
             assert digests == GOLDEN_OUTPUTS[argv]
+
+
+class TestOptionCensus:
+    #: Every option string each subcommand takes.  Adding or removing a knob
+    #: changes this set, and CHANGES.md says why.
+    OPTIONS = {
+        "run": {"-h", "--help", "--problem", "--kappa", "--out", "--format", "--ns",
+                "--dump-matrix"},
+        "fd": {"-h", "--help", "--problem", "--kappa", "--out", "--format", "--scheme", "--ns"},
+        "dmp": {"-h", "--help", "--problem", "--kappa", "--out", "--format", "--alpha0",
+                "--beta", "--c", "--f", "--g", "--ns", "--x-breaks", "--y-breaks"},
+        "equiv": {"-h", "--help", "--n", "--kappa", "--out"},
+        "list-problems": {"-h", "--help", "--out"},
+    }
+
+    def test_each_subcommand_takes_exactly_its_options(self):
+        [subparsers] = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+        assert {name: set(sub._option_string_actions)
+                for name, sub in subparsers.choices.items()} == self.OPTIONS
 
 
 class TestReadme:

@@ -28,24 +28,33 @@ from swgfem.mesh import (
     build_tensor_mesh,
     element_arrays,
     enumerate_dofs,
+    factor_entries,
     nested_dissection,
     uniform_mesh,
 )
 from swgfem.problems import get_problem, make_custom, mesh_for
 from swgfem.solver import (
+    BYTES_PER_DOF,
+    BYTES_PER_ENTRY,
     DIRECT_MEMORY_SHARE,
     SUPERLU_PANEL,
     SUPERLU_RELAX,
     Solution,
     SolveConfig,
     check_memory,
-    predicted_factor_bytes,
     solve,
 )
 
-from oracles import nested_dissection_oracle
+from oracles import factor_entries_oracle, nested_dissection_oracle
 
 GIB = 2**30
+MIB = 2**20
+
+
+def predicted_bytes(nx, ny):
+    """The factor memory ``check_memory`` predicts for an nx x ny mesh."""
+    dofs = (nx - 1) * ny + nx * (ny - 1)
+    return BYTES_PER_ENTRY * factor_entries(nx, ny) + BYTES_PER_DOF * dofs
 
 
 def assemble_tc1(n):
@@ -152,8 +161,7 @@ class TestSolve:
         # the relative residual (1.3e-13 by sine transforms, 5.3e-14
         # factored) is above a 1e-14 bar, but the normwise backward error is
         # a few eps, so the solve is accepted
-        _, system, sol = solve_problem(get_problem("fd1"), 32, 4.0,
-                                       solve_config=SolveConfig(method="direct"))
+        _, system, sol = solve_problem(get_problem("fd1"), 32, 4.0)
         assert relative_residual(system, sol) > 1e-14
 
     def test_singular_matrix(self):
@@ -163,7 +171,7 @@ class TestSolve:
         system = SparseSystem(
             sp.csc_matrix((4, 4)), order, np.ones(4), np.zeros(dm.boundary.size), mesh)
         with pytest.raises(SingularMatrix):
-            solve(system, SolveConfig(method="direct"))
+            solve(system)
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
@@ -180,8 +188,7 @@ class TestSolve:
             return splu(matrix, **kwargs)
 
         monkeypatch.setattr(spla, "splu", spy)
-        _, system, _ = solve_problem(get_problem("tc2"), 8, 4.0,
-                                     solve_config=SolveConfig(method="direct"))
+        _, system, _ = solve_problem(get_problem("tc2"), 8, 4.0)
         [(factored, kwargs)] = calls
         assert kwargs == {"permc_spec": "NATURAL", "relax": SUPERLU_RELAX,
                           "panel_size": SUPERLU_PANEL}
@@ -220,30 +227,24 @@ class TestSolve:
             return ordering(dof_map)
 
         def no_lu(*args, **kwargs):
-            raise AssertionError("auto factored a system past its budget")
+            raise AssertionError("factored a system past its budget")
 
         monkeypatch.setattr(swgfem.assembly, "nested_dissection", spy)
         problem = get_problem("tc2")
         system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
         assert orders == [system.mesh.dof_map]
         monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", 1e-12)
-        splu = spla.splu
         monkeypatch.setattr(spla, "splu", no_lu)
         with pytest.raises(OutOfMemory) as exc:
-            solve(system, SolveConfig())
+            solve(system)
         assert exc.value.dofs == system.matrix.shape[0]
         assert exc.value.predicted_bytes > exc.value.budget_bytes
         assert orders == [system.mesh.dof_map]
-        # "direct" skips the check and factors the same system
-        monkeypatch.setattr(spla, "splu", splu)
-        sol = solve(system, SolveConfig(method="direct"))
-        assert orders == [system.mesh.dof_map]
-        assert relative_residual(system, sol) <= 1e-12
 
     def test_auto_solves_by_transform_past_the_factor_budget(self, monkeypatch, factor_calls):
-        # a transform solve factors nothing, so auto's memory check does not apply
+        # a transform solve factors nothing, so the memory check does not apply
         monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", 1e-12)
-        _, system, sol = solve_problem(get_problem("fd1"), 8, 4.0, solve_config=SolveConfig())
+        _, system, sol = solve_problem(get_problem("fd1"), 8, 4.0)
         assert system.block is not None and factor_calls == []
         assert relative_residual(system, sol) <= 1e-12
 
@@ -251,18 +252,17 @@ class TestSolve:
                                                                  factor_calls):
         # nor does a solve by the Schur decomposition
         monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", 1e-12)
-        _, system, sol = solve_problem(get_problem("tc1"), 8, 4.0, solve_config=SolveConfig())
+        _, system, sol = solve_problem(get_problem("tc1"), 8, 4.0)
         assert system.block is not None and factor_calls == []
         assert relative_residual(system, sol) <= 1e-12
 
     def test_releases_free_heap_before_large_factorizations(self, monkeypatch):
         trims = []
         monkeypatch.setattr(swgfem.solver, "_malloc_trim", trims.append)
-        direct = SolveConfig(method="direct")
-        solve_problem(get_problem("tc2"), 8, 4.0, solve_config=direct)
+        solve_problem(get_problem("tc2"), 8, 4.0)
         assert trims == []
         monkeypatch.setattr(swgfem.solver, "TRIM_MIN_DOFS", 1)
-        solve_problem(get_problem("tc2"), 8, 4.0, solve_config=direct)
+        solve_problem(get_problem("tc2"), 8, 4.0)
         assert trims == [0]
 
     @pytest.mark.parametrize("kwargs", [
@@ -686,64 +686,102 @@ class TestNestedDissection:
             return factors[-1]
 
         monkeypatch.setattr(spla, "splu", keep)
-        _, system, _ = solve_problem(get_problem("tc2"), 64, 20.0,
-                                     solve_config=SolveConfig(method="direct"))
+        _, system, _ = solve_problem(get_problem("tc2"), 64, 20.0)
         mmd = splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
         # measured 292,328 against 458,386 entries
         assert factors[0].nnz < mmd.nnz
 
 
-class TestAutoRule:
-    def test_just_above_old_dof_limit_goes_direct(self):
-        # tc1 at n = 260 and fd1 at n = 512 on an 8 GiB machine
-        check_memory(134_680, memory_bytes=8 * GIB)
-        check_memory(523_264, memory_bytes=8 * GIB)
+class TestFactorEntries:
+    """The count of the factor's entries against an elimination-tree count of
+    the stored structure, and against what SuperLU stores."""
 
-    def test_factor_beyond_memory_share_raises_out_of_memory(self):
-        dofs = 10_000_000
+    @settings(max_examples=30)
+    @given(nx=st.integers(1, 60), ny=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    @example(nx=1, ny=1, seed=0)
+    @example(nx=1, ny=12, seed=0)
+    @example(nx=12, ny=1, seed=0)
+    @example(nx=100, ny=2, seed=0)
+    @example(nx=2, ny=100, seed=0)
+    def test_equals_elimination_tree_count(self, nx, ny, seed):
+        rng = np.random.default_rng(seed)
+        mesh = build_tensor_mesh(random_breaks(rng, nx), random_breaks(rng, ny))
+        ordered = assemble(mesh, get_problem("tc2"), AssemblyConfig(kappa=4.0)).ordered
+        pattern = ordered.copy()
+        pattern.data[:] = 1.0
+        assert (pattern != pattern.T).nnz == 0  # the oracle reads one triangle
+        assert factor_entries(nx, ny) == factor_entries_oracle(ordered)
+
+    @pytest.mark.parametrize("nx, ny", [(16, 16), (49, 6), (24, 50), (60, 60), (1024, 64)])
+    def test_superlu_stores_a_few_percent_more(self, nx, ny):
+        # lu.nnz / count read 1.024-1.056 on these shapes, 1.017-1.035 on
+        # 256 x 256, 512 x 512 and 4096 x 16; relaxed supernodes pad the factor
+        mesh = build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+        system = assemble(mesh, get_problem("tc2"), AssemblyConfig(kappa=20.0))
+        lu = spla.splu(system.ordered, permc_spec="NATURAL", relax=SUPERLU_RELAX,
+                       panel_size=SUPERLU_PANEL)
+        assert 1.0 <= lu.nnz / factor_entries(nx, ny) <= 1.07
+
+
+class TestAutoRule:
+    def test_just_above_old_dof_limit_goes_direct(self, monkeypatch):
+        # tc1 at n = 260 and fd1 at n = 512 on an 8 GiB machine
+        monkeypatch.setattr(swgfem.solver, "PHYSICAL_MEMORY_BYTES", 8 * GIB)
+        check_memory(260, 260)
+        check_memory(512, 512)
+
+    def test_factor_beyond_memory_share_raises_out_of_memory(self, monkeypatch):
+        monkeypatch.setattr(swgfem.solver, "PHYSICAL_MEMORY_BYTES", 8 * GIB)
         with pytest.raises(OutOfMemory) as exc:
-            check_memory(dofs, memory_bytes=8 * GIB)
-        assert exc.value.dofs == dofs
-        assert exc.value.predicted_bytes == predicted_factor_bytes(dofs)
+            check_memory(2240, 2240)
+        assert exc.value.dofs == 10_030_720
+        assert exc.value.predicted_bytes == predicted_bytes(2240, 2240)
         assert exc.value.budget_bytes == DIRECT_MEMORY_SHARE * 8 * GIB
         assert exc.value.predicted_bytes > exc.value.budget_bytes
         assert isinstance(exc.value, MemoryError)
 
     def test_physical_memory_is_read_once(self, monkeypatch):
-        # auto takes the size stored at import: shrinking it refuses the
+        # solve takes the size stored at import: shrinking it refuses the
         # solve before anything is factored, with no query of the machine
         def refuse(*args, **kwargs):
             raise AssertionError("factored or queried despite the stored memory size")
 
         system = factored(assemble_tc1(8))
-        dofs = system.ordered.shape[0]
-        memory = math.ceil(predicted_factor_bytes(dofs) / DIRECT_MEMORY_SHARE) - 1
+        predicted = predicted_bytes(8, 8)
+        memory = math.ceil(predicted / DIRECT_MEMORY_SHARE) - 1
         monkeypatch.setattr(swgfem.solver, "PHYSICAL_MEMORY_BYTES", memory)
         monkeypatch.setattr(spla, "splu", refuse)
         monkeypatch.setattr(swgfem.solver.os, "sysconf", refuse)
         with pytest.raises(OutOfMemory) as exc:
             solve(system)
         assert exc.value.budget_bytes == DIRECT_MEMORY_SHARE * memory
-        with pytest.raises(OutOfMemory):
-            solve(system, SolveConfig(method="auto"))
         monkeypatch.setattr(swgfem.solver, "PHYSICAL_MEMORY_BYTES", memory + 1)
         with pytest.raises(AssertionError, match="factored"):  # now it fits
             solve(system)
 
     def test_prediction_tracks_measured_fill(self):
-        # peak RSS of solve() over the RSS before it, tc1 at n = 256 and 512:
-        # 56 and 331 MiB
-        assert 56 * 2**20 <= predicted_factor_bytes(130_560) <= 1.5 * 56 * 2**20
-        assert 331 * 2**20 <= predicted_factor_bytes(523_264) <= 1.5 * 331 * 2**20
+        # the peak RSS of solve() over the RSS before it, in MiB: tc1 factored
+        # in the process that assembled it, and, higher, the largest of three
+        # runs in a process that holds only the tc2 system, loaded from disk
+        for nx, ny, peak in ((256, 256, 56.0), (512, 512, 331.0),
+                             (256, 256, 80.2), (512, 512, 359.2), (1024, 64, 70.2),
+                             (4096, 16, 51.9), (16384, 4, 31.7)):
+            assert peak <= predicted_bytes(nx, ny) / MIB <= 1.5 * peak, (nx, ny, peak)
 
-    def test_monotone_in_dofs(self):
-        dofs = np.unique(np.geomspace(1, 1e8, 400).astype(int))
-        sizes = [predicted_factor_bytes(int(n)) for n in dofs]
+    def test_prediction_bounds_the_peak_at_two_million_dofs(self):
+        # 1024 x 1024 (2,095,104 dofs), measured alone as above in one run
+        assert predicted_bytes(1024, 1024) >= 1591.2 * MIB
+
+    def test_monotone_in_dofs(self, monkeypatch):
+        # over square meshes, whose dofs grow with n
+        monkeypatch.setattr(swgfem.solver, "PHYSICAL_MEMORY_BYTES", 8 * GIB)
+        sides = np.unique(np.geomspace(1, 8000, 300).astype(int))
+        sizes = [factor_entries(int(n), int(n)) for n in sides]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
         refusals = []
-        for n in dofs:
+        for n in sides:
             try:
-                check_memory(int(n), memory_bytes=8 * GIB)
+                check_memory(int(n), int(n))
                 refusals.append(None)
             except OutOfMemory as exc:
                 refusals.append(exc)
