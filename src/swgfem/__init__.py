@@ -37,17 +37,6 @@ from .fd import (
     check_equivalence,
     stencil_weights,
 )
-from .kernels import (
-    basis_extensions,
-    convection_matrix,
-    diffusion_matrix,
-    extension_coeffs,
-    load_vector,
-    midpoint_defects,
-    reaction_matrix,
-    stabilizer_matrix,
-    weak_gradient,
-)
 from .mesh import (
     DofMap,
     ElementGeom,

@@ -24,7 +24,7 @@ reproduces midpoint-sampled quadratics exactly at kappa = 4.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -50,9 +50,9 @@ DUMP_CHUNK_ROWS = 8192
 
 _INT32_MAX = np.iinfo(np.int32).max
 
-#: A mesh's steps count as equal when they differ by at most this many ulps
-#: of its largest coordinate (the steps of ``linspace`` differ by at most
-#: one).
+#: :func:`shared_block` takes a mesh's steps as equal when they differ by at
+#: most this many ulps of its largest coordinate (the steps of ``linspace``
+#: differ by at most one).  The solver's choice of route for B takes none.
 SHARED_BLOCK_ULPS = 4
 
 
@@ -78,7 +78,7 @@ class ProblemSpec:
     g: Callable
     exact: Callable | None = None
     exact_grad: Callable | None = None
-    c_is_zero: bool = True
+    c_is_zero: bool = field(kw_only=True)  # c = 0 everywhere; picks the DMP bound, so no default
     pure_unit_diffusion: bool = False  # alpha = I, beta = 0, c = 0; gates the FD schemes
     description: str = ""
 
@@ -106,9 +106,11 @@ class SparseSystem:
     with ``mesh.dof_map.boundary``.  ``block`` is the 4 x 4 block B, in the
     local order (left, right, bottom, top), when the inputs make every
     element block one block (see :func:`shared_block`), and None otherwise.
-    The solver takes B unchanged by swapping left with right and bottom with
-    top (beta = 0, and both finite-difference schemes) to sine transforms,
-    and any other B (constant beta != 0) to one Schur decomposition along x.
+    The solver takes a B equal to its transpose to sine transforms, and any
+    other to one Schur decomposition along x.  B is symmetric bit for bit
+    when beta = 0 (kappa*S + A, C and the stencils are written symmetric) and
+    not otherwise: B[0, 1] - B[1, 0] = 2|T| b1 g / hx, g = hy / (2(hx + hy)),
+    and B[2, 3] - B[3, 2] likewise with b2, unless beta is below rounding.
     """
 
     ordered: sp.csc_matrix
@@ -259,7 +261,7 @@ def shared_block(mesh: TensorMesh, coefficients, blocks):
     array is read; then each of a11, a22, b1, b2 and c in ``coefficients``
     (as :func:`sample_coefficients` returns them) must hold one value, and B
     is the first of ``blocks``.  Whether B fits every block is left to the
-    solver, which checks each solve from B against the stored matrix.
+    solver's backward-error check, and B's route to its exact symmetry.
     """
     ulp = math.ulp(max(map(abs, mesh.bounds)))
     if any(steps.max() - steps.min() > SHARED_BLOCK_ULPS * ulp for steps in (mesh.dx, mesh.dy)):

@@ -22,7 +22,8 @@ from .solver import solve
 
 EQUIV_TOL = 1e-13
 
-#: The constants of ``--problem custom``, flags of ``swg dmp`` only.
+#: The constants of ``--problem custom``, flags of ``swg dmp`` only, with no
+#: parser default: :func:`~swgfem.problems.make_custom` owns the defaults.
 _CUSTOM_FLAGS = ("alpha0", "beta", "c", "f", "g")
 
 _USAGE_ERRORS = (ValueError,)
@@ -65,10 +66,14 @@ def _add_common(p, need_kappa=True):
 
 
 def _resolve_problem(args):
-    """The problem ``--problem`` names; custom constants default where the
-    subcommand takes none (`run` and `fd` then refuse the problem)."""
+    """The problem ``--problem`` names; custom constants default where not
+    given (`run` and `fd` take none, and refuse the problem), and a built-in
+    problem refuses them."""
+    given = {k: getattr(args, k) for k in _CUSTOM_FLAGS if k in args}
     if args.problem == "custom":
-        return make_custom(**{k: getattr(args, k) for k in _CUSTOM_FLAGS if k in args})
+        return make_custom(**given)
+    if given:
+        raise ValueError(f"--{next(iter(given))} applies only to --problem custom")
     return get_problem(args.problem)
 
 
@@ -252,12 +257,12 @@ def build_parser():
 
     p_dmp = add_parser("dmp", help="discrete maximum principle report")
     _add_common(p_dmp)
-    # constants for --problem custom, which only dmp accepts
-    p_dmp.add_argument("--alpha0", type=float, default=1.0)
-    p_dmp.add_argument("--beta", type=_parse_pair, default=(0.0, 0.0))
-    p_dmp.add_argument("--c", type=float, default=0.0)
-    p_dmp.add_argument("--f", type=float, default=0.0)
-    p_dmp.add_argument("--g", type=float, default=0.0)
+    # constants for --problem custom, which only dmp accepts; unset unless given
+    p_dmp.add_argument("--alpha0", type=float, default=argparse.SUPPRESS)
+    p_dmp.add_argument("--beta", type=_parse_pair, default=argparse.SUPPRESS)
+    p_dmp.add_argument("--c", type=float, default=argparse.SUPPRESS)
+    p_dmp.add_argument("--f", type=float, default=argparse.SUPPRESS)
+    p_dmp.add_argument("--g", type=float, default=argparse.SUPPRESS)
     p_dmp.add_argument("--ns", type=_parse_ns, default=None)
     p_dmp.add_argument("--x-breaks", type=_parse_breaks, default=None)
     p_dmp.add_argument("--y-breaks", type=_parse_breaks, default=None)

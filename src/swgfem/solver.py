@@ -7,17 +7,18 @@ imposed averages in the boundary slots.
 
 A system whose element blocks are all one block B (``SparseSystem.block``:
 constant alpha, beta and c on a uniform mesh, and both finite-difference
-schemes) is a 7-point scheme with constant weights.  A B unchanged by
-swapping left with right and bottom with top (beta = 0) is diagonalized by
+schemes) is a 7-point scheme with constant weights.  A B equal to its
+transpose bit for bit (beta = 0; see ``SparseSystem``) is diagonalized by
 sine transforms, with exactly formed determinants, as in the classic fast
-Poisson solvers (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627).  Along x the vertical edges sit at the nodes 1..nx-1
-and the horizontal edges at the cell centres, so a DST-I takes the first and
-a DST-II the second, and likewise along y with the roles swapped; each mode
+Poisson solvers (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970)
+627).  Along x the vertical edges sit at the nodes 1..nx-1 and the
+horizontal edges at the cell centres, so a DST-I takes the first and a
+DST-II the second, and likewise along y with the roles swapped; each mode
 (k, l) then couples one vertical and one horizontal coefficient by a 2 x 2
 system (:func:`_transform_solve`).  The transforms run through
 ``numpy.fft``, which ``import numpy`` has already loaded, in
 O(dofs log dofs) time and a few copies of the rhs in memory: ``solve`` of
-fd1 at n = 340 (230,520 dofs) took 40 ms, against 743 ms factored.  Any
+fd1 at n = 340 (230,520 dofs) took 40 ms, against 743 ms factored.  Every
 other B (beta != 0) takes one Schur decomposition of a dense nx x nx matrix
 and a tridiagonal solve per column (:func:`_decomposition_solver`): tc1 at
 n = 260 took about 0.13 s, against 0.44 s factored.
@@ -65,7 +66,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from scipy.sparse import _sparsetools
 
-from .assembly import SHARED_BLOCK_ULPS, SparseSystem
+from .assembly import SparseSystem
 from .errors import OutOfMemory, SingularMatrix
 from .mesh import factor_entries
 
@@ -78,11 +79,12 @@ BYTES_PER_DOF = 140
 #: SuperLU's supernode relaxation and panel width, in columns.  Nested
 #: dissection leaves thousands of supernodes of a few columns, for which a
 #: wide panel only enlarges the dense work arrays SuperLU sizes by it.  At 2
-#: and 2, factor plus triangular solve took a median 0.78x the default's
-#: time over 60 cases of 112 to 525,312 dofs, and the peak RSS a tc1 solve
-#: adds fell from 90 to 56 MiB at 130,560 dofs and from 475 to 331 MiB at
-#: 523,264.  Keep relax <= panel_size, as SuperLU's defaults do: a relaxed
-#: supernode wider than a panel has been seen to corrupt the heap.
+#: and 2, factor plus triangular solve took a median 0.79x the default's
+#: time over 22 tc2 and nonuniform tc1 systems of 112 to 130,560 dofs, and
+#: the peak RSS a tc2 solve adds fell from 93 to 58 MiB at 130,560 dofs and
+#: from 440 to 296 MiB at 523,264.  Keep relax <= panel_size, as SuperLU's
+#: defaults do: a relaxed supernode wider than a panel has been seen to
+#: corrupt the heap.
 SUPERLU_RELAX = 2
 SUPERLU_PANEL = 2
 
@@ -97,8 +99,8 @@ DIRECT_BACKWARD_TOL = 64 * np.finfo(float).eps
 
 #: Systems of at least this many unknowns release the free heap before they
 #: are factored (:func:`_release_free_heap`).  Below it the release lowered
-#: the peak RSS of an fd1 solve by at most 2.5 MiB (at 19,800 dofs), for
-#: about 0.1 ms a call.
+#: the peak RSS of a tc2 or nonuniform fd2 solve by at most 2.2 MiB (19,800
+#: dofs), for 0.3-0.7 ms a call (50-175 us, below 1 MiB, at <= 3,120 dofs).
 TRIM_MIN_DOFS = 20_000
 
 try:  # glibc; elsewhere the heap is left as it is
@@ -358,11 +360,9 @@ def _structured_solver(system):
     """(solve, refine): the natural-order solve of ``system`` from its block,
     and whether its first solve is always refined; (None, False) when it has
     no block, or a LinAlgError stops the Schur decomposition."""
-    block, mirror = system.block, [1, 0, 3, 2]  # left <-> right, bottom <-> top
-    if block is None:
+    if system.block is None:
         return None, False
-    ulps = SHARED_BLOCK_ULPS * math.ulp(np.abs(block).max())
-    if all(np.abs(block - other).max() <= ulps for other in (block.T, block[mirror][:, mirror])):
+    if np.array_equal(system.block, system.block.T):  # beta = 0 (see SparseSystem)
         return lambda rhs: _transform_solve(system, rhs), False
     try:
         return _decomposition_solver(system), True

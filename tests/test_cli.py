@@ -286,6 +286,16 @@ class TestDmp:
         row = out.strip().splitlines()[2].split()
         assert float(row[3]) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("flag, value", [("--alpha0", "2"), ("--beta", "9,9"), ("--c", "5"),
+                                             ("--f", "1"), ("--g", "1")])
+    def test_custom_flags_refused_with_builtin_problem(self, capsys, flag, value):
+        # the constants belong to --problem custom; a built-in problem would
+        # drop them silently
+        code, out, err = run_cli(
+            capsys, "dmp", "--problem", "tc1", "--kappa", "0.7", "--ns", "4", flag, value)
+        assert code == 2
+        assert out == "" and f"{flag} applies only to --problem custom" in err
+
     def test_explicit_breaks(self, capsys):
         code, out, _ = run_cli(
             capsys, "dmp", "--problem", "fd1", "--kappa", "0.7",

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from swgfem.assembly import ProblemSpec
 from swgfem.errors import UnknownProblem, ZeroSubdivisions
 from swgfem.mesh import element_arrays, enumerate_dofs
 from swgfem.problems import PROBLEM_IDS, _const, _const_pair, get_problem, make_custom, mesh_for
@@ -131,6 +132,16 @@ class TestSpecificValues:
     def test_custom_never_flagged_pure_diffusion(self):
         # the flag is explicit: unit constants do not set it
         assert not make_custom(alpha0=1.0, beta=(0.0, 0.0), c=0.0).pure_unit_diffusion
+
+
+class TestSpecFields:
+    def test_c_is_zero_has_no_default(self):
+        # it picks dmp_check's bound, so a spec must state it
+        fields = dict(name="spec", domain=(0.0, 1.0, 0.0, 1.0), alpha=_const_pair(1.0, 1.0),
+                      beta=_const_pair(0.0, 0.0), c=_const(5.0), f=_const(0.0), g=_const(0.0))
+        with pytest.raises(TypeError, match="c_is_zero"):
+            ProblemSpec(**fields)
+        assert not ProblemSpec(**fields, c_is_zero=False).c_is_zero
 
 
 class TestCustom:

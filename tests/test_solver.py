@@ -489,6 +489,82 @@ class TestPathSelection:
             np.testing.assert_allclose(swg.block, fd.block, rtol=1e-15, atol=1e-15)
 
 
+def ulps_route(block):
+    """Whether ``block`` took the sine transforms under the rule the exact
+    symmetry test replaced: within 4 ulps of its largest entry of both its
+    transpose and its mirror image (left <-> right, bottom <-> top)."""
+    ulps = 4 * math.ulp(np.abs(block).max())
+    mirror = [1, 0, 3, 2]
+    return all(np.abs(block - other).max() <= ulps
+               for other in (block.T, block[mirror][:, mirror]))
+
+
+#: A constant beta component: 0, or a magnitude in [0.1, 3] of either sign.
+BETA_COMPONENT = st.just(0.0) | st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)
+
+
+class TestRouteBySymmetry:
+    """A block goes to the sine transforms exactly when it equals its
+    transpose bit for bit, which it does exactly when beta = 0."""
+
+    @settings(max_examples=300)
+    @given(x0=st.sampled_from([0.0, 0.1, -7.3, 1e3, 1e6]),
+           y0=st.sampled_from([0.0, 0.1, -7.3, 1e3, 1e6]),
+           sides=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+           nx=st.integers(2, 29), ny=st.integers(2, 29),
+           c=st.just(0.0) | st.floats(0.1, 20.0), kappa=st.floats(0.3, 8.0),
+           beta=st.just((0.0, 0.0)) | st.tuples(BETA_COMPONENT, BETA_COMPONENT).filter(any),
+           scale=st.sampled_from([1.0, 1e-6, 1e-12]))
+    def test_symmetric_exactly_when_beta_is_zero(self, x0, y0, sides, nx, ny, c, kappa,
+                                                 beta, scale):
+        mesh = build_tensor_mesh(np.linspace(x0, x0 + sides[0], nx + 1),
+                                 np.linspace(y0, y0 + sides[1], ny + 1))
+        problem = make_custom(beta=(scale * beta[0], scale * beta[1]), c=c, f=-1.0)
+        system = assemble(mesh, problem, AssemblyConfig(kappa=kappa))
+        block = system.block
+        assert block is not None
+        symmetric = np.array_equal(block, block.T)
+        assert symmetric == (beta == (0.0, 0.0))
+        _, decomposed = swgfem.solver._structured_solver(system)
+        assert decomposed != symmetric
+        # the ulps rule took every symmetric block to the transforms too; it
+        # also took a block within 4 ulps of symmetric, the one case where the
+        # routes part (test_block_within_ulps_of_symmetric_is_decomposed)
+        assert ulps_route(block) or not symmetric
+
+    @pytest.mark.parametrize("pid", ["fd1", "fd2", "tc3"])
+    def test_transformed_problems_have_symmetric_blocks(self, pid):
+        # a change to the order of a sum that breaks B = B^T sends these
+        # problems to the Schur route, and fails here
+        problem = get_problem(pid)
+        for n in range(2, 65):
+            kappa = (0.7, 4.0, 20.0)[n % 3]
+            block = assemble(mesh_for(problem, n), problem, AssemblyConfig(kappa=kappa)).block
+            assert np.array_equal(block, block.T), (n, kappa)
+
+    def test_stencil_blocks_are_symmetric(self):
+        problem = get_problem("fd2")
+        for n in range(2, 65):
+            kappa = (0.7, 4.0, 20.0)[n % 3]
+            for system in (swgfem.fd.assemble_fd5(n, problem.f, problem.g),
+                           swgfem.fd.assemble_fd7(n, kappa, problem.f, problem.g)):
+                assert np.array_equal(system.block, system.block.T), (n, kappa)
+
+    def test_block_within_ulps_of_symmetric_is_decomposed(self, factor_calls):
+        # beta = (1.25e-13, 0) on elements of aspect 16.5 leaves B 1.5 ulps off
+        # its transpose: the ulps rule took it to the sine transforms, and the
+        # exact test decomposes it, with no factor and within the tolerance
+        mesh = build_tensor_mesh(np.linspace(0.0, 3.0, 3), np.linspace(0.0, 1.0, 12))
+        problem = make_custom(beta=(1.25e-13, 0.0), f=-1.0)
+        system = assemble(mesh, problem, AssemblyConfig(kappa=1.0))
+        block = system.block
+        assert not np.array_equal(block, block.T) and ulps_route(block)
+        assert swgfem.solver._structured_solver(system)[1]  # the Schur route
+        sol = solve(system)
+        assert factor_calls == []
+        assert stored_backward_error(system, sol) <= swgfem.solver.DIRECT_BACKWARD_TOL
+
+
 class TestDecompositionSolve:
     """Solves by one Schur decomposition along x, of systems whose one element
     block changes when left and right are swapped (constant beta != 0)."""
