@@ -21,7 +21,11 @@ O(dofs log dofs) time and a few copies of the rhs in memory: ``solve`` of
 fd1 at n = 340 (230,520 dofs) took 40 ms, against 743 ms factored.  Every
 other B (beta != 0) takes one Schur decomposition of a dense nx x nx matrix
 and a tridiagonal solve per column (:func:`_decomposition_solver`): tc1 at
-n = 260 took about 0.13 s, against 0.44 s factored.
+n = 260 took 0.085 s at kappa = 4, against 0.44 s factored.  It runs
+numpy's and scipy's OpenBLAS on one thread (:func:`_one_blas_thread`): a
+second changed its bytes, cost more to wake than it saved, and spun on
+after the solve.  From n = 1024 one thread costs 10-30% (tc1, kappa = 4:
+2.1-2.2 against 1.8-2.1 s; n = 1600: 6.5 against 4.9 s).
 
 Every other system is factored.  Assembly stores each system once, as the
 CSC of P A P^T in the nested-dissection order of the tensor mesh
@@ -54,7 +58,9 @@ from 20 to 0.8 eps, and its H1 error from 9.5e-11 to 1.9e-12), and one
 that still misses it is discarded and the system factored.
 """
 
+import contextlib
 import ctypes
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -294,6 +300,45 @@ def _bidiagonal(x, first, second):
     return out
 
 
+@functools.cache
+def _blas_pools():
+    """(get, set) thread-count functions of each OpenBLAS loaded (numpy's and
+    scipy's wheels bundle one each, symbols renamed), found once from
+    ``/proc/self/maps``; none under another BLAS or OS."""
+    pools = []
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[5].strip() for line in maps if "openblas" in line}
+        for lib in map(ctypes.CDLL, paths):
+            for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                         "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+                if hasattr(lib, name.format("get")):
+                    get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    pools.append((get, put))
+                    break
+    except (OSError, AttributeError):  # no /proc, or a library replaced since it was mapped
+        return ()
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every :func:`_blas_pools` pool on one thread, then restore its
+    count.  The counts are process-wide: concurrent solves may leave them at 1."""
+    pools = _blas_pools()
+    counts = [get() for get, _ in pools]
+    for _, put in pools:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pools, counts):
+            put(count)
+
+
+@_one_blas_thread()
 def _decomposition_solver(system):
     """The natural-order solve of a system whose element blocks are all one
     block M, by matrix decomposition (Lynch, Rice & Thomas, Numer. Math. 6
@@ -326,6 +371,7 @@ def _decomposition_solver(system):
     modes = [(m[3, 2] - lam * m[0, 2], (m[2, 2] + m[3, 3]) - lam * (m[0, 2] + m[0, 3]),
               m[2, 3] - lam * m[0, 3]) for lam in np.diag(t)]
 
+    @_one_blas_thread()
     def solve(rhs):
         rv, rh = rhs[:split].reshape(ny, nx - 1), rhs[split:].reshape(ny - 1, nx)
         nodes = vertical(rv)

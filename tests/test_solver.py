@@ -11,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
@@ -617,6 +618,93 @@ def test_import_leaves_scipy_fft_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
     assert out.split() == ["False", "True"]
+
+
+@pytest.fixture
+def pools():
+    """The OpenBLAS pools the solver located, each set to 2 threads, a count
+    the scope's 1 cannot be mistaken for, and given back its own afterwards."""
+    located = swgfem.solver._blas_pools()
+    counts = [get() for get, _ in located]
+    for _, put in located:
+        put(2)
+    yield located
+    for (_, put), count in zip(located, counts):
+        put(count)
+
+
+def thread_counts(pools):
+    return [get() for get, _ in pools]
+
+
+class TestOneBlasThread:
+    """The Schur route runs every OpenBLAS pool on one thread, so its bytes do
+    not depend on the thread count and no worker spins on after it; no other
+    route touches the counts."""
+
+    def test_output_bytes_do_not_depend_on_blas_threads(self):
+        # unscoped, the route gave L2 errors 5.859589696416634e-13 on one
+        # thread and 5.758423800566053e-13 on two here
+        src = pathlib.Path(swgfem.solver.__file__).parents[1]
+        code = ("import hashlib; from swgfem.analysis import solve_problem; "
+                "from swgfem.problems import get_problem; "
+                "sol = solve_problem(get_problem('tc1'), 260, 4.0)[2]; "
+                "print(hashlib.sha256(sol.values.tobytes()).hexdigest())")
+        digests = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  check=True, env={**os.environ, "PYTHONPATH": str(src),
+                                                   "OPENBLAS_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")]
+        assert digests[0] == digests[1] != ""
+
+    def test_schur_route_runs_on_one_thread(self, monkeypatch, pools, factor_calls):
+        seen = {"schur": [], "tridiagonal": []}
+        schur, tridiagonal = scipy.linalg.schur, swgfem.solver._tridiagonal_solve
+
+        def spy_schur(*args, **kwargs):
+            seen["schur"].append(thread_counts(pools))
+            return schur(*args, **kwargs)
+
+        def spy_tridiagonal(*args):
+            seen["tridiagonal"].append(thread_counts(pools))
+            return tridiagonal(*args)
+
+        monkeypatch.setattr(scipy.linalg, "schur", spy_schur)
+        monkeypatch.setattr(swgfem.solver, "_tridiagonal_solve", spy_tridiagonal)
+        solve(assemble_tc1(16))
+        assert factor_calls == []
+        assert seen["schur"] == [[1] * len(pools)]
+        # vertical(kx), then in the solve and its refinement two vertical
+        # solves and one per column each
+        assert seen["tridiagonal"] == [[1] * len(pools)] * (1 + 2 * (2 + 16))
+        assert thread_counts(pools) == [2] * len(pools)
+
+    def test_counts_restored_when_schur_raises(self, monkeypatch, pools, factor_calls):
+        def fail(*args, **kwargs):
+            assert thread_counts(pools) == [1] * len(pools)
+            raise np.linalg.LinAlgError("schur failed")
+
+        monkeypatch.setattr(scipy.linalg, "schur", fail)
+        system = assemble_tc1(8)
+        sol = solve(system)
+        assert len(factor_calls) == 1
+        np.testing.assert_array_equal(sol.values, solve(factored(system)).values)
+        assert thread_counts(pools) == [2] * len(pools)
+
+    @pytest.mark.parametrize("route", ["transform", "factor"])
+    def test_other_routes_set_no_count(self, monkeypatch, route, factor_calls):
+        # a recording pool beside the located ones, so this holds where none is found
+        sets = []
+        recording = tuple((get, lambda n, put=put: (sets.append(n), put(n)))
+                          for get, put in swgfem.solver._blas_pools())
+        monkeypatch.setattr(swgfem.solver, "_blas_pools",
+                            lambda: recording + ((lambda: 2, sets.append),))
+        pid = {"transform": "fd1", "factor": "tc2"}[route]
+        solve_problem(get_problem(pid), 16, 4.0)
+        assert len(factor_calls) == (route == "factor")
+        assert sets == []
+        solve(assemble_tc1(8))
+        counts = thread_counts(recording) + [2]
+        assert sets == ([1] * len(counts) + counts) * 3  # set-up, solve, refinement
 
 
 @pytest.mark.parametrize("pid", ["tc1", "tc2", "tc3", "fd1", "fd2"],
