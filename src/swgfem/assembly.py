@@ -6,13 +6,17 @@ most 7 unknowns.  Dirichlet data enters by elimination: the
 boundary unknowns take the imposed values, and their columns times those
 values move to the right-hand side.
 
-The system is stored once, in the order the solver factors it: the CSC of
+Each system is stored as its rows, in natural order: row i holds the 7
+slots of the interior dof with natural interior index i (:func:`_edge_rows`),
+each slot's column that index, or one extra column N for a boundary edge,
+whose column times g has moved to the right-hand side.  A sine-transform
+solve reads nothing else.  A solve that factors or refines reads the CSC of
 P A P^T, for the natural-order operator A over the interior dofs and their
-nested-dissection order P (:func:`~swgfem.mesh.nested_dissection`).  Each
-edge is numbered by its place in that order before any row is filled, so
-the stored matrix is built from its entries in one step, with no permute.
-A itself, as CSR, is derived on first use (``SparseSystem.matrix``) for the
-matrix dump and other readers of the natural order.
+nested-dissection order P (:func:`~swgfem.mesh.nested_dissection`); that
+matrix is derived from the rows once, in place, when first read
+(``SparseSystem.ordered``), and the rows are then dropped, so one copy stays
+resident.  A itself, as CSR, is derived on first use (``SparseSystem.matrix``)
+for the matrix dump and other readers of the natural order.
 
 When every element block is one block B, as for constant alpha, beta and c
 on a uniform mesh, the system also stores B (:func:`shared_block`), from
@@ -93,15 +97,45 @@ class AssemblyConfig:
         kernels.require_kappa(self.kappa)
 
 
+class Rows:
+    """The rows of a system, held until its stored matrix is derived from them.
+
+    ``values`` and ``columns`` are (N, 7): row i holds row i of A, the
+    operator over the interior dofs in their natural order, in the 7-slot
+    template of :func:`_edge_rows`, its slots in ascending dof id.  A slot's
+    column is the natural interior index of its dof, or N for a boundary
+    edge, whose entry belongs to no column of A (its column times g is on
+    the right-hand side).  :meth:`stored` derives ``(ordered, order)`` of
+    :class:`SparseSystem` from them once, in place, and drops them.  The
+    copies of a system that ``dataclasses.replace`` makes share its
+    ``Rows``, so no copy reads rows that a derivation has overwritten.
+    """
+
+    def __init__(self, values, columns):
+        self.values, self.columns = values, columns
+        self._stored = None
+
+    def stored(self, dof_map: DofMap):
+        """``(ordered, order)``: the columns mapped to their places in the
+        :func:`stored_numbering` of ``dof_map``, then :func:`stored_matrix`."""
+        if self._stored is None:
+            order, place = stored_numbering(dof_map)
+            np.take(place, self.columns, out=self.columns)
+            self._stored = stored_matrix(self.values, self.columns, order), order
+            self.values = self.columns = None
+        return self._stored
+
+
 @dataclass(frozen=True)
 class SparseSystem:
-    """Assembled sparse system over the interior edge dofs, stored once, in
-    the order the solver factors it.
+    """Assembled sparse system over the interior edge dofs, stored as natural-order
+    :class:`Rows` until a solve factors or refines it.
 
     ``ordered`` is the CSC of P A P^T, where A is the operator over the
     interior dofs in their natural order and ``order`` the nested-dissection
     order of its rows and columns (:func:`~swgfem.mesh.nested_dissection`):
-    row k of ``ordered`` is row ``order[k]`` of A.  ``rhs`` is in the natural
+    row k of ``ordered`` is row ``order[k]`` of A.  Both are derived from
+    ``rows`` on first read, which drops the rows.  ``rhs`` is in the natural
     order, and ``boundary_values`` holds the imposed values of g, aligned
     with ``mesh.dof_map.boundary``.  ``block`` is the 4 x 4 block B, in the
     local order (left, right, bottom, top), when the inputs make every
@@ -113,39 +147,65 @@ class SparseSystem:
     and B[2, 3] - B[3, 2] likewise with b2, unless beta is below rounding.
     """
 
-    ordered: sp.csc_matrix
-    order: np.ndarray
+    rows: Rows
     rhs: np.ndarray
     boundary_values: np.ndarray
     mesh: TensorMesh
     block: np.ndarray | None = None
 
+    @property
+    def ordered(self) -> sp.csc_matrix:
+        return self.rows.stored(self.mesh.dof_map)[0]
+
+    @property
+    def order(self) -> np.ndarray:
+        return self.rows.stored(self.mesh.dof_map)[1]
+
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """A as CSR, derived on first access and kept: the entries of
-        ``ordered`` with rows and columns mapped through ``order``, taken in
-        the index dtype of ``ordered`` so that scipy converts no index."""
+        """A as CSR, derived on first access and kept, in the index dtype of
+        the rows so that scipy converts no index: while the rows are held,
+        a copy of their entries without the boundary slots (a derivation of
+        ``ordered`` overwrites them), and otherwise the entries of
+        ``ordered`` with rows and columns mapped through ``order``."""
+        values, columns = self.rows.values, self.rows.columns
+        if values is not None:
+            size = values.shape[0]
+            kept = columns < size
+            indptr = np.zeros(size + 1, dtype=columns.dtype)
+            np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
+            return sp.csr_matrix((values[kept], columns[kept], indptr), shape=(size, size))
         entries = self.ordered.tocoo()
         order = self.order.astype(self.ordered.indices.dtype)
         return sp.csr_matrix((entries.data, (order[entries.row], order[entries.col])),
                              shape=entries.shape)
 
 
-def stored_numbering(dof_map: DofMap):
-    """``order`` and the number of each edge dof in the stored system.
-
-    Interior dof ``order[k]`` (a natural interior index) is numbered k, its
-    place in the nested-dissection order, and boundary dof k is numbered
-    ``~k`` (= -1 - k), for k its place in ``dof_map.boundary``.
-    """
+def row_numbering(dof_map: DofMap):
+    """The column of each edge dof in a system's rows: interior dof
+    ``dof_map.interior[i]`` is numbered i, and boundary dof
+    ``dof_map.boundary[k]`` ``~k`` (= -1 - k), which the lift of its slots
+    reads before they are set to the boundary column N."""
     index = np.int32 if dof_map.count <= _INT32_MAX else np.int64
-    ids = nested_dissection(dof_map)
     number = np.empty(dof_map.count, dtype=index)
-    number[ids] = np.arange(ids.size, dtype=index)
+    number[dof_map.interior] = np.arange(dof_map.interior.size, dtype=index)
     number[dof_map.boundary] = ~np.arange(dof_map.boundary.size, dtype=index)
-    order = np.empty(ids.size, dtype=np.int64)
-    order[number[dof_map.interior]] = np.arange(ids.size)
-    return order, number
+    return number
+
+
+def stored_numbering(dof_map: DofMap):
+    """``order`` and ``place``, the nested-dissection order of the interior
+    dofs and its inverse, over natural interior indices.
+
+    Row k of ``SparseSystem.ordered`` is natural row ``order[k]``, and
+    natural index i is numbered ``place[i]`` in it.  ``place`` has one more
+    entry, ``place[N] = N``, so that the rows' boundary column stays last.
+    """
+    natural = row_numbering(dof_map)[nested_dissection(dof_map)]
+    place = np.empty(natural.size + 1, dtype=natural.dtype)
+    place[natural] = np.arange(natural.size, dtype=natural.dtype)
+    place[-1] = natural.size
+    return natural.astype(np.int64), place
 
 
 def boundary_averages(dof_map: DofMap, g) -> np.ndarray:
@@ -174,11 +234,10 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     Each coefficient is evaluated once over all elements; the batched
     :func:`kernels.local_operator` and :func:`kernels.load_vector` give the
     element blocks.  Each interior edge's row is gathered from its two
-    elements' blocks and ``conn`` numbers (:func:`_edge_rows`, numbered as
-    stored by :func:`stored_numbering`); the boundary columns times g move
-    to the right-hand side, and the rows give the stored matrix
-    (:func:`stored_matrix`).  Every sum runs in a fixed order, so assembly is
-    bit-reproducible.
+    elements' blocks and ``conn`` numbers (:func:`_edge_rows`, numbered by
+    :func:`row_numbering`); the boundary columns times g move to the
+    right-hand side, and the rows are stored as they are (:class:`Rows`).
+    Every sum runs in a fixed order, so assembly is bit-reproducible.
     """
     dof_map = enumerate_dofs(mesh)
     hx, hy, cx, cy, conn = element_arrays(mesh)
@@ -219,28 +278,28 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     g_b = boundary_averages(dof_map, problem.g)
     kernels.require_finite("g", g_b)
 
-    order, number = stored_numbering(dof_map)
-    values, columns = _edge_rows(local.reshape(mesh.ny, mesh.nx, 4, 4),
-                                 number[conn].reshape(mesh.ny, mesh.nx, 4))
+    number = row_numbering(dof_map)
+    planes = local.transpose(1, 2, 0).reshape(4, 4, mesh.ny, mesh.nx)  # no copy
+    values, columns = _edge_rows(planes, number[conn.T].reshape(4, mesh.ny, mesh.nx))
     # each row's boundary slots, in slot (dof id) order, summed from +0
     slots = np.flatnonzero(columns < 0)
     lift = values.ravel()[slots] * g_b[~columns.ravel()[slots]]
-    rhs = rhs[dof_map.interior] - np.bincount(slots // 7, lift, minlength=order.size)
-    ordered = stored_matrix(values, columns, order)
-    return SparseSystem(ordered, order, rhs, g_b, mesh, block)
+    rhs = rhs[dof_map.interior] - np.bincount(slots // 7, lift, minlength=values.shape[0])
+    columns.ravel()[slots] = values.shape[0]
+    return SparseSystem(Rows(values, columns), rhs, g_b, mesh, block)
 
 
 def stored_matrix(values, columns, order) -> sp.csc_matrix:
-    """``SparseSystem.ordered`` from (rows, 7) ``values`` and ``columns``, a row
-    per interior dof in natural order, numbered by :func:`stored_numbering`.
-    Both are overwritten: taken into stored order in place, so that no second
-    copy is held, with the boundary slots (column < 0) moved to an extra last
-    column.  scipy's ``csr_tocsc``, a counting sort by column, transposes the
-    rows, each column's rows ascending and the extra column last, cut off."""
+    """``SparseSystem.ordered`` from (N, 7) ``values`` and ``columns``, a row
+    per interior dof in natural order, each column the place of its dof in
+    ``order`` (:func:`stored_numbering`), or N for a boundary slot.  Both
+    are overwritten: taken into stored order in place, so that no second
+    copy is held.  scipy's ``csr_tocsc``, a counting sort by column,
+    transposes the rows, each column's rows ascending and the boundary
+    column last, cut off."""
     for rows in (values, columns):
         np.take(rows, order, axis=0, out=rows)  # buffered, as out is the input
     size = order.size
-    columns[columns < 0] = size
     indptr = np.arange(0, 7 * size + 1, 7, dtype=columns.dtype)
     csc = (np.empty(size + 2, indptr.dtype), np.empty_like(columns.ravel()),
            np.empty_like(values.ravel()))
@@ -283,7 +342,7 @@ _VERTICAL = (1, 0, (0, 1, 5, 2, 6, 3, 7))
 _HORIZONTAL = (3, 2, (0, 1, 4, 5, 2, 3, 7))
 
 
-def _edge_rows(blocks, numbers):
+def _edge_rows(planes, numbers):
     """Edge matrix rows in the tensor mesh's 7-slot template: (values, columns).
 
     Every interior edge has two elements, and its row is gathered from both:
@@ -292,25 +351,28 @@ def _edge_rows(blocks, numbers):
     the four horizontal edges of its two elements; a horizontal edge's row
     holds the same pattern turned 90 degrees.  Slots run in ascending dof
     id, and the diagonal is the sum of the two elements' entries.
-    ``blocks`` holds the (ny, nx, 4, 4) element blocks and ``numbers`` the
-    (ny, nx, 4) column numbers of each element's edges, ``number[conn]``.
-    Rows are the interior edges in dof order, shape (rows, 7).
+    ``planes`` holds the element blocks as (4, 4, ny, nx) planes, entry
+    (r, c) of every block in ``planes[r, c]``, and ``numbers`` the column
+    numbers of each element's edges as (4, ny, nx) planes, ``number[conn.T]``;
+    every slot is read from one plane, over contiguous elements.  Rows are
+    the interior edges in dof order, shape (rows, 7).
     """
-    ny, nx = blocks.shape[:2]
+    ny, nx = planes.shape[2:]
     values = np.empty((ny * (nx - 1) + (ny - 1) * nx, 7))
     columns = np.empty(values.shape, dtype=numbers.dtype)
     start = 0
     for (first_row, second_row, slots), first, second in (
             (_VERTICAL, np.s_[:, :-1], np.s_[:, 1:]), (_HORIZONTAL, np.s_[:-1, :], np.s_[1:, :])):
-        rows = (blocks[first + (first_row,)], blocks[second + (second_row,)])
-        row_numbers = (numbers[first], numbers[second])
-        shape = rows[0].shape[:2] + (7,)
+        rows = (planes[first_row][(slice(None),) + first],
+                planes[second_row][(slice(None),) + second])
+        row_numbers = (numbers[(slice(None),) + first], numbers[(slice(None),) + second])
+        shape = rows[0].shape[1:] + (7,)
         stop = start + shape[0] * shape[1]
         value, column = values[start:stop].reshape(shape), columns[start:stop].reshape(shape)
         for slot, e in enumerate(slots):
-            value[..., slot] = rows[e // 4][..., e % 4]
-            column[..., slot] = row_numbers[e // 4][..., e % 4]
-        value[..., slots.index(first_row)] += rows[1][..., second_row]  # the diagonal
+            value[..., slot] = rows[e // 4][e % 4]
+            column[..., slot] = row_numbers[e // 4][e % 4]
+        value[..., slots.index(first_row)] += rows[1][second_row]  # the diagonal
         start = stop
     return values, columns
 

@@ -10,8 +10,9 @@ divided by h^2, become the 5-point scheme with weights (4, -1, -1, -1, -1).
 
 The 7-point matrix equals the weak Galerkin one when alpha = 1, beta = 0,
 c = 0, and its assembler stays an independent oracle of it: it shares the
-dof numbering and the rows-to-CSC step (:func:`~swgfem.assembly.stored_matrix`),
-but slices its own neighbours and lifts its own boundary legs.
+dof numbering (:func:`~swgfem.assembly.row_numbering`) and the row layout
+(:class:`~swgfem.assembly.Rows`), but slices its own neighbours and lifts
+its own boundary legs.
 """
 
 from dataclasses import dataclass
@@ -20,11 +21,11 @@ import numpy as np
 
 from .assembly import (
     AssemblyConfig,
+    Rows,
     SparseSystem,
     assemble,
     boundary_averages,
-    stored_matrix,
-    stored_numbering,
+    row_numbering,
 )
 from .kernels import require_kappa
 from .mesh import enumerate_dofs, uniform_mesh
@@ -54,7 +55,7 @@ def stencil_weights(kappa: float) -> FdStencil:
 def _assemble_stencil(n, scheme, f, g):
     """Shared assembler: one row per interior edge midpoint, its 7 slots (the
     edge, its two flanking and its four crossing edges) sliced from the [j, i]
-    grids of the vertical and horizontal edges' stored numbers, and its
+    grids of the vertical and horizontal edges' row numbers, and its
     boundary legs moved to the right-hand side slot by slot.  ``scheme(h)``
     gives the stencil and the rhs scale at the step h = 1/n."""
     if n < 2:
@@ -64,18 +65,19 @@ def _assemble_stencil(n, scheme, f, g):
     dm = enumerate_dofs(mesh)
 
     g_b = boundary_averages(dm, g)
-    order, number = stored_numbering(dm)
+    number = row_numbering(dm)
 
     rhs = rhs_scale * f(*dm.midpoints[dm.interior].T) + np.zeros(dm.interior.size)
 
     v, h = number[:dm.n_vertical].reshape(n, n + 1), number[dm.n_vertical:].reshape(n + 1, n)
+    split = n * (n - 1)
     # v(i, j) couples v(i-1, j), v(i+1, j), h(i-1, j), h(i-1, j+1), h(i, j), h(i, j+1);
     # h(i, j) couples h(i, j-1), h(i, j+1), v(i, j-1), v(i+1, j-1), v(i, j), v(i+1, j)
-    columns = np.empty((order.size, 7), dtype=number.dtype)
+    columns = np.empty((dm.interior.size, 7), dtype=number.dtype)
     for rows, legs in (
-            (columns[:n * (n - 1)].reshape(n, n - 1, 7),
+            (columns[:split].reshape(n, n - 1, 7),
              (v[:, 1:-1], v[:, :-2], v[:, 2:], h[:-1, :-1], h[1:, :-1], h[:-1, 1:], h[1:, 1:])),
-            (columns[n * (n - 1):].reshape(n - 1, n, 7),
+            (columns[split:].reshape(n - 1, n, 7),
              (h[1:-1], h[:-2], h[2:], v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]))):
         for slot, leg in enumerate(legs):
             rows[..., slot] = leg
@@ -84,13 +86,19 @@ def _assemble_stencil(n, scheme, f, g):
     for slot in range(1, 7):  # the boundary legs, one slot after another
         lifted = np.flatnonzero(boundary[:, slot])
         rhs[lifted] -= weights[slot] * g_b[~columns[lifted, slot]]
-    ordered = stored_matrix(np.tile(weights, (order.size, 1)), columns, order)
+    columns[boundary] = dm.interior.size
+    # each row's slots by ascending dof id, as the rows of assemble hold them
+    values = np.empty(columns.shape)
+    for part, ascending in ((np.s_[:split], [1, 0, 2, 3, 5, 4, 6]),
+                            (np.s_[split:], [3, 4, 5, 6, 1, 0, 2])):
+        columns[part] = columns[part][:, ascending]
+        values[part] = np.take(weights, ascending)
     # each row sums the rows of one element block B in two elements: B's
     # diagonal is c2 / 2, its flanking entries c1 (= c3) and its crossing c4
     half, c1, c4 = 0.5 * stencil.c2, stencil.c1, stencil.c4
     block = np.array([[half, c1, c4, c4], [c1, half, c4, c4],
                       [c4, c4, half, c1], [c4, c4, c1, half]])
-    return SparseSystem(ordered, order, rhs, g_b, mesh, block)
+    return SparseSystem(Rows(values, columns), rhs, g_b, mesh, block)
 
 
 def assemble_fd7(n, kappa, f, g) -> SparseSystem:
@@ -123,8 +131,7 @@ def check_equivalence(n, kappa) -> EquivalenceReport:
     swg = assemble(uniform_mesh(n), problem, AssemblyConfig(kappa=kappa))
     fd = assemble_fd7(n, kappa, problem.f, problem.g)
 
-    # both systems live on uniform_mesh(n), so they share one stored order
-    diff = (swg.ordered - fd.ordered).tocoo()
+    diff = (swg.matrix - fd.matrix).tocoo()
     matrix_diff = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
     rhs_diff = float(np.max(np.abs(swg.rhs - fd.rhs))) if swg.rhs.size else 0.0
     return EquivalenceReport(matrix_diff=matrix_diff, rhs_diff=rhs_diff)

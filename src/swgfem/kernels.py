@@ -249,11 +249,12 @@ def local_operator(geom: ElementGeom, kappa, h_global, alpha_q, beta_q, c_value)
     and validates them, as :func:`sample_pairs` does.  Each entry sums the
     blocks in the order S, A, B, C (closed forms in the module docstring);
     the block stacks are built with the element axes last, so that every
-    array operation runs over contiguous elements.  B is skipped when beta
-    is zero at every Gauss point, C when c is zero on every element: with
-    kappa > 0 no entry of kappa*S + A is -0.0, so adding a block of (signed)
-    zeros changes no bit.  The kernels of single blocks call this with the
-    other coefficients, and kappa, set to zero.
+    array operation runs over contiguous elements, and the (..., 4, 4)
+    result is a view of those (4, 4, ...) planes, not a copy.  B is skipped
+    when beta is zero at every Gauss point, C when c is zero on every
+    element: with kappa > 0 no entry of kappa*S + A is -0.0, so adding a
+    block of (signed) zeros changes no bit.  The kernels of single blocks
+    call this with the other coefficients, and kappa, set to zero.
     """
     require_meshsize(h_global)
     hx, hy = geom.hx, geom.hy
@@ -280,4 +281,4 @@ def local_operator(geom: ElementGeom, kappa, h_global, alpha_q, beta_q, c_value)
         local[:, 1::2] += columns
     if reaction:
         local += (w * c_value) * _point_sums(s, s)
-    return np.ascontiguousarray(local.transpose(*range(2, local.ndim), 0, 1))
+    return local.transpose(*range(2, local.ndim), 0, 1)

@@ -27,17 +27,21 @@ second changed its bytes, cost more to wake than it saved, and spun on
 after the solve.  From n = 1024 one thread costs 10-30% (tc1, kappa = 4:
 2.1-2.2 against 1.8-2.1 s; n = 1600: 6.5 against 4.9 s).
 
-Every other system is factored.  Assembly stores each system once, as the
-CSC of P A P^T in the nested-dissection order of the tensor mesh
-(:func:`~swgfem.mesh.nested_dissection`), and :func:`solve` factors that
-matrix as stored: SuperLU keeps the order (``permc_spec="NATURAL"``), and
-no natural-order matrix or second copy is resident while it factors.  The
-order halves the factor against SuperLU's minimum-degree ordering of
-A^T A + A: 6.69 M against 13.4 M entries at 130,560 dofs.  Most of its
-supernodes are the small leaves of the dissection, so SuperLU runs with a
-panel of ``SUPERLU_PANEL`` columns instead of its default, which was tuned
-for long supernodes (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix
-Anal. Appl. 20 (1999) 720); that cuts the memory a solve adds by 30-38%.
+Every other system is factored.  Assembly stores each system as its
+natural-order rows (:class:`~swgfem.assembly.Rows`), and a transform solve
+reads nothing else.  The CSC of P A P^T, in the nested-dissection order of
+the tensor mesh (:func:`~swgfem.mesh.nested_dissection`), is derived from
+the rows once, in place, when a solve that factors or refines first reads
+it (``SparseSystem.ordered``), and the rows are dropped.  :func:`solve`
+factors that matrix as stored: SuperLU keeps the order
+(``permc_spec="NATURAL"``), and no natural-order matrix or second copy is
+resident while it factors.  The order halves the factor against SuperLU's
+minimum-degree ordering of A^T A + A: 6.69 M against 13.4 M entries at
+130,560 dofs.  Most of its supernodes are the small leaves of the
+dissection, so SuperLU runs with a panel of ``SUPERLU_PANEL`` columns
+instead of its default, which was tuned for long supernodes (Demmel,
+Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20 (1999) 720);
+that cuts the memory a solve adds by 30-38%.
 
 Before it factors, :func:`solve` checks that the factor, predicted from its
 exact entry count in that order (:func:`~swgfem.mesh.factor_entries`), fits
@@ -47,15 +51,17 @@ on the unit square from n = 1562 (4.9 M dofs) with 8 GiB.  A solve from B
 needs no check.
 
 Every solve checks the returned vector independently of solver internals
-by its normwise backward error, in the stored order (Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 7).  B is taken from one element,
-and this check alone decides whether it fits the others: the stored blocks
-may differ from it by a few ulps (``mesh_for``'s steps are not all equal in
-floating point), so a transform solve that misses the tolerance takes one
-step of refinement against the stored matrix (fd2 at kappa = 0.7, n = 1000:
-from 77 to 1.1 eps, for 0.4 s), as every Schur solve does (tc1 at n = 260:
-from 20 to 0.8 eps, and its H1 error from 9.5e-11 to 1.9e-12), and one
-that still misses it is discarded and the system factored.
+by its normwise backward error (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 7): a first transform solve against the rows in
+the natural order, a refined or factored solve against the stored matrix
+in the stored order.  B is taken from one element, and this check alone
+decides whether it fits the others: the stored blocks may differ from it by
+a few ulps (``mesh_for``'s steps are not all equal in floating point), so a
+transform solve that misses the tolerance takes one step of refinement
+against the stored matrix (fd2 at kappa = 0.7, n = 1000: from 77 to 1.1
+eps, for 0.4 s), as every Schur solve does (tc1 at n = 260: from 20 to 0.8
+eps, and its H1 error from 9.5e-11 to 1.9e-12), and one that still misses
+it is discarded and the system factored.
 """
 
 import contextlib
@@ -72,7 +78,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from scipy.sparse import _sparsetools
 
-from .assembly import SparseSystem
+from .assembly import Rows, SparseSystem
 from .errors import OutOfMemory, SingularMatrix
 from .mesh import factor_entries
 
@@ -150,11 +156,11 @@ def check_memory(nx: int, ny: int) -> None:
 def _release_free_heap(dofs):
     """Hand the allocator's free heap pages back to the OS before a factorization.
 
-    Assembly leaves its temporaries, the 7-slot rows among them, as
-    free heap, whose pages stay resident.  SuperLU's work arrays and its growing L and U
-    storage reuse free blocks only when one is large enough and otherwise
-    take fresh mappings, so those resident pages add to the factorization's
-    peak.  Released, the peak RSS of an fd1 n=340 solve on its own fell from
+    Assembly and the derivation of the stored matrix leave their
+    temporaries, the 7-slot rows among them, as free heap, whose pages stay
+    resident.  SuperLU's work arrays and its growing L and U storage reuse
+    free blocks only when one is large enough and otherwise take fresh
+    mappings, so those resident pages add to the factorization's peak.  Released, the peak RSS of an fd1 n=340 solve on its own fell from
     296 to 273 MiB in 3 of 3 runs.  The placement of each allocation also
     depends on how earlier allocations fragmented the heap, which differs
     between runs of the same code; the release makes both placements cost
@@ -165,17 +171,30 @@ def _release_free_heap(dofs):
 
 
 def _matvec(matrix, x, data=None):
-    """``matrix @ x`` for a square CSC matrix, with ``data`` in place of its
-    entries if given, by the kernel behind scipy's operator but without its
-    dispatch: each row sums its terms from 0 in storage order."""
+    """``matrix @ x``, with ``data`` in place of its entries if given, by the
+    kernel behind scipy's operator but without its dispatch.  ``matrix`` is
+    a square CSC matrix, each row summing its terms from 0 in storage order,
+    or a system's :class:`~swgfem.assembly.Rows`, read as an N x (N+1) CSR,
+    each row summing its 7 slots from 0 in order, the boundary column
+    meeting an entry 0 appended to x."""
     out = np.zeros(x.size)
-    _sparsetools.csc_matvec(x.size, x.size, matrix.indptr, matrix.indices,
-                            matrix.data if data is None else data, x, out)
+    if isinstance(matrix, Rows):
+        columns = matrix.columns.ravel()
+        indptr = np.arange(0, columns.size + 1, 7, dtype=columns.dtype)
+        _sparsetools.csr_matvec(x.size, x.size + 1, indptr, columns,
+                                (matrix.values if data is None else data).ravel(),
+                                np.append(x, 0.0), out)
+    else:
+        _sparsetools.csc_matvec(x.size, x.size, matrix.indptr, matrix.indices,
+                                matrix.data if data is None else data, x, out)
     return out
 
 
 def _inf_norm(matrix) -> float:
-    """Largest absolute row sum of a square CSC matrix that stores an entry."""
+    """Largest absolute row sum of a square CSC matrix that stores an entry,
+    or of a system's rows without their boundary column."""
+    if isinstance(matrix, Rows):
+        return _matvec(matrix, np.ones(matrix.values.shape[0]), np.abs(matrix.values)).max()
     return _matvec(matrix, np.ones(matrix.shape[0]), np.abs(matrix.data)).max()
 
 
@@ -390,15 +409,16 @@ def _decomposition_solver(system):
     return solve
 
 
-def _backward_error(ordered, rhs, y) -> float:
-    """|b - Ay|_inf / (|A|_inf |y|_inf + |b|_inf) in the stored order, 0 when
-    b = Ay = 0, and inf when y holds a NaN or inf."""
+def _backward_error(matrix, rhs, y) -> float:
+    """|b - Ay|_inf / (|A|_inf |y|_inf + |b|_inf) for A the stored matrix and
+    y and b in the stored order, or for A a system's rows and y and b in the
+    natural order; 0 when b = Ay = 0, and inf when y holds a NaN or inf."""
     y_max = np.abs(y).max()
     if not math.isfinite(y_max):
         return math.inf
-    r = _matvec(ordered, y) - rhs
+    r = _matvec(matrix, y) - rhs
     # no BLAS ddot: its threads spin on past the call and slow the next factor
-    scale = _inf_norm(ordered) * y_max + np.abs(rhs).max()
+    scale = _inf_norm(matrix) * y_max + np.abs(rhs).max()
     return np.abs(r).max() / scale if scale > 0 else 0.0
 
 
@@ -420,35 +440,43 @@ def solve(system: SparseSystem) -> Solution:
     """Solve ``system``, check its normwise backward error (SingularMatrix past
     ``DIRECT_BACKWARD_TOL``) and merge boundary values into a full edge vector.
 
-    A system with a ``block`` is solved from it, refined once if that solve
-    misses the tolerance and always after a Schur solve; if it misses it
-    still, or the system has no block, it is factored after :func:`check_memory`."""
-    ordered, order = system.ordered, system.order
-    y = np.zeros(0)
-    if ordered.shape[0]:
+    A system with a ``block`` is solved from it, its first solve judged
+    against the rows while they are held; it is refined once, in the stored
+    order, if that solve misses the tolerance, and always after a Schur
+    solve.  If it misses it still, or the system has no block, it is
+    factored after :func:`check_memory`."""
+    y = np.empty(system.rhs.size)  # in natural order
+    if y.size:
         backward = math.inf
         structured, refine = _structured_solver(system)
         if structured is not None:
-            rhs, y = system.rhs[order], structured(system.rhs)[order]
-            backward = math.inf if refine else _backward_error(ordered, rhs, y)
+            y = structured(system.rhs)
+            if not refine and system.rows.values is not None:
+                backward = _backward_error(system.rows, system.rhs, y)
+            elif not refine:  # rows dropped by an earlier read of ordered
+                order = system.order
+                backward = _backward_error(system.ordered, system.rhs[order], y[order])
             if not backward <= DIRECT_BACKWARD_TOL:  # one step of refinement
+                ordered, order = system.ordered, system.order
+                rhs, stored = system.rhs[order], y[order]
                 residual = np.empty_like(rhs)
-                residual[order] = rhs - _matvec(ordered, y)
-                y = y + structured(residual)[order]
-                backward = _backward_error(ordered, rhs, y)
+                residual[order] = rhs - _matvec(ordered, stored)
+                y[order] = stored = stored + structured(residual)[order]
+                backward = _backward_error(ordered, rhs, stored)
         if not backward <= DIRECT_BACKWARD_TOL:
             check_memory(system.mesh.nx, system.mesh.ny)
-            rhs, y = _factor_and_solve(system)
-            backward = _backward_error(ordered, rhs, y)
+            rhs, stored = _factor_and_solve(system)
+            backward = _backward_error(system.ordered, rhs, stored)
             if backward == math.inf:
                 raise SingularMatrix("factorization produced non-finite values")
             if backward > DIRECT_BACKWARD_TOL:
                 raise SingularMatrix(
                     f"direct solve left normwise backward error {backward:.3e}"
                 )
+            y[system.order] = stored
 
     dof_map = system.mesh.dof_map
     values = np.empty(dof_map.count)
     values[dof_map.boundary] = system.boundary_values
-    values[dof_map.interior[order]] = y
+    values[dof_map.interior] = y
     return Solution(values=values)

@@ -488,7 +488,9 @@ def sign_values(pid):
                     v = rng.uniform(-1.0, 1.0, 4)
                     value = sign_inequality_value(element_geometry(mesh, i, j), kappa, mesh.h,
                                                   problem, v)
-                    yield value, v, blocks[j * mesh.nx + i]
+                    # a contiguous copy, as numpy multiplies the strided
+                    # view by a loop of its own, whose sums round otherwise
+                    yield value, v, blocks[j * mesh.nx + i].copy()
 
 
 def sign_values_digest(pid):

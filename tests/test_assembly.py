@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 from swgfem.analysis import kappa_condition, sign_inequality_value
 from swgfem.assembly import (
     AssemblyConfig,
+    Rows,
     SparseSystem,
     _edge_rows,
     assemble,
     boundary_averages,
     dump_matrix,
+    row_numbering,
     sample_coefficients,
     stored_numbering,
 )
@@ -227,9 +230,12 @@ class TestEdgeRows:
     @pytest.mark.parametrize("label", MESHES)
     def test_numbers_boundary_edge_k_as_inverted_k(self, label):
         dm = enumerate_dofs(build_tensor_mesh(*self.MESHES[label]))
-        order, number = stored_numbering(dm)
+        number = row_numbering(dm)
         assert np.array_equal(number[dm.boundary], ~np.arange(dm.boundary.size))
-        assert np.array_equal(number[dm.interior[order]], np.arange(order.size))
+        assert np.array_equal(number[dm.interior], np.arange(dm.interior.size))
+        order, place = stored_numbering(dm)
+        assert np.array_equal(place[order], np.arange(order.size))
+        assert place[-1] == order.size  # the boundary column stays last
 
     @pytest.mark.parametrize("label", ["6x6", "12x3", "12x1", "1x12", "random"])
     def test_order_is_the_interior_place_of_each_dissection_id(self, label):
@@ -248,13 +254,13 @@ class TestEdgeRows:
     def test_columns_are_the_edges_of_the_rows_two_elements(self, label, rng):
         mesh = build_tensor_mesh(*self.MESHES[label])
         dm, conn = enumerate_dofs(mesh), element_arrays(mesh)[4]
-        order, number = stored_numbering(dm)
-        blocks = rng.normal(size=(mesh.ny, mesh.nx, 4, 4))
-        _, columns = _edge_rows(blocks, number[conn].reshape(mesh.ny, mesh.nx, 4))
+        number = row_numbering(dm)
+        planes = rng.normal(size=(4, 4, mesh.ny, mesh.nx))
+        _, columns = _edge_rows(planes, number[conn.T].reshape(4, mesh.ny, mesh.nx))
         assert columns.shape == (dm.interior.size, 7)
-        # every column decodes to an edge: an interior one by its place in
-        # order, a boundary one by ~k
-        edges = np.where(columns >= 0, dm.interior[order][np.maximum(columns, 0)],
+        # every column decodes to an edge: an interior one by its natural
+        # interior index, a boundary one by ~k
+        edges = np.where(columns >= 0, dm.interior[np.maximum(columns, 0)],
                          dm.boundary[~np.minimum(columns, -1)])
         for edge, row in zip(dm.interior, edges):
             elements = conn[(conn == edge).any(axis=1)]
@@ -450,11 +456,11 @@ class TestScatterOracle:
 class TestDumpBytes:
     @staticmethod
     def _with_data(system, data):
-        matrix = sp.csr_matrix((data, system.matrix.indices, system.matrix.indptr),
-                               shape=system.matrix.shape)
-        order = system.order
-        return SparseSystem(matrix[order][:, order].tocsc(), order, system.rhs,
-                            system.boundary_values, system.mesh)
+        # the rows' slots of A's entries, row by row, hold them in CSR order
+        values, columns = system.rows.values.copy(), system.rows.columns.copy()
+        values[columns < values.shape[0]] = data
+        return SparseSystem(Rows(values, columns), system.rhs, system.boundary_values,
+                            system.mesh)
 
     @classmethod
     def _system(cls, case):
@@ -593,3 +599,44 @@ class TestGoldenSystems:
 
     def test_every_case_is_pinned(self):
         assert len(GOLDEN_SYSTEMS) == len(PROBLEM_IDS) * len(GOLDEN_MESHES) + len(GOLDEN_FD)
+
+
+def assert_derived_from_rows(system):
+    """``order`` and ``ordered``, derived from the rows on first read, equal an
+    independent build from :func:`stored_numbering` and the natural matrix
+    byte for byte; the natural matrix read from the rows equals the one read
+    from ``ordered``; and once ``ordered`` is read no reference to the rows
+    is left."""
+    natural = system.matrix  # from the rows
+    assert system.rows.values is not None
+    held = [weakref.ref(a) for a in (system.rows.values, system.rows.columns)]
+    copy = dataclasses.replace(system)  # shares the rows, holds no matrix
+    order, _ = stored_numbering(system.mesh.dof_map)
+    want = natural[order][:, order].tocsc()
+    ordered = system.ordered
+    assert [ref() for ref in held] == [None, None]
+    assert system.rows.values is None and system.rows.columns is None
+    assert_same_bytes("order", system.order, order)
+    for name in ("indptr", "indices", "data"):
+        assert_same_bytes(name, getattr(ordered, name), getattr(want, name))
+    assert "matrix" not in vars(copy) and copy.ordered is ordered
+    for name in ("indptr", "indices", "data"):
+        assert_same_bytes(f"matrix {name}", getattr(copy.matrix, name), getattr(natural, name))
+
+
+class TestDerivedFromRows:
+    @pytest.mark.parametrize("case", [f"{pid}-{label}" for pid in PROBLEM_IDS
+                                      for label in GOLDEN_MESHES] + list(GOLDEN_FD))
+    def test_golden_systems(self, case):
+        for system in golden_systems(case):
+            assert_derived_from_rows(system)
+
+    @settings(max_examples=40)
+    @given(pid=st.sampled_from(list(ORACLE_PROBLEMS)), kappa=st.sampled_from([0.7, 4.0]),
+           x_widths=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=12),
+           y_widths=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=12))
+    def test_random_breaks(self, pid, kappa, x_widths, y_widths):
+        problem = ORACLE_PROBLEMS[pid]
+        x0, x1, y0, y1 = problem.domain
+        mesh = build_tensor_mesh(scaled_breaks(x_widths, x0, x1), scaled_breaks(y_widths, y0, y1))
+        assert_derived_from_rows(assemble(mesh, problem, AssemblyConfig(kappa=kappa)))

@@ -14,14 +14,17 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import swgfem.assembly
 import swgfem.fd
+import swgfem.mesh
 import swgfem.solver
 from swgfem.analysis import discrete_h1_error, discrete_l2_error, solve_problem
-from swgfem.assembly import AssemblyConfig, SparseSystem, assemble, stored_numbering
+from swgfem.cli import main as cli_main
+from swgfem.assembly import AssemblyConfig, Rows, SparseSystem, assemble, stored_numbering
 from swgfem.errors import NonFiniteData, OutOfMemory, SingularMatrix
 from swgfem.mesh import (
     DofMap,
@@ -84,9 +87,12 @@ def identity_system(rhs):
     mesh = uniform_mesh(2)
     dm = enumerate_dofs(mesh)
     assert dm.interior.size == rhs.size
-    order, _ = stored_numbering(dm)
-    return SparseSystem(
-        sp.identity(rhs.size, format="csc"), order, rhs, np.zeros(dm.boundary.size), mesh)
+    # the diagonal in slot 0; the other slots in the boundary column
+    values = np.zeros((rhs.size, 7))
+    values[:, 0] = 1.0
+    columns = np.full((rhs.size, 7), rhs.size, dtype=np.int32)
+    columns[:, 0] = np.arange(rhs.size)
+    return SparseSystem(Rows(values, columns), rhs, np.zeros(dm.boundary.size), mesh)
 
 
 class TestSolve:
@@ -168,9 +174,9 @@ class TestSolve:
     def test_singular_matrix(self):
         mesh = uniform_mesh(2)
         dm = enumerate_dofs(mesh)
-        order, _ = stored_numbering(dm)
-        system = SparseSystem(
-            sp.csc_matrix((4, 4)), order, np.ones(4), np.zeros(dm.boundary.size), mesh)
+        # every slot in the boundary column: A stores no entry
+        rows = Rows(np.zeros((4, 7)), np.full((4, 7), 4, dtype=np.int32))
+        system = SparseSystem(rows, np.ones(4), np.zeros(dm.boundary.size), mesh)
         with pytest.raises(SingularMatrix):
             solve(system)
 
@@ -219,7 +225,8 @@ class TestSolve:
         assert 1 <= SUPERLU_RELAX <= SUPERLU_PANEL
 
     def test_auto_refuses_before_ordering_or_factoring(self, monkeypatch):
-        # the system is ordered once, at assembly; no solve orders it again
+        # a system is ordered only by a solve that factors or refines it, and
+        # the memory check comes before the order
         orders = []
         ordering = swgfem.assembly.nested_dissection
 
@@ -233,14 +240,14 @@ class TestSolve:
         monkeypatch.setattr(swgfem.assembly, "nested_dissection", spy)
         problem = get_problem("tc2")
         system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
-        assert orders == [system.mesh.dof_map]
+        assert orders == []
         monkeypatch.setattr(swgfem.solver, "DIRECT_MEMORY_SHARE", 1e-12)
         monkeypatch.setattr(spla, "splu", no_lu)
         with pytest.raises(OutOfMemory) as exc:
             solve(system)
         assert exc.value.dofs == system.matrix.shape[0]
         assert exc.value.predicted_bytes > exc.value.budget_bytes
-        assert orders == [system.mesh.dof_map]
+        assert orders == []
 
     def test_auto_solves_by_transform_past_the_factor_budget(self, monkeypatch, factor_calls):
         # a transform solve factors nothing, so the memory check does not apply
@@ -747,6 +754,78 @@ class TestResidency:
             assert alive() is None
         finally:
             gc.enable()
+
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """The calls of ``nested_dissection`` and scipy's ``csr_tocsc`` while a test runs."""
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def called(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, called)
+
+    for module in (swgfem.mesh, swgfem.assembly):
+        spy(module, "nested_dissection")
+    spy(_sparsetools, "csr_tocsc")
+    return calls
+
+
+def off_diagonal_system():
+    """fd2 at n = 8 whose block's diagonal is 1e-12 off the stored blocks, as
+    in ``test_missed_tolerance_is_refined_once``, sharing the rows of fd2."""
+    problem = get_problem("fd2")
+    system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
+    return dataclasses.replace(system, block=system.block * np.where(np.eye(4), 1 + 1e-12, 1.0))
+
+
+def nonuniform_fd2():
+    mesh = build_tensor_mesh([0.0, 0.1, 0.35, 0.4, 0.8, 1.0], [0.0, 0.3, 0.45, 0.9, 1.0])
+    return assemble(mesh, get_problem("fd2"), AssemblyConfig(kappa=4.0))
+
+
+class TestRouteCost:
+    """A solve by sine transforms builds no nested-dissection order and no
+    CSC; a solve that refines or factors derives both from the rows once."""
+
+    @pytest.mark.parametrize("pid", ["fd1", "fd2", "tc3"])
+    def test_transform_solve_derives_nothing(self, pid, derivations, factor_calls):
+        _, system, _ = solve_problem(get_problem(pid), 16, 4.0)
+        assert system.block is not None and factor_calls == []
+        assert derivations == []
+
+    @pytest.mark.parametrize("build", [assemble_fd5, assemble_fd7], ids=["fd5", "fd7"])
+    def test_stencil_solve_derives_nothing(self, build, derivations):
+        solve(build(16))
+        assert derivations == []
+
+    def test_dump_and_equiv_derive_nothing(self, derivations, tmp_path, capsys):
+        dump = tmp_path / "matrix.txt"
+        assert cli_main(["run", "--problem", "fd2", "--kappa", "4", "--ns", "8",
+                         "--dump-matrix", str(dump)]) == 0
+        assert cli_main(["equiv", "--n", "8", "--kappa", "4"]) == 0
+        assert dump.stat().st_size and derivations == []
+
+    @pytest.mark.parametrize("build", [
+        lambda: assemble_tc1(16),  # refined after its Schur solve
+        lambda: assemble(mesh_for(get_problem("tc2"), 16), get_problem("tc2"),
+                         AssemblyConfig(kappa=4.0)),
+        nonuniform_fd2,
+        off_diagonal_system,  # refined after its transform solve
+    ], ids=["tc1", "tc2", "fd2-nonuniform", "block-offset"])
+    def test_refined_or_factored_solve_derives_once(self, build, derivations):
+        system = build()
+        assert derivations == []
+        solve(system)
+        assert derivations == ["nested_dissection", "csr_tocsc"]
+        solve(system)
+        assert system.ordered.shape == system.matrix.shape and system.order.size
+        assert derivations == ["nested_dissection", "csr_tocsc"]
 
 
 ND_MESHES = {
