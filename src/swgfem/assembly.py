@@ -13,9 +13,9 @@ whose column times g has moved to the right-hand side.  A sine-transform
 solve reads nothing else.  A solve that factors or refines reads the CSC of
 P A P^T, for the natural-order operator A over the interior dofs and their
 nested-dissection order P (:func:`~swgfem.mesh.nested_dissection`); that
-matrix is derived from the rows once, in place, when first read
-(``SparseSystem.ordered``), and the rows are then dropped, so one copy stays
-resident.  A itself, as CSR, is derived on first use (``SparseSystem.matrix``)
+matrix is derived from the rows once, into their own buffers, when first
+read (``SparseSystem.ordered``), and the rows are then dropped, so one copy
+stays resident.  A itself, as CSR, is derived on first use (``SparseSystem.matrix``)
 for the matrix dump and other readers of the natural order.
 
 When every element block is one block B, as for constant alpha, beta and c
@@ -106,9 +106,10 @@ class Rows:
     column is the natural interior index of its dof, or N for a boundary
     edge, whose entry belongs to no column of A (its column times g is on
     the right-hand side).  :meth:`stored` derives ``(ordered, order)`` of
-    :class:`SparseSystem` from them once, in place, and drops them.  The
-    copies of a system that ``dataclasses.replace`` makes share its
-    ``Rows``, so no copy reads rows that a derivation has overwritten.
+    :class:`SparseSystem` from them once, into their buffers, and drops
+    them.  The copies of a system that ``dataclasses.replace`` makes share
+    its ``Rows``, so no copy reads rows that a derivation has overwritten.
+    The first read is not guarded against a second thread reading at once.
     """
 
     def __init__(self, values, columns):
@@ -116,13 +117,12 @@ class Rows:
         self._stored = None
 
     def stored(self, dof_map: DofMap):
-        """``(ordered, order)``: the columns mapped to their places in the
-        :func:`stored_numbering` of ``dof_map``, then :func:`stored_matrix`."""
+        """``(ordered, order)``: :func:`stored_matrix` of the rows in the
+        :func:`stored_numbering` of ``dof_map``."""
         if self._stored is None:
             order, place = stored_numbering(dof_map)
-            np.take(place, self.columns, out=self.columns)
-            self._stored = stored_matrix(self.values, self.columns, order), order
-            self.values = self.columns = None
+            rows, self.values, self.columns = (self.values, self.columns), None, None
+            self._stored = stored_matrix(*rows, order, place), order
         return self._stored
 
 
@@ -289,21 +289,20 @@ def assemble(mesh: TensorMesh, problem: ProblemSpec, config: AssemblyConfig) -> 
     return SparseSystem(Rows(values, columns), rhs, g_b, mesh, block)
 
 
-def stored_matrix(values, columns, order) -> sp.csc_matrix:
-    """``SparseSystem.ordered`` from (N, 7) ``values`` and ``columns``, a row
-    per interior dof in natural order, each column the place of its dof in
-    ``order`` (:func:`stored_numbering`), or N for a boundary slot.  Both
-    are overwritten: taken into stored order in place, so that no second
-    copy is held.  scipy's ``csr_tocsc``, a counting sort by column,
-    transposes the rows, each column's rows ascending and the boundary
-    column last, cut off."""
-    for rows in (values, columns):
-        np.take(rows, order, axis=0, out=rows)  # buffered, as out is the input
+def stored_matrix(values, columns, order, place) -> sp.csc_matrix:
+    """``SparseSystem.ordered`` from the (N, 7) ``values`` and ``columns`` of
+    :class:`Rows` and the ``order`` and ``place`` of :func:`stored_numbering`.
+    The rows are gathered into stored order, each column mapped to its place,
+    and scipy's ``csr_tocsc``, a counting sort by column, transposes them
+    into the buffers of ``values`` and ``columns``, which it overwrites, so
+    that no second copy outlives the call: each column's rows ascending, and
+    the boundary column last, cut off."""
+    rows = (np.take(place, np.take(columns, order, axis=0)).ravel(),
+            np.take(values, order, axis=0).ravel())
     size = order.size
     indptr = np.arange(0, 7 * size + 1, 7, dtype=columns.dtype)
-    csc = (np.empty(size + 2, indptr.dtype), np.empty_like(columns.ravel()),
-           np.empty_like(values.ravel()))
-    _sparsetools.csr_tocsc(size, size + 1, indptr, columns.ravel(), values.ravel(), *csc)
+    csc = (np.empty(size + 2, indptr.dtype), columns.ravel(), values.ravel())
+    _sparsetools.csr_tocsc(size, size + 1, indptr, *rows, *csc)
     nnz = csc[0][size]
     ordered = sp.csc_matrix((csc[2][:nnz], csc[1][:nnz], csc[0][:size + 1]), shape=(size, size))
     ordered.has_canonical_format = True  # sorted, one entry per pair

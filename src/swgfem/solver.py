@@ -31,9 +31,9 @@ Every other system is factored.  Assembly stores each system as its
 natural-order rows (:class:`~swgfem.assembly.Rows`), and a transform solve
 reads nothing else.  The CSC of P A P^T, in the nested-dissection order of
 the tensor mesh (:func:`~swgfem.mesh.nested_dissection`), is derived from
-the rows once, in place, when a solve that factors or refines first reads
-it (``SparseSystem.ordered``), and the rows are dropped.  :func:`solve`
-factors that matrix as stored: SuperLU keeps the order
+the rows once, into their buffers, when a solve that factors or refines
+first reads it (``SparseSystem.ordered``), and the rows are dropped.
+:func:`solve` factors that matrix as stored: SuperLU keeps the order
 (``permc_spec="NATURAL"``), and no natural-order matrix or second copy is
 resident while it factors.  The order halves the factor against SuperLU's
 minimum-degree ordering of A^T A + A: 6.69 M against 13.4 M entries at
@@ -157,11 +157,12 @@ def _release_free_heap(dofs):
     """Hand the allocator's free heap pages back to the OS before a factorization.
 
     Assembly and the derivation of the stored matrix leave their
-    temporaries, the 7-slot rows among them, as free heap, whose pages stay
-    resident.  SuperLU's work arrays and its growing L and U storage reuse
-    free blocks only when one is large enough and otherwise take fresh
-    mappings, so those resident pages add to the factorization's peak.  Released, the peak RSS of an fd1 n=340 solve on its own fell from
-    296 to 273 MiB in 3 of 3 runs.  The placement of each allocation also
+    temporaries, the 7-slot rows gathered into stored order among them, as
+    free heap, whose pages stay resident.  SuperLU's work arrays and its
+    growing L and U storage reuse free blocks only when one is large enough
+    and otherwise take fresh mappings, so those resident pages add to the
+    factorization's peak.  Released, the peak RSS of an fd1 n=340 solve on
+    its own fell from 296 to 273 MiB in 3 of 3 runs.  The placement of each allocation also
     depends on how earlier allocations fragmented the heap, which differs
     between runs of the same code; the release makes both placements cost
     the same resident memory, so the peak no longer varies with it.
@@ -445,8 +446,8 @@ def solve(system: SparseSystem) -> Solution:
     order, if that solve misses the tolerance, and always after a Schur
     solve.  If it misses it still, or the system has no block, it is
     factored after :func:`check_memory`."""
-    y = np.empty(system.rhs.size)  # in natural order
-    if y.size:
+    y = np.zeros(0)  # the solution, in natural order
+    if system.rhs.size:
         backward = math.inf
         structured, refine = _structured_solver(system)
         if structured is not None:
@@ -473,6 +474,7 @@ def solve(system: SparseSystem) -> Solution:
                 raise SingularMatrix(
                     f"direct solve left normwise backward error {backward:.3e}"
                 )
+            y = np.empty_like(stored)  # allocated once the factor is freed
             y[system.order] = stored
 
     dof_map = system.mesh.dof_map
