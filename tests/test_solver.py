@@ -756,7 +756,6 @@ class TestResidency:
             gc.enable()
 
 
-
 @pytest.fixture
 def derivations(monkeypatch):
     """The calls of ``nested_dissection`` and scipy's ``csr_tocsc`` while a test runs."""
@@ -804,7 +803,7 @@ class TestRouteCost:
         solve(build(16))
         assert derivations == []
 
-    def test_dump_and_equiv_derive_nothing(self, derivations, tmp_path, capsys):
+    def test_dump_and_equiv_derive_nothing(self, derivations, tmp_path):
         dump = tmp_path / "matrix.txt"
         assert cli_main(["run", "--problem", "fd2", "--kappa", "4", "--ns", "8",
                          "--dump-matrix", str(dump)]) == 0
