@@ -150,7 +150,9 @@ def dmp_check(solution: Solution, mesh: TensorMesh, c_nonneg: bool) -> DmpReport
     """Compare the interior midpoint maximum against the boundary bound.
 
     The bound is the boundary maximum, clipped at zero when the reaction
-    coefficient is nonnegative rather than identically zero.
+    coefficient is nonnegative rather than identically zero.  A mesh with no
+    interior edge (one element) reports interior_max -inf and margin inf,
+    and is satisfied; ``swg dmp`` refuses such a mesh.
     """
     dm = enumerate_dofs(mesh)
     vals = solution.values

@@ -9,8 +9,8 @@ values move to the right-hand side.
 Each system is stored as its rows, in natural order: row i holds the 7
 slots of the interior dof with natural interior index i (:func:`_edge_rows`),
 each slot's column that index, or one extra column N for a boundary edge,
-whose column times g has moved to the right-hand side.  A sine-transform
-solve reads nothing else.  A solve that factors or refines reads the CSC of
+whose column times g has moved to the right-hand side.  A solve from the
+shared block (below) reads nothing else.  A solve that factors reads the CSC of
 P A P^T, for the natural-order operator A over the interior dofs and their
 nested-dissection order P (:func:`~swgfem.mesh.nested_dissection`); that
 matrix is derived from the rows once, into their own buffers, when first
@@ -129,7 +129,7 @@ class Rows:
 @dataclass(frozen=True)
 class SparseSystem:
     """Assembled sparse system over the interior edge dofs, stored as natural-order
-    :class:`Rows` until a solve factors or refines it.
+    :class:`Rows` until a solve factors it.
 
     ``ordered`` is the CSC of P A P^T, where A is the operator over the
     interior dofs in their natural order and ``order`` the nested-dissection

@@ -11,6 +11,7 @@ byte-identical files.
 import argparse
 import functools
 import os
+import re
 import sys
 
 from . import analysis, fd
@@ -197,7 +198,10 @@ def cmd_dmp(args):
         if not args.ns:
             print("pass --ns or explicit breaks", file=sys.stderr)
             return 2
-        meshes = ((n, mesh_for(problem, n)) for n in args.ns)
+        meshes = [(n, mesh_for(problem, n)) for n in args.ns]
+    if any(mesh.nx == mesh.ny == 1 for _, mesh in meshes):
+        print("a mesh of one element has no interior edge to check", file=sys.stderr)
+        return 2
 
     def check(mesh):  # the system dies on return, before the next one is assembled
         system = assemble(mesh, problem, AssemblyConfig(kappa=args.kappa))
@@ -266,6 +270,8 @@ def build_parser():
     p_dmp.add_argument("--ns", type=_parse_ns, default=None)
     p_dmp.add_argument("--x-breaks", type=_parse_breaks, default=None)
     p_dmp.add_argument("--y-breaks", type=_parse_breaks, default=None)
+    # a value such as -1,-1 or -2e-1 is a value, as argparse takes -1 to be
+    p_dmp._negative_number_matcher = re.compile(r"^-\.?\d")
     p_dmp.set_defaults(fn=cmd_dmp)
 
     p_eq = add_parser("equiv", help="weak Galerkin vs 7-point identity check")

@@ -17,23 +17,22 @@ DST-II the second, and likewise along y with the roles swapped; each mode
 (k, l) then couples one vertical and one horizontal coefficient by a 2 x 2
 system (:func:`_transform_solve`).  The transforms run through
 ``numpy.fft``, which ``import numpy`` has already loaded, in
-O(dofs log dofs) time and a few copies of the rhs in memory: ``solve`` of
-fd1 at n = 340 (230,520 dofs) took 40 ms, against 743 ms factored.  Every
-other B (beta != 0) takes one Schur decomposition of a dense nx x nx matrix
-and a tridiagonal solve per column (:func:`_decomposition_solver`): tc1 at
-n = 260 took 0.085 s at kappa = 4, against 0.44 s factored.  It runs
+O(dofs log dofs) time and a few copies of the rhs in memory.  Every other B
+(beta != 0) takes one Schur decomposition of a dense nx x nx matrix and a
+tridiagonal solve per column (:func:`_decomposition_solver`).  It runs
 numpy's and scipy's OpenBLAS on one thread (:func:`_one_blas_thread`): a
 second changed its bytes, cost more to wake than it saved, and spun on
-after the solve.  From n = 1024 one thread costs 10-30% (tc1, kappa = 4:
-2.1-2.2 against 1.8-2.1 s; n = 1600: 6.5 against 4.9 s).
+after the solve; from n = 1024 one thread costs 10-30%.  CHANGES.md's
+entries on the sine transforms, the Schur decomposition and the one BLAS
+thread give the timings of both routes against the factor.
 
 Every other system is factored.  Assembly stores each system as its
-natural-order rows (:class:`~swgfem.assembly.Rows`), and a transform solve
+natural-order rows (:class:`~swgfem.assembly.Rows`), and a solve from B
 reads nothing else.  The CSC of P A P^T, in the nested-dissection order of
 the tensor mesh (:func:`~swgfem.mesh.nested_dissection`), is derived from
-the rows once, into their buffers, when a solve that factors or refines
-first reads it (``SparseSystem.ordered``), and the rows are dropped.
-:func:`solve` factors that matrix as stored: SuperLU keeps the order
+the rows once, into their buffers, when a solve that factors first reads
+it (``SparseSystem.ordered``), and the rows are dropped.  :func:`solve`
+factors that matrix as stored: SuperLU keeps the order
 (``permc_spec="NATURAL"``), and no natural-order matrix or second copy is
 resident while it factors.  The order halves the factor against SuperLU's
 minimum-degree ordering of A^T A + A: 6.69 M against 13.4 M entries at
@@ -52,16 +51,16 @@ needs no check.
 
 Every solve checks the returned vector independently of solver internals
 by its normwise backward error (Higham, *Accuracy and Stability of
-Numerical Algorithms*, ch. 7): a first transform solve against the rows in
-the natural order, a refined or factored solve against the stored matrix
-in the stored order.  B is taken from one element, and this check alone
-decides whether it fits the others: the stored blocks may differ from it by
-a few ulps (``mesh_for``'s steps are not all equal in floating point), so a
-transform solve that misses the tolerance takes one step of refinement
-against the stored matrix (fd2 at kappa = 0.7, n = 1000: from 77 to 1.1
-eps, for 0.4 s), as every Schur solve does (tc1 at n = 260: from 20 to 0.8
-eps, and its H1 error from 9.5e-11 to 1.9e-12), and one that still misses
-it is discarded and the system factored.
+Numerical Algorithms*, ch. 7).  The rule: a solve from B is judged and
+refined on the rows in the natural order, and the factor alone uses the
+stored order, in which it is judged.  B is taken from one element, and
+this check alone decides whether it fits the others: the stored blocks may
+differ from it by a few ulps (``mesh_for``'s steps are not all equal in
+floating point), so a transform solve that misses the tolerance (fd2 at
+kappa = 0.7, n = 1000: 77 eps) takes one step of refinement, as every Schur
+solve does (tc1 at n = 260: from 17 to 0.8 eps, and its H1 error from
+9.5e-11 to 1.9e-12), and one that still misses it, or overflows, is
+discarded and the system factored.
 """
 
 import contextlib
@@ -197,20 +196,6 @@ def _inf_norm(matrix) -> float:
     if isinstance(matrix, Rows):
         return _matvec(matrix, np.ones(matrix.values.shape[0]), np.abs(matrix.values)).max()
     return _matvec(matrix, np.ones(matrix.shape[0]), np.abs(matrix.data)).max()
-
-
-def _factor_and_solve(system):
-    """Factor ``system.ordered`` as stored and solve it for the permuted rhs."""
-    ordered = system.ordered
-    _release_free_heap(ordered.shape[0])
-    try:
-        lu = spla.splu(ordered, permc_spec="NATURAL", relax=SUPERLU_RELAX,
-                       panel_size=SUPERLU_PANEL)
-        # permuted once the factorization, whose peak it would add to, is done
-        rhs = system.rhs[system.order]
-        return rhs, lu.solve(rhs)
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise SingularMatrix(str(exc)) from exc
 
 
 def _sines(x, n, shift):
@@ -423,59 +408,71 @@ def _backward_error(matrix, rhs, y) -> float:
     return np.abs(r).max() / scale if scale > 0 else 0.0
 
 
-def _structured_solver(system):
-    """(solve, refine): the natural-order solve of ``system`` from its block,
-    and whether its first solve is always refined; (None, False) when it has
-    no block, or a LinAlgError stops the Schur decomposition."""
-    if system.block is None:
-        return None, False
-    if np.array_equal(system.block, system.block.T):  # beta = 0 (see SparseSystem)
-        return lambda rhs: _transform_solve(system, rhs), False
+def _structured_solve(system):
+    """The natural-order solution of ``system`` from its block, judged and
+    refined once on its rows; None when it has no finite block, its rows
+    were dropped by a derivation of its stored matrix, or the solve misses
+    the tolerance.  A LinAlgError from the Schur decomposition, an overflow
+    of :func:`_determinant`'s exact coefficients or a non-finite step is a
+    miss, and warns of nothing."""
+    block, rows, rhs = system.block, system.rows, system.rhs
+    if block is None or rows.values is None or not np.isfinite(block).all():
+        return None
+    with np.errstate(all="ignore"):  # a non-finite y reads as backward error inf
+        try:
+            transform = np.array_equal(block, block.T)  # beta = 0 (see SparseSystem)
+            structured = (functools.partial(_transform_solve, system) if transform
+                          else _decomposition_solver(system))
+            y = structured(rhs)
+            # a Schur solve is always refined
+            backward = _backward_error(rows, rhs, y) if transform else math.inf
+            if not backward <= DIRECT_BACKWARD_TOL:  # one step of refinement
+                y = y + structured(rhs - _matvec(rows, y))
+                backward = _backward_error(rows, rhs, y)
+        except (np.linalg.LinAlgError, OverflowError):
+            return None
+    return y if backward <= DIRECT_BACKWARD_TOL else None
+
+
+def _factored_solve(system):
+    """The natural-order solution of ``system`` by a factor of
+    ``system.ordered`` as stored, after :func:`check_memory`, checked in the
+    stored order."""
+    check_memory(system.mesh.nx, system.mesh.ny)
+    ordered, order = system.ordered, system.order
+    _release_free_heap(ordered.shape[0])
     try:
-        return _decomposition_solver(system), True
-    except np.linalg.LinAlgError:
-        return None, False
+        lu = spla.splu(ordered, permc_spec="NATURAL", relax=SUPERLU_RELAX,
+                       panel_size=SUPERLU_PANEL)
+        # permuted once the factorization, whose peak it would add to, is done
+        rhs = system.rhs[order]
+        stored = lu.solve(rhs)
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise SingularMatrix(str(exc)) from exc
+    del lu  # freed before the check
+    backward = _backward_error(ordered, rhs, stored)
+    if backward == math.inf:
+        raise SingularMatrix("factorization produced non-finite values")
+    if backward > DIRECT_BACKWARD_TOL:
+        raise SingularMatrix(f"direct solve left normwise backward error {backward:.3e}")
+    y = np.empty_like(stored)  # allocated once the factor is freed
+    y[order] = stored
+    return y
 
 
 def solve(system: SparseSystem) -> Solution:
     """Solve ``system``, check its normwise backward error (SingularMatrix past
     ``DIRECT_BACKWARD_TOL``) and merge boundary values into a full edge vector.
 
-    A system with a ``block`` is solved from it, its first solve judged
-    against the rows while they are held; it is refined once, in the stored
-    order, if that solve misses the tolerance, and always after a Schur
-    solve.  If it misses it still, or the system has no block, it is
-    factored after :func:`check_memory`."""
+    A system with a ``block`` is solved from it, judged and refined on its
+    rows in the natural order (:func:`_structured_solve`).  A system with
+    no block, or whose structured solve misses the tolerance, is factored
+    in the stored order (:func:`_factored_solve`)."""
     y = np.zeros(0)  # the solution, in natural order
     if system.rhs.size:
-        backward = math.inf
-        structured, refine = _structured_solver(system)
-        if structured is not None:
-            y = structured(system.rhs)
-            if not refine and system.rows.values is not None:
-                backward = _backward_error(system.rows, system.rhs, y)
-            elif not refine:  # rows dropped by an earlier read of ordered
-                order = system.order
-                backward = _backward_error(system.ordered, system.rhs[order], y[order])
-            if not backward <= DIRECT_BACKWARD_TOL:  # one step of refinement
-                ordered, order = system.ordered, system.order
-                rhs, stored = system.rhs[order], y[order]
-                residual = np.empty_like(rhs)
-                residual[order] = rhs - _matvec(ordered, stored)
-                y[order] = stored = stored + structured(residual)[order]
-                backward = _backward_error(ordered, rhs, stored)
-        if not backward <= DIRECT_BACKWARD_TOL:
-            check_memory(system.mesh.nx, system.mesh.ny)
-            rhs, stored = _factor_and_solve(system)
-            backward = _backward_error(system.ordered, rhs, stored)
-            if backward == math.inf:
-                raise SingularMatrix("factorization produced non-finite values")
-            if backward > DIRECT_BACKWARD_TOL:
-                raise SingularMatrix(
-                    f"direct solve left normwise backward error {backward:.3e}"
-                )
-            y = np.empty_like(stored)  # allocated once the factor is freed
-            y[system.order] = stored
+        y = _structured_solve(system)
+        if y is None:
+            y = _factored_solve(system)
 
     dof_map = system.mesh.dof_map
     values = np.empty(dof_map.count)

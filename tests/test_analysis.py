@@ -188,6 +188,14 @@ class TestDmpCheck:
         assert rep.bound == (max(rep.boundary_max, 0.0) if c_nonneg else rep.boundary_max)
         assert rep.margin == rep.bound - rep.interior_max
 
+    def test_one_element_is_vacuously_satisfied(self):
+        # no interior edge: the docstring's -inf interior maximum, which swg dmp refuses
+        mesh = uniform_mesh(1)
+        dm = enumerate_dofs(mesh)
+        assert dm.interior.size == 0
+        rep = dmp_check(Solution(values=np.full(dm.count, 0.5)), mesh, c_nonneg=False)
+        assert (rep.interior_max, rep.margin, rep.satisfied) == (-math.inf, math.inf, True)
+
     def test_violation_detected(self):
         mesh = uniform_mesh(4)
         dm = enumerate_dofs(mesh)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import math
@@ -25,7 +26,7 @@ import swgfem.solver
 from swgfem.analysis import discrete_h1_error, discrete_l2_error, solve_problem
 from swgfem.cli import main as cli_main
 from swgfem.assembly import AssemblyConfig, Rows, SparseSystem, assemble, stored_numbering
-from swgfem.errors import NonFiniteData, OutOfMemory, SingularMatrix
+from swgfem.errors import NonFiniteData, OutOfMemory, SingularMatrix, SwgError
 from swgfem.mesh import (
     DofMap,
     ND_LEAF_ELEMENTS,
@@ -371,10 +372,12 @@ class TestTransformSolve:
         system = assemble(mesh, make_custom(alpha0=0.8, c=c, f=-1.0, g=0.25),
                           AssemblyConfig(kappa=2.0))
         assert system.block is not None
-        y = swgfem.solver._transform_solve(system, system.rhs)[system.order]
-        assert (swgfem.solver._backward_error(system.ordered, system.rhs[system.order], y)
+        y = swgfem.solver._transform_solve(system, system.rhs)
+        assert (swgfem.solver._backward_error(system.rows, system.rhs, y)
                 <= swgfem.solver.DIRECT_BACKWARD_TOL)
-        sol = solve(system)
+        with mock.patch.object(spla, "splu", wraps=spla.splu) as spy:
+            sol = solve(system)
+        assert spy.call_count == 0
         reference = solve(factored(system))
         scale = max(np.abs(reference.values).max(), 1.0)
         assert np.abs(sol.values - reference.values).max() <= 1e-12 * scale
@@ -382,19 +385,18 @@ class TestTransformSolve:
     @staticmethod
     def off_block(offset):
         """fd2 at n = 8 with its block's diagonal ``offset`` off the stored
-        blocks, the backward error of its first transform solve and the
-        system itself."""
+        blocks, the backward error of its first transform solve, judged on
+        the rows it shares with the system, and the system itself."""
         problem = get_problem("fd2")
         system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
         block = system.block * np.where(np.eye(4), 1 + offset, 1.0)
         off = dataclasses.replace(system, block=block)
-        y = swgfem.solver._transform_solve(off, off.rhs)[system.order]
-        rhs = system.rhs[system.order]
-        return off, swgfem.solver._backward_error(system.ordered, rhs, y), system
+        y = swgfem.solver._transform_solve(off, off.rhs)
+        return off, swgfem.solver._backward_error(system.rows, system.rhs, y), system
 
     def test_missed_tolerance_is_refined_once(self, factor_calls):
         # a block 1e-12 off misses the tolerance; one step of refinement
-        # against the stored matrix meets it, and nothing is factored
+        # against the rows meets it, and nothing is factored
         off, first, system = self.off_block(1e-12)
         assert first > swgfem.solver.DIRECT_BACKWARD_TOL
         sol = solve(off)
@@ -487,6 +489,16 @@ class TestPathSelection:
         solve(system)
         assert factor_calls == []
 
+    @pytest.mark.parametrize("build", [assemble_tc1, assemble_fd5], ids=["schur", "transform"])
+    def test_block_system_read_in_stored_order_is_factored(self, build, factor_calls):
+        # a read of ordered drops the rows a structured solve is judged on,
+        # so the solve factors, with the factor's bits
+        system = build(8)
+        assert system.block is not None and system.ordered.nnz
+        sol = solve(system)
+        assert len(factor_calls) == 1
+        np.testing.assert_array_equal(sol.values, solve(factored(system)).values)
+
     def test_stencil_block_is_the_element_block(self):
         # the weak Galerkin and 7-point systems of fd2 are one matrix, so
         # their blocks are one block
@@ -511,6 +523,17 @@ def ulps_route(block):
 BETA_COMPONENT = st.just(0.0) | st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)
 
 
+@contextlib.contextmanager
+def route_spies():
+    """Spies on the solver's two structured routes, the sine transforms and
+    the Schur decomposition, while the block runs."""
+    with mock.patch.object(swgfem.solver, "_transform_solve",
+                           wraps=swgfem.solver._transform_solve) as transformed, \
+            mock.patch.object(swgfem.solver, "_decomposition_solver",
+                              wraps=swgfem.solver._decomposition_solver) as decomposed:
+        yield transformed, decomposed
+
+
 class TestRouteBySymmetry:
     """A block goes to the sine transforms exactly when it equals its
     transpose bit for bit, which it does exactly when beta = 0."""
@@ -533,8 +556,9 @@ class TestRouteBySymmetry:
         assert block is not None
         symmetric = np.array_equal(block, block.T)
         assert symmetric == (beta == (0.0, 0.0))
-        _, decomposed = swgfem.solver._structured_solver(system)
-        assert decomposed != symmetric
+        with route_spies() as (transformed, decomposed):
+            solve(system)
+        assert (transformed.called, decomposed.called) == (symmetric, not symmetric)
         # the ulps rule took every symmetric block to the transforms too; it
         # also took a block within 4 ulps of symmetric, the one case where the
         # routes part (test_block_within_ulps_of_symmetric_is_decomposed)
@@ -567,8 +591,9 @@ class TestRouteBySymmetry:
         system = assemble(mesh, problem, AssemblyConfig(kappa=1.0))
         block = system.block
         assert not np.array_equal(block, block.T) and ulps_route(block)
-        assert swgfem.solver._structured_solver(system)[1]  # the Schur route
-        sol = solve(system)
+        with route_spies() as (transformed, decomposed):
+            sol = solve(system)
+        assert not transformed.called and decomposed.call_count == 1  # the Schur route
         assert factor_calls == []
         assert stored_backward_error(system, sol) <= swgfem.solver.DIRECT_BACKWARD_TOL
 
@@ -599,22 +624,59 @@ class TestDecompositionSolve:
         # solve factors instead, with the factor's bits
         system = assemble_tc1(8)
         off = dataclasses.replace(system, block=system.block * np.where(np.eye(4), 1.001, 1.0))
-        y = swgfem.solver._decomposition_solver(off)(off.rhs)[system.order]
-        rhs = system.rhs[system.order]
-        assert swgfem.solver._backward_error(system.ordered, rhs, y) > 1e6 * np.finfo(float).eps
-        sol = solve(off)
+        y = swgfem.solver._decomposition_solver(off)(off.rhs)
+        assert swgfem.solver._backward_error(system.rows, system.rhs, y) > 1e6 * np.finfo(float).eps
+        with mock.patch.object(swgfem.solver, "_matvec", wraps=swgfem.solver._matvec) as spy:
+            sol = solve(off)
+        # refined on the rows (its residual, then the check's product and norm), then factored
+        assert ([isinstance(call.args[0], Rows) for call in spy.call_args_list]
+                == [True] * 3 + [False] * 2)
         assert len(factor_calls) == 1
         np.testing.assert_array_equal(sol.values, solve(factored(system)).values)
 
     def test_quadratic_exact_at_n_256(self, factor_calls):
-        # tc1 at kappa = 4 reproduces its quadratic: measured 4.4e-15 (l2)
-        # and 7.9e-14 (h1), against 1.3e-11 and 5.7e-11 before the
+        # tc1 at kappa = 4 reproduces its quadratic: measured 7.2e-15 (l2)
+        # and 1.3e-13 (h1), against 1.3e-11 and 5.7e-11 before the
         # refinement step every Schur solve takes
         problem = get_problem("tc1")
         mesh, _, sol = solve_problem(problem, 256, 4.0)
         assert factor_calls == []
         assert discrete_l2_error(sol, mesh, problem.exact) <= 1e-11
         assert discrete_h1_error(sol, mesh, problem.exact_grad) <= 1e-11
+
+
+#: Data whose structured solve overflows, or whose operator underflows to
+#: singular: the exact coefficients of the transform route overflow a float,
+#: or the solve's products do.
+EXTREME_DATA = {
+    "alpha0-1e300": (make_custom(alpha0=1e300, f=-1.0, g=0.5), 1.0),
+    "c-1e200": (make_custom(c=1e200, f=-1.0, g=0.5), 2.0),
+    "alpha0-1e-300": (make_custom(alpha0=1e-300), 2.0),
+    "tc1-kappa-1e300": (get_problem("tc1"), 1e300),
+    "beta-alpha0-1e300": (make_custom(alpha0=1e300, beta=(1.0, -1.0), f=-1.0), 2.0),
+    "beta-c-1e200": (make_custom(c=1e200, beta=(1.0, -1.0), f=-1.0), 2.0),
+    "beta-1e300": (make_custom(beta=(1e300, -1e300), f=-1.0), 2.0),
+}
+
+
+class TestExtremeData:
+    """A structured solve that overflows is a quiet miss: the system is
+    factored, and the library returns or raises an SwgError, warning of nothing."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", EXTREME_DATA)
+    def test_library_raises_only_named_errors(self, case):
+        problem, kappa = EXTREME_DATA[case]
+        with contextlib.suppress(SwgError):
+            solve_problem(problem, 8, kappa)
+
+    def test_non_finite_block_is_factored(self, factor_calls):
+        # an overflowed block, as alpha0 = 1e308 assembles; scipy's schur refuses it
+        system = assemble_tc1(8)
+        off = dataclasses.replace(system, block=np.where(np.eye(4), system.block, np.inf))
+        sol = solve(off)
+        assert len(factor_calls) == 1
+        np.testing.assert_array_equal(sol.values, solve(factored(system)).values)
 
 
 def test_import_leaves_scipy_fft_unloaded():
@@ -775,12 +837,12 @@ def derivations(monkeypatch):
     return calls
 
 
-def off_diagonal_system():
-    """fd2 at n = 8 whose block's diagonal is 1e-12 off the stored blocks, as
-    in ``test_missed_tolerance_is_refined_once``, sharing the rows of fd2."""
+def off_diagonal_system(offset):
+    """fd2 at n = 8 whose block's diagonal is ``offset`` off the stored blocks,
+    as in ``TestTransformSolve.off_block``, sharing the rows of fd2."""
     problem = get_problem("fd2")
     system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
-    return dataclasses.replace(system, block=system.block * np.where(np.eye(4), 1 + 1e-12, 1.0))
+    return dataclasses.replace(system, block=system.block * np.where(np.eye(4), 1 + offset, 1.0))
 
 
 def nonuniform_fd2():
@@ -789,8 +851,9 @@ def nonuniform_fd2():
 
 
 class TestRouteCost:
-    """A solve by sine transforms builds no nested-dissection order and no
-    CSC; a solve that refines or factors derives both from the rows once."""
+    """A solve from the block, by sine transforms or a Schur decomposition,
+    refined or not, builds no nested-dissection order and no CSC; a solve
+    that factors derives both from the rows once."""
 
     @pytest.mark.parametrize("pid", ["fd1", "fd2", "tc3"])
     def test_transform_solve_derives_nothing(self, pid, derivations, factor_calls):
@@ -812,12 +875,21 @@ class TestRouteCost:
 
     @pytest.mark.parametrize("build", [
         lambda: assemble_tc1(16),  # refined after its Schur solve
+        lambda: off_diagonal_system(1e-12),  # refined after its transform solve
+    ], ids=["tc1", "block-offset-1e-12"])
+    def test_refined_solve_derives_nothing(self, build, derivations, factor_calls):
+        system = build()
+        solve(system)
+        solve(system)
+        assert factor_calls == [] and derivations == []
+
+    @pytest.mark.parametrize("build", [
         lambda: assemble(mesh_for(get_problem("tc2"), 16), get_problem("tc2"),
                          AssemblyConfig(kappa=4.0)),
         nonuniform_fd2,
-        off_diagonal_system,  # refined after its transform solve
-    ], ids=["tc1", "tc2", "fd2-nonuniform", "block-offset"])
-    def test_refined_or_factored_solve_derives_once(self, build, derivations):
+        lambda: off_diagonal_system(1e-3),  # factored after a refined transform solve
+    ], ids=["tc2", "fd2-nonuniform", "block-offset-1e-3"])
+    def test_factored_solve_derives_once(self, build, derivations):
         system = build()
         assert derivations == []
         solve(system)
