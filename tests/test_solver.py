@@ -837,14 +837,6 @@ def derivations(monkeypatch):
     return calls
 
 
-def off_diagonal_system(offset):
-    """fd2 at n = 8 whose block's diagonal is ``offset`` off the stored blocks,
-    as in ``TestTransformSolve.off_block``, sharing the rows of fd2."""
-    problem = get_problem("fd2")
-    system = assemble(mesh_for(problem, 8), problem, AssemblyConfig(kappa=4.0))
-    return dataclasses.replace(system, block=system.block * np.where(np.eye(4), 1 + offset, 1.0))
-
-
 def nonuniform_fd2():
     mesh = build_tensor_mesh([0.0, 0.1, 0.35, 0.4, 0.8, 1.0], [0.0, 0.3, 0.45, 0.9, 1.0])
     return assemble(mesh, get_problem("fd2"), AssemblyConfig(kappa=4.0))
@@ -875,7 +867,7 @@ class TestRouteCost:
 
     @pytest.mark.parametrize("build", [
         lambda: assemble_tc1(16),  # refined after its Schur solve
-        lambda: off_diagonal_system(1e-12),  # refined after its transform solve
+        lambda: TestTransformSolve.off_block(1e-12)[0],  # refined after its transform solve
     ], ids=["tc1", "block-offset-1e-12"])
     def test_refined_solve_derives_nothing(self, build, derivations, factor_calls):
         system = build()
@@ -887,7 +879,7 @@ class TestRouteCost:
         lambda: assemble(mesh_for(get_problem("tc2"), 16), get_problem("tc2"),
                          AssemblyConfig(kappa=4.0)),
         nonuniform_fd2,
-        lambda: off_diagonal_system(1e-3),  # factored after a refined transform solve
+        lambda: TestTransformSolve.off_block(1e-3)[0],  # factored after a refined transform solve
     ], ids=["tc2", "fd2-nonuniform", "block-offset-1e-3"])
     def test_factored_solve_derives_once(self, build, derivations):
         system = build()
